@@ -15,10 +15,12 @@ import csv
 import datetime as dt
 import io
 import math
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .types import RangeBound
 
@@ -101,7 +103,10 @@ class VolSeries:
     def __post_init__(self) -> None:
         if len(self.dates) != len(self.values):
             raise ValueError("dates and values must have the same length")
-        if np.any(np.asarray(self.values) < 0):
+        values = np.asarray(self.values)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("volatility estimates must be finite")
+        if np.any(values < 0):
             raise ValueError("volatility estimates must be >= 0")
 
     def __len__(self) -> int:
@@ -179,8 +184,8 @@ def parse_ohlc_csv(text: str, symbol: str = "") -> PriceSeries:
         raise OhlcValidationError("no bars: input has a header but no data rows")
     dates = [bar.date for bar in bars]
     if len(set(dates)) != len(dates):
-        dupes = sorted({d for d in dates if dates.count(d) > 1})
-        raise OhlcValidationError(f"duplicate dates: {dupes[0].isoformat()}")
+        dupes = [d for d, count in Counter(dates).items() if count > 1]
+        raise OhlcValidationError(f"duplicate dates: {min(dupes).isoformat()}")
     if dates != sorted(dates):
         raise OhlcValidationError("rows are not sorted by date")
     return PriceSeries(symbol=symbol, bars=tuple(bars))
@@ -218,9 +223,12 @@ def parse_vol_csv(text: str) -> VolSeries:
             raise OhlcParseError(f"expected 2 fields, got {len(row)}", line_no)
         try:
             dates.append(dt.date.fromisoformat(row[0].strip()))
-            values.append(float(row[1]))
+            sigma = float(row[1])
         except ValueError as exc:
             raise OhlcParseError(str(exc), line_no) from None
+        if not (math.isfinite(sigma) and sigma >= 0):
+            raise OhlcParseError(f"sigma must be finite and >= 0, got {row[1].strip()!r}", line_no)
+        values.append(sigma)
     if not dates:
         raise OhlcValidationError("no volatility rows")
     if any(b <= a for a, b in zip(dates, dates[1:])):
@@ -250,9 +258,7 @@ def historical_volatility(
     closes = series.closes()
     returns = np.diff(np.log(closes))
     count = n - window
-    values = np.empty(count)
-    for i in range(count):
-        values[i] = np.std(returns[i : i + window], ddof=1)
+    values = sliding_window_view(returns, window).std(axis=1, ddof=1)
     values *= math.sqrt(periods_per_year)
     dates = tuple(series.bars[i + window].date for i in range(count))
     return VolSeries(dates=dates, values=values, window=window)
@@ -290,19 +296,62 @@ def detect_ranges(
     A window of closes qualifies when it spans at least ``min_len`` bars, its
     band is no wider than ``band_tol`` of the band bottom, and the closes come
     within ``touch_frac`` of the band width of both edges at least
-    ``touch_count`` times each. Trending stretches produce no windows.
+    ``touch_count`` times each. Trending stretches produce no windows. For
+    each start ``i`` the longest qualifying window is taken and the scan
+    resumes after it; a start with none moves on by one bar.
+
+    Only ends below the band horizon are tried. The band test
+    ``(hi - lo) / lo > band_tol`` is monotone in the window: ``hi`` and ``lo``
+    are closes, so exact, and IEEE subtraction and division are monotone, so
+    the ratio never falls as the window grows on either side. For start ``i``
+    the horizon ``r(i)`` is the first end at which the test fails (``n`` if
+    none does); every end at or past it fails, and ``r`` never decreases as
+    ``i`` grows. A two-pointer over two monotone index deques of running
+    min and max (Lemire 2006) finds all horizons in amortised O(n). Ends
+    inside the run of equal closes starting at ``i`` give flat windows and
+    are skipped too. Each remaining end costs one O(j - i) call of
+    ``_window_qualifies``, from ``r(i) - 1`` down to the first that
+    qualifies. On GBM price histories that is one or two calls per hundred
+    bars; a long in-band stretch that never meets the touch rule still
+    costs cubic time in its own length.
     """
     if min_len < 5:
         raise ValueError(f"min_len must be >= 5, got {min_len}")
     if band_tol <= 0:
         raise ValueError(f"band_tol must be > 0, got {band_tol}")
     closes = series.closes()
-    n = len(closes)
+    values = closes.tolist()
+    n = len(values)
+    flat_end = list(range(n))  # last index of the run of equal closes from i
+    for k in range(n - 2, -1, -1):
+        if values[k] == values[k + 1]:
+            flat_end[k] = flat_end[k + 1]
+    lows: deque[int] = deque()  # indices in [i, r), closes increasing
+    highs: deque[int] = deque()  # indices in [i, r), closes decreasing
     windows: list[RangeWindow] = []
     i = 0
+    r = 0  # horizon: closes[i:r] passes the band test
     while i + min_len - 1 < n:
+        while lows and lows[0] < i:
+            lows.popleft()
+        while highs and highs[0] < i:
+            highs.popleft()
+        while r < n:
+            c = values[r]
+            lo = min(values[lows[0]], c) if lows else c
+            hi = max(values[highs[0]], c) if highs else c
+            if (hi - lo) / lo > band_tol:
+                break
+            while lows and values[lows[-1]] >= c:
+                lows.pop()
+            lows.append(r)
+            while highs and values[highs[-1]] <= c:
+                highs.pop()
+            highs.append(r)
+            r += 1
         found = None
-        for j in range(n - 1, i + min_len - 2, -1):
+        shortest = max(i + min_len - 1, flat_end[i] + 1)
+        for j in range(r - 1, shortest - 1, -1):
             band = _window_qualifies(closes, i, j, band_tol, touch_count, touch_frac)
             if band is not None:
                 found = RangeWindow(start=i, end=j, band=band)

@@ -124,6 +124,18 @@ class TestScan:
         assert code == 1
         assert "line 2" in err
 
+    @pytest.mark.parametrize("sigma", ["nan", "-0.2"])
+    def test_bad_vol_value_exits_one_with_line(self, capsys, tmp_path, sigma):
+        src = tmp_path / "LNKD.csv"
+        src.write_text(band_series_csv(123.3, 127.2), encoding="utf-8")
+        vol = tmp_path / "vol.csv"
+        vol.write_text(f"date,sigma\n2013-01-01,0.4\n2013-01-02,{sigma}\n", encoding="utf-8")
+        code, _, err = run_cli(
+            capsys, "scan", "--input", str(src), "--vol", str(vol), "--r", "0.03"
+        )
+        assert code == 1
+        assert f"{vol}: line 3: sigma" in err
+
     def test_missing_file_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "scan", "--input", str(tmp_path / "nope.csv"), "--r", "0.03")
         assert code == 1

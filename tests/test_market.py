@@ -5,13 +5,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from rangetunnel import market
 from rangetunnel.market import (
     OhlcBar,
     OhlcParseError,
     OhlcValidationError,
     PriceSeries,
+    RangeWindow,
     VolSeries,
     detect_ranges,
     detect_vol_fall,
@@ -77,6 +79,15 @@ class TestParse:
         with pytest.raises(OhlcValidationError, match="duplicate"):
             parse_ohlc_csv(text)
 
+    def test_duplicate_report_names_earliest_date_before_order_check(self):
+        # unsorted as well, but the duplicate check runs first
+        rows = ["2013-02-09", "2013-02-09", "2013-02-05", "2013-02-07", "2013-02-05", "2013-02-07"]
+        text = "date,open,high,low,close\n" + "".join(
+            f"{d},124.0,127.2,123.3,126.1\n" for d in rows
+        )
+        with pytest.raises(OhlcValidationError, match=r"^duplicate dates: 2013-02-05$"):
+            parse_ohlc_csv(text)
+
     def test_unsorted_dates_rejected(self):
         text = (
             "date,open,high,low,close\n"
@@ -113,6 +124,19 @@ class TestVolCsv:
         with pytest.raises(OhlcParseError):
             parse_vol_csv("date,vol\n2013-01-02,0.63\n")
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf", "-0.1"])
+    def test_bad_sigma_carries_line_number(self, sigma):
+        text = f"date,sigma\n2013-01-02,0.63\n\n2013-01-03,{sigma}\n"
+        with pytest.raises(OhlcParseError, match="sigma") as excinfo:
+            parse_vol_csv(text)
+        assert excinfo.value.line == 4
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_vol_series_rejects_non_finite(self, bad):
+        dates = (dt.date(2013, 1, 2), dt.date(2013, 1, 3))
+        with pytest.raises(ValueError, match="finite"):
+            VolSeries(dates=dates, values=np.array([0.4, bad]), window=0)
+
 
 class TestHistoricalVolatility:
     def test_constant_closes_zero_vol(self):
@@ -146,6 +170,20 @@ class TestHistoricalVolatility:
         assert vol.dates[0] == series.bars[21].date
         assert vol.dates[-1] == series.bars[-1].date
 
+    @given(
+        st.integers(min_value=2, max_value=60),
+        st.integers(min_value=1, max_value=200),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_vectorised_matches_per_window_loop(self, window, extra, seed):
+        closes = 100.0 * np.exp(np.random.default_rng(seed).normal(0.0, 0.02, window + extra))
+        vol = historical_volatility(
+            PriceSeries(symbol="R", bars=flat_bars(closes.tolist())), window=window
+        )
+        returns = np.diff(np.log(closes))
+        loop = np.array([np.std(returns[i : i + window], ddof=1) for i in range(extra)])
+        assert np.array_equal(vol.values, loop * math.sqrt(252))
+
     def test_too_short_rejected(self):
         series = PriceSeries(symbol="C", bars=flat_bars([100.0] * 21))
         with pytest.raises(ValueError):
@@ -168,7 +206,103 @@ class TestHistoricalVolatility:
         assert np.allclose(vol_base.values, vol_scaled.values, rtol=1e-9)
 
 
+def brute_force_ranges(series, min_len=15, band_tol=0.05, touch_count=2, touch_frac=0.25):
+    """Oracle for detect_ranges: try every end from the last bar down, per start."""
+    closes = series.closes()
+    n = len(closes)
+    windows = []
+    i = 0
+    while i + min_len - 1 < n:
+        found = None
+        for j in range(n - 1, i + min_len - 2, -1):
+            band = market._window_qualifies(closes, i, j, band_tol, touch_count, touch_frac)
+            if band is not None:
+                found = RangeWindow(start=i, end=j, band=band)
+                break
+        if found is not None:
+            windows.append(found)
+            i = found.end + 1
+        else:
+            i += 1
+    return windows
+
+
+@st.composite
+def close_paths(draw):
+    """Positive closes built from 1-4 stretches of mixed shapes, optionally tick-rounded."""
+    price = draw(st.floats(min_value=1.0, max_value=1000.0))
+    closes = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        n = draw(st.integers(min_value=1, max_value=40))
+        shape = draw(st.sampled_from(["flat", "spike", "trend", "alternating", "walk"]))
+        if shape == "flat":
+            part = [price] * n
+        elif shape == "spike":
+            part = [price] * n
+            part[draw(st.integers(min_value=0, max_value=n - 1))] *= draw(
+                st.floats(min_value=0.9, max_value=1.1)
+            )
+        elif shape == "trend":
+            growth = draw(st.floats(min_value=-0.02, max_value=0.02))
+            part = [price * (1.0 + growth) ** k for k in range(n)]
+        elif shape == "alternating":
+            amp = draw(st.floats(min_value=0.0, max_value=0.05))
+            part = [price * (1.0 + amp if k % 2 else 1.0 - amp) for k in range(n)]
+        else:
+            steps = draw(st.lists(st.floats(-0.02, 0.02), min_size=n, max_size=n))
+            part = (price * np.exp(np.cumsum(steps))).tolist()
+        closes.extend(part)
+        price = part[-1]
+    tick = draw(st.sampled_from([None, 0.01, 0.25, 1.0]))
+    if tick is not None:
+        closes = [max(tick, round(c / tick) * tick) for c in closes]
+    return closes
+
+
+def window_tuples(windows):
+    return [(w.start, w.end, w.band.support, w.band.resistance) for w in windows]
+
+
 class TestDetectRanges:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        close_paths(),
+        st.integers(min_value=5, max_value=25),
+        st.floats(min_value=1e-4, max_value=0.2),
+        st.integers(min_value=1, max_value=6),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_matches_brute_force(self, closes, min_len, band_tol, touch_count, touch_frac):
+        series = PriceSeries(symbol="H", bars=flat_bars(closes))
+        params = dict(
+            min_len=min_len, band_tol=band_tol, touch_count=touch_count, touch_frac=touch_frac
+        )
+        assert window_tuples(detect_ranges(series, **params)) == window_tuples(
+            brute_force_ranges(series, **params)
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_brute_force_on_gbm(self, seed):
+        series = gbm_series(sigma_true=0.30, n=300, seed=seed)
+        assert window_tuples(detect_ranges(series)) == window_tuples(brute_force_ranges(series))
+
+    def test_candidate_count_stays_below_bar_count(self, monkeypatch):
+        calls = 0
+        qualifies = market._window_qualifies
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return qualifies(*args)
+
+        monkeypatch.setattr(market, "_window_qualifies", counting)
+        n = 2000
+        assert detect_ranges(gbm_series(n=n))
+        assert 0 < calls < n  # trying every end makes about n**2 / 2 calls
+        calls = 0
+        assert detect_ranges(PriceSeries(symbol="F", bars=flat_bars([100.0] * n))) == []
+        assert calls == 0
+
     def test_flat_closes_rejected_but_small_wiggle_accepted(self):
         flat = PriceSeries(symbol="F", bars=flat_bars([100.0] * 20))
         assert detect_ranges(flat) == []
@@ -214,6 +348,11 @@ class TestDetectRanges:
             assert (closes.max() - closes.min()) / closes.min() <= 0.05
             assert (closes >= window.band.resistance - 0.25 * width).sum() >= 2
             assert (closes <= window.band.support + 0.25 * width).sum() >= 2
+
+    def test_band_exactly_at_tolerance_qualifies(self):
+        series = band_series("EDGE", 100.0, 105.0, n=20)  # (105 - 100) / 100 == 0.05
+        assert window_tuples(detect_ranges(series, band_tol=0.05)) == [(0, 19, 100.0, 105.0)]
+        assert detect_ranges(series, band_tol=0.0499) == []
 
     def test_min_len_guard(self, lnkd_series):
         with pytest.raises(ValueError):
