@@ -307,12 +307,11 @@ def detect_ranges(
     the horizon ``r(i)`` is the first end at which the test fails (``n`` if
     none does); every end at or past it fails, and ``r`` never decreases as
     ``i`` grows. A two-pointer over two monotone index deques of running
-    min and max (Lemire 2006) finds all horizons in amortised O(n). Ends
-    inside the run of equal closes starting at ``i`` give flat windows and
-    are skipped too. Each remaining end costs one O(j - i) call of
-    ``_window_qualifies``, from ``r(i) - 1`` down to the first that
-    qualifies. On GBM price histories that is one or two calls per hundred
-    bars; a long in-band stretch that never meets the touch rule still
+    min and max (Lemire 2006) finds all horizons in amortised O(n). Each
+    end below the horizon costs one O(j - i) call of ``_window_qualifies``,
+    from ``r(i) - 1`` down to the first that qualifies. On GBM price
+    histories that is one or two calls per hundred bars; a long in-band
+    stretch that never meets the touch rule, flat closes included, still
     costs cubic time in its own length.
     """
     if min_len < 5:
@@ -322,10 +321,6 @@ def detect_ranges(
     closes = series.closes()
     values = closes.tolist()
     n = len(values)
-    flat_end = list(range(n))  # last index of the run of equal closes from i
-    for k in range(n - 2, -1, -1):
-        if values[k] == values[k + 1]:
-            flat_end[k] = flat_end[k + 1]
     lows: deque[int] = deque()  # indices in [i, r), closes increasing
     highs: deque[int] = deque()  # indices in [i, r), closes decreasing
     windows: list[RangeWindow] = []
@@ -350,8 +345,7 @@ def detect_ranges(
             highs.append(r)
             r += 1
         found = None
-        shortest = max(i + min_len - 1, flat_end[i] + 1)
-        for j in range(r - 1, shortest - 1, -1):
+        for j in range(r - 1, i + min_len - 2, -1):
             band = _window_qualifies(closes, i, j, band_tol, touch_count, touch_frac)
             if band is not None:
                 found = RangeWindow(start=i, end=j, band=band)

@@ -299,9 +299,6 @@ class TestDetectRanges:
         n = 2000
         assert detect_ranges(gbm_series(n=n))
         assert 0 < calls < n  # trying every end makes about n**2 / 2 calls
-        calls = 0
-        assert detect_ranges(PriceSeries(symbol="F", bars=flat_bars([100.0] * n))) == []
-        assert calls == 0
 
     def test_flat_closes_rejected_but_small_wiggle_accepted(self):
         flat = PriceSeries(symbol="F", bars=flat_bars([100.0] * 20))
