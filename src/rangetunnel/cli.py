@@ -13,15 +13,11 @@ from pathlib import Path
 
 from .barrier import barrier_geometry, transmission_exact, transmission_thin_wall
 from .market import OhlcParseError, OhlcValidationError, parse_ohlc_csv, parse_vol_csv
-from .scan import ScanConfig, report_csv, report_json, scan
+from .scan import ScanConfig, _fmt, report_csv, report_json, scan
 from .tables import render_table, reproduce_table
 from .types import MarketParams, RangeBound, Regime
 from .validate import DEFAULT_SEED, run_all
 from .wavefunction import sample_wavefunction
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.6g}"
 
 
 def _band_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RangeBound:

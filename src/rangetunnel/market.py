@@ -93,7 +93,7 @@ class VolSeries:
 
     ``dates[i]`` is the date of the bar that closes the i-th return window;
     for estimator output the length equals ``len(bars) - window``. Externally
-    supplied series use window = 0.
+    supplied series use window = 0. Dates are strictly increasing.
     """
 
     dates: tuple[dt.date, ...]
@@ -103,6 +103,8 @@ class VolSeries:
     def __post_init__(self) -> None:
         if len(self.dates) != len(self.values):
             raise ValueError("dates and values must have the same length")
+        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
+            raise OhlcValidationError("volatility dates must be strictly increasing")
         values = np.asarray(self.values)
         if not np.all(np.isfinite(values)):
             raise ValueError("volatility estimates must be finite")
@@ -231,8 +233,6 @@ def parse_vol_csv(text: str) -> VolSeries:
         values.append(sigma)
     if not dates:
         raise OhlcValidationError("no volatility rows")
-    if any(b <= a for a, b in zip(dates, dates[1:])):
-        raise OhlcValidationError("volatility dates must be strictly increasing")
     return VolSeries(dates=tuple(dates), values=np.array(values, dtype=float), window=0)
 
 

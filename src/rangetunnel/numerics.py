@@ -101,10 +101,19 @@ def quad_barrier_integral(
 ) -> float:
     """Numerically integrate sqrt(1/S^2 - lambda) over the wall [K, S1].
 
-    The integrand has an integrable square-root zero at S1; the upper limit is
-    pulled in by delta = 1e-12 * (S1 - K) and bisection grades the mesh into
-    the endpoint, so the integrand is never evaluated at S1 itself. The
-    omitted tail is O(delta^(3/2)), far below the tolerances in use.
+    The integrand has a square-root zero at S1, where its slope is infinite,
+    so plain bisection would have to grade the mesh deep into that endpoint.
+    The wall is split at mid = max(K, S1/2) instead:
+
+    - on [K, mid] the integrand in s is smooth and is used as it is;
+    - on [mid, S1] the substitution s = S1 - t^2, t in [0, sqrt(S1 - mid)],
+      turns it into 2 t^2 sqrt(lambda (2 S1 - t^2)) / (S1 - t^2), which is
+      smooth and exactly 0 at t = 0, so S1 needs no special treatment.
+
+    The substitution is not used over the whole wall: when K << S1, forming
+    S1 - t^2 near t = sqrt(S1 - K) cancels nearly all digits of s while the
+    integrand grows like 1/s there, so the integrator would chase rounding
+    noise. Past mid, s >= S1/2 and that cancellation costs at most one bit.
     """
     if cfg is None:
         cfg = QuadratureConfig()
@@ -115,13 +124,18 @@ def quad_barrier_integral(
     s1 = math.sqrt(1.0 / lam)
     if s1 <= k_width:
         return 0.0  # degenerate zero-width wall
-    delta = 1e-12 * (s1 - k_width)
+    mid = max(k_width, 0.5 * s1)
 
     def integrand(s: float) -> float:
-        gap = 1.0 / (s * s) - lam
-        return math.sqrt(gap) if gap > 0.0 else 0.0
+        return math.sqrt(1.0 / (s * s) - lam)  # >= sqrt(3 lambda) on [K, mid]
 
-    return adaptive_simpson(integrand, k_width, s1 - delta, cfg)
+    def substituted(t: float) -> float:
+        t2 = t * t
+        return 2.0 * t2 * math.sqrt(lam * (2.0 * s1 - t2)) / (s1 - t2)
+
+    return adaptive_simpson(integrand, k_width, mid, cfg) + adaptive_simpson(
+        substituted, 0.0, math.sqrt(s1 - mid), cfg
+    )
 
 
 def _check_grid(grid: np.ndarray) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -81,9 +82,10 @@ def _pick_sigma(
     if cfg.sigma_override is not None:
         return cfg.sigma_override
     if vol is not None:
-        inside = [v for d, v in zip(vol.dates, vol.values) if window_start <= d <= window_end]
-        if inside:
-            return float(inside[-1])
+        # the latest estimate dated <= window_end; dates are strictly increasing
+        i = bisect_right(vol.dates, window_end)
+        if i and vol.dates[i - 1] >= window_start:
+            return float(vol.values[i - 1])
     raise ValueError(
         f"no volatility estimate inside window {window_start}..{window_end}; "
         "supply a longer history, a volatility series, or a sigma override"

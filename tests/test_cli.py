@@ -136,6 +136,17 @@ class TestScan:
         assert code == 1
         assert f"{vol}: line 3: sigma" in err
 
+    def test_unsorted_vol_dates_exit_one(self, capsys, tmp_path):
+        src = tmp_path / "LNKD.csv"
+        src.write_text(band_series_csv(123.3, 127.2), encoding="utf-8")
+        vol = tmp_path / "vol.csv"
+        vol.write_text("date,sigma\n2013-01-02,0.4\n2013-01-01,0.3\n", encoding="utf-8")
+        code, _, err = run_cli(
+            capsys, "scan", "--input", str(src), "--vol", str(vol), "--r", "0.03"
+        )
+        assert code == 1
+        assert f"{vol}: volatility dates must be strictly increasing" in err
+
     def test_missing_file_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "scan", "--input", str(tmp_path / "nope.csv"), "--r", "0.03")
         assert code == 1

@@ -131,6 +131,17 @@ class TestVolCsv:
             parse_vol_csv(text)
         assert excinfo.value.line == 4
 
+    @pytest.mark.parametrize("second", ["2013-01-02", "2013-01-01"])
+    def test_dates_must_increase(self, second):
+        text = f"date,sigma\n2013-01-02,0.63\n{second},0.39\n"
+        with pytest.raises(OhlcValidationError, match="^volatility dates must be strictly increasing$"):
+            parse_vol_csv(text)
+
+    def test_vol_series_checks_date_order(self):
+        dates = (dt.date(2013, 1, 3), dt.date(2013, 1, 2))
+        with pytest.raises(OhlcValidationError, match="strictly increasing"):
+            VolSeries(dates=dates, values=np.array([0.4, 0.3]), window=0)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_vol_series_rejects_non_finite(self, bad):
         dates = (dt.date(2013, 1, 2), dt.date(2013, 1, 3))

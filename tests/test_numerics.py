@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rangetunnel import numerics
 from rangetunnel.numerics import (
     QuadratureConfig,
     QuadratureConvergenceError,
@@ -15,7 +16,46 @@ from rangetunnel.numerics import (
 )
 from rangetunnel.barrier import barrier_integral_closed, exit_price, lambda_of, wkb_prefactor
 from rangetunnel.types import MarketParams, RangeBound
+from rangetunnel.validate import _draw_params
 from rangetunnel.wavefunction import w_from_psi
+
+# the tolerances of the validate sweep and of acceptance c05
+SWEEP_CFG = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12, max_depth=60)
+
+
+def count_evals(monkeypatch, cap=math.inf):
+    """Count integrand evaluations made through numerics.adaptive_simpson.
+
+    Past ``cap`` evaluations the counter raises, so a runaway integration
+    fails at once instead of hanging the suite.
+    """
+    counter = {"evals": 0}
+    real = numerics.adaptive_simpson
+
+    def counting(f, a, b, cfg):
+        def counted(x):
+            counter["evals"] += 1
+            if counter["evals"] > cap:
+                raise AssertionError(f"more than {cap} integrand evaluations")
+            return f(x)
+
+        return real(counted, a, b, cfg)
+
+    monkeypatch.setattr(numerics, "adaptive_simpson", counting)
+    return counter
+
+
+def reference_bracket(params, band):
+    """atanh(u) - u with u = sqrt(1 - lambda K^2), free of cancellation.
+
+    Small u sums the odd series u^3/3 + u^5/5 + ...; otherwise
+    atanh(u) = log((1 + u) / sqrt(lambda K^2)), which stays accurate as u -> 1.
+    """
+    x = params.r / params.sigma * band.width * band.width
+    u = math.sqrt(1.0 - x)
+    if u < 0.5:
+        return math.fsum(u**k / k for k in range(3, 61, 2))
+    return math.log((1.0 + u) / math.sqrt(x)) - u
 
 
 class TestAdaptiveSimpson:
@@ -76,6 +116,24 @@ class TestBarrierQuadrature:
             params, band, QuadratureConfig(abs_tol=eps / 10, rel_tol=eps / 10)
         )
         assert abs(coarse - fine) <= 10 * eps
+
+    @pytest.mark.parametrize("lam_k2", [1e-12, 1e-8, 1e-4, 1 - 1e-4])
+    def test_edge_regimes_match_reference(self, monkeypatch, lam_k2):
+        params = MarketParams(r=0.03, sigma=0.47)
+        band = RangeBound.from_width(math.sqrt(lam_k2 / lambda_of(params)))
+        count_evals(monkeypatch, cap=20_000)
+        quad = quad_barrier_integral(params, band, SWEEP_CFG)
+        ref = reference_bracket(params, band)
+        assert abs(quad - ref) / ref <= 1e-9
+
+    def test_sweep_evaluation_budget(self, monkeypatch):
+        # the endpoint-graded integrand of the old oracle took about 5000 per point
+        counter = count_evals(monkeypatch)
+        rng = np.random.default_rng(4)
+        points = 1000
+        for _ in range(points):
+            quad_barrier_integral(*_draw_params(rng), SWEEP_CFG)
+        assert counter["evals"] / points < 2000
 
     def test_integrand_never_evaluated_at_exit(self):
         params = MarketParams(r=0.03, sigma=0.47)

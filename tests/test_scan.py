@@ -5,9 +5,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from rangetunnel.market import VolSeries
-from rangetunnel.scan import REPORT_COLUMNS, ScanConfig, report_csv, report_json, scan
+from rangetunnel.scan import REPORT_COLUMNS, ScanConfig, _pick_sigma, report_csv, report_json, scan
 from rangetunnel.types import Regime
 
 from conftest import band_series, gbm_series, trending_series
@@ -77,6 +78,35 @@ class TestScan:
         events = scan(series, r=0.03, cfg=ScanConfig(sigma_override=0.47))
         assert events[0].vol_fall_ratio is None
         assert events[0].sigma_before is None
+
+
+def linear_pick(vol, window_start, window_end):
+    """The original O(len(vol)) pick: the last estimate dated inside the window."""
+    inside = [v for d, v in zip(vol.dates, vol.values) if window_start <= d <= window_end]
+    return float(inside[-1]) if inside else None
+
+
+class TestPickSigma:
+    DAY0 = dt.date(2013, 1, 1)
+
+    @given(
+        offsets=st.sets(st.integers(0, 60), min_size=1, max_size=30),
+        bounds=st.tuples(st.integers(-5, 65), st.integers(-5, 65)).map(sorted),
+    )
+    def test_bisect_matches_linear_scan(self, offsets, bounds):
+        dates = tuple(self.DAY0 + dt.timedelta(days=o) for o in sorted(offsets))
+        vol = VolSeries(dates=dates, values=0.1 + 0.01 * np.arange(len(dates)), window=0)
+        start, end = (self.DAY0 + dt.timedelta(days=b) for b in bounds)
+        expected = linear_pick(vol, start, end)
+        if expected is not None:
+            assert _pick_sigma(vol, start, end, ScanConfig()) == expected
+        else:  # windows before, after or between the estimates
+            with pytest.raises(ValueError) as excinfo:
+                _pick_sigma(vol, start, end, ScanConfig())
+            assert str(excinfo.value) == (
+                f"no volatility estimate inside window {start}..{end}; "
+                "supply a longer history, a volatility series, or a sigma override"
+            )
 
 
 class TestReports:
