@@ -23,7 +23,6 @@ from .barrier import (
     wkb_prefactor,
 )
 from .market import (
-    OhlcBar,
     OhlcParseError,
     OhlcValidationError,
     PriceSeries,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BarrierGeometry",
     "MarketParams",
-    "OhlcBar",
     "OhlcParseError",
     "OhlcValidationError",
     "PriceSeries",

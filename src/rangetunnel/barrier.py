@@ -36,9 +36,6 @@ from .types import BarrierGeometry, MarketParams, RangeBound, Regime, TimeFactor
 # boundary; closer than this, 1 - lambda*K^2 loses all significant digits.
 BOUNDARY_GUARD = 1e-12
 
-# segment count used when a TransmissionResult is assembled without an explicit n
-DEFAULT_SEGMENTS = 64
-
 
 def potential_v(s: float) -> float:
     """Barrier potential V(S) = 1 / S^2 in the support-relative coordinate.
@@ -120,6 +117,13 @@ def barrier_integral_closed(params: MarketParams, band: RangeBound) -> float:
         integral_K^S1 sqrt(1/S^2 - lambda) dS = (1/2) ln((1+u)/(1-u)) - u
 
     which is atanh(u) - u, nonnegative, and vanishing as lambda K^2 -> 1.
+    That form cancels at both edges of the tunneling regime, so it is
+    evaluated only between them. For small u (lambda K^2 -> 1) the odd series
+    u^3/3 + u^5/5 + ... is summed instead; for u -> 1 (lambda K^2 -> 0) the
+    identity (1+u)/(1-u) = (1+u)^2 / (lambda K^2) removes the difference 1 - u.
+    Both cut-offs lie outside lambda K^2 in [0.01, 0.99], where the direct
+    form is accurate to a few 1e-13; keeping it there leaves the scan
+    reports and the validate sweep bit-for-bit reproducible across versions.
     """
     lam = lambda_of(params)
     k_width = band.width
@@ -129,6 +133,12 @@ def barrier_integral_closed(params: MarketParams, band: RangeBound) -> float:
             f"no wall to integrate over: lambda*K^2 = {lam_k2:.6g} >= 1"
         )
     u = math.sqrt(1.0 - lam_k2)
+    if u < 0.08:
+        u2 = u * u
+        # ten terms: the first one left out is below 1e-20 of the sum
+        return u * u2 * sum(u2**k / (2 * k + 3) for k in range(10))
+    if lam_k2 < 0.005:
+        return math.log((1.0 + u) / math.sqrt(lam_k2)) - u
     return 0.5 * math.log((1.0 + u) / (1.0 - u)) - u
 
 
@@ -179,36 +189,19 @@ def transmission_segmented(params: MarketParams, band: RangeBound, n: int) -> fl
     return math.exp(-2.0 * pf * total)
 
 
-def transmission_exact(
-    params: MarketParams, band: RangeBound, n_segments: int = DEFAULT_SEGMENTS
-) -> TransmissionResult:
-    """Exact transmission through the wall plus the two approximations.
+def transmission_exact(params: MarketParams, band: RangeBound) -> TransmissionResult:
+    """Exact transmission through the wall, T = exp(-2 * P * bracket).
 
-    T_exact = exp(-2 * P * bracket) with the closed-form bracket; the
-    NO_BARRIER regime yields T = 1 with a zero bracket. The thin-wall and
-    segmented values are bundled for comparison, the latter on ``n_segments``
-    pieces.
+    The bracket is the closed-form barrier integral; the NO_BARRIER regime
+    yields T = 1 with a zero bracket. The thin-wall and segmented
+    approximations are separate calls.
     """
     geo = barrier_geometry(params, band)
     pf = wkb_prefactor(params)
     if geo.regime is Regime.NO_BARRIER:
-        return TransmissionResult(
-            t_exact=1.0,
-            t_thin_wall=1.0,
-            t_segmented=1.0,
-            bracket=0.0,
-            prefactor=pf,
-            n_segments=n_segments,
-        )
+        return TransmissionResult(t_exact=1.0, bracket=0.0, prefactor=pf)
     bracket = barrier_integral_closed(params, band)
-    return TransmissionResult(
-        t_exact=math.exp(-2.0 * pf * bracket),
-        t_thin_wall=transmission_thin_wall(params, band),
-        t_segmented=transmission_segmented(params, band, n_segments),
-        bracket=bracket,
-        prefactor=pf,
-        n_segments=n_segments,
-    )
+    return TransmissionResult(t_exact=math.exp(-2.0 * pf * bracket), bracket=bracket, prefactor=pf)
 
 
 def time_factor(lam: float, t: float) -> TimeFactor:

@@ -1,6 +1,9 @@
 """OHLC ingestion, volatility estimation, and range/volatility-fall detection.
 
-CSV input is ``date,open,high,low,close[,volume]`` with ISO dates. Volatility
+CSV input is ``date,open,high,low,close[,volume]`` with ISO dates. The parser
+reads it in one pass straight into the columns of a PriceSeries, which checks
+the bar rules (one vectorised pass) and the date order, each in one place;
+the parser only turns the position of a faulty bar into its line. Volatility
 is the annualized rolling sample standard deviation of close-to-close log
 returns (window 21 bars, 252 periods/year by default); an externally computed
 series can be supplied instead as ``date,sigma``. Range-bound windows are
@@ -15,9 +18,10 @@ import csv
 import datetime as dt
 import io
 import math
+import operator
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -34,57 +38,105 @@ class OhlcParseError(ValueError):
 
 
 class OhlcValidationError(ValueError):
-    """Structurally valid CSV whose rows violate price-series invariants."""
+    """Structurally valid CSV whose rows violate price-series invariants.
+
+    A fault in one bar carries the bar's position as ``index`` and the message
+    without that location as ``reason``; for any other fault ``index`` is None.
+    """
+
+    def __init__(self, reason: str, index: Optional[int] = None):
+        super().__init__(reason if index is None else f"bar {index}: {reason}")
+        self.reason = reason
+        self.index = index
 
 
-@dataclass(frozen=True)
-class OhlcBar:
-    """One daily bar. Prices must be positive and bracket the open/close."""
+_PRICE_COLUMNS = ("open", "high", "low", "close")
 
-    date: dt.date
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: Optional[float] = None
 
-    def __post_init__(self) -> None:
-        for name in ("open", "high", "low", "close"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a positive finite price, got {value!r}")
-        if self.low > min(self.open, self.close):
-            raise ValueError(f"low {self.low} above min(open, close) on {self.date}")
-        if self.high < max(self.open, self.close):
-            raise ValueError(f"high {self.high} below max(open, close) on {self.date}")
-        if self.volume is not None and self.volume < 0:
-            raise ValueError(f"volume must be >= 0, got {self.volume}")
+def _check_bars(
+    dates: Sequence[dt.date],
+    open_: Sequence[float],
+    high: Sequence[float],
+    low: Sequence[float],
+    close: Sequence[float],
+    volume: Optional[Sequence[Optional[float]]],
+) -> None:
+    """Raise OhlcValidationError, with its index, for the first bar that breaks a bar rule.
+
+    The rules, in the order they are reported within one bar: each price is
+    positive and finite (open, high, low, close), ``low <= min(open, close)``,
+    ``high >= max(open, close)``, and a given volume is >= 0. Messages are
+    built from Python floats, so they read the same under every numpy version.
+    """
+    prices = np.array((open_, high, low, close), dtype=float)
+    o, h, lo, c = prices
+    vol = np.array(volume, dtype=float) if volume is not None else np.zeros(len(dates))
+    # a NaN price is reported by the first rule; some numpy builds warn on
+    # NaN in the comparisons and in minimum/maximum
+    with np.errstate(invalid="ignore"):
+        faults = np.vstack(
+            (~(np.isfinite(prices) & (prices > 0)), lo > np.minimum(o, c), h < np.maximum(o, c), vol < 0)
+        )
+    bad = faults.any(axis=0)
+    if not bad.any():
+        return
+    i = int(bad.argmax())
+    rule = int(faults[:, i].argmax())
+    if rule < 4:
+        reason = f"{_PRICE_COLUMNS[rule]} must be a positive finite price, got {float(prices[rule, i])!r}"
+    elif rule == 4:
+        reason = f"low {float(low[i])} above min(open, close) on {dates[i]}"
+    elif rule == 5:
+        reason = f"high {float(high[i])} below max(open, close) on {dates[i]}"
+    else:
+        reason = f"volume must be >= 0, got {float(volume[i])}"
+    raise OhlcValidationError(reason, index=i)
+
+
+def _strictly_increasing(dates: Sequence[dt.date]) -> bool:
+    return all(map(operator.lt, dates, dates[1:]))
 
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """Ordered daily bars for one symbol; dates strictly increasing."""
+    """Daily bars of one symbol, stored by column; dates strictly increasing.
+
+    ``open``, ``high``, ``low`` and ``close`` hold one price per date.
+    ``volume`` is None when the source has no volume column, and otherwise
+    one entry per date, None where the cell was empty. Every bar has
+    positive finite prices, ``low <= min(open, close)``,
+    ``high >= max(open, close)`` and a volume, where given, of at least 0.
+    """
 
     symbol: str
-    bars: tuple[OhlcBar, ...]
+    dates: tuple[dt.date, ...]
+    open: tuple[float, ...]
+    high: tuple[float, ...]
+    low: tuple[float, ...]
+    close: tuple[float, ...]
+    volume: Optional[tuple[Optional[float], ...]] = None
 
     def __post_init__(self) -> None:
-        if not self.bars:
+        n = len(self.dates)
+        if not n:
             raise OhlcValidationError("price series must contain at least one bar")
-        for prev, cur in zip(self.bars, self.bars[1:]):
-            if cur.date <= prev.date:
-                raise OhlcValidationError(
-                    f"dates must be strictly increasing: {prev.date} then {cur.date}"
-                )
+        columns = (self.open, self.high, self.low, self.close)
+        if any(len(column) != n for column in columns) or (
+            self.volume is not None and len(self.volume) != n
+        ):
+            raise ValueError("every column must hold one value per date")
+        _check_bars(self.dates, *columns, self.volume)
+        if not _strictly_increasing(self.dates):
+            dupes = [d for d, count in Counter(self.dates).items() if count > 1]
+            if dupes:
+                raise OhlcValidationError(f"duplicate dates: {min(dupes).isoformat()}")
+            raise OhlcValidationError("rows are not sorted by date")
 
     def __len__(self) -> int:
-        return len(self.bars)
+        return len(self.dates)
 
     def closes(self) -> np.ndarray:
-        return np.array([bar.close for bar in self.bars], dtype=float)
-
-    def dates(self) -> list[dt.date]:
-        return [bar.date for bar in self.bars]
+        return np.array(self.close, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -103,7 +155,7 @@ class VolSeries:
     def __post_init__(self) -> None:
         if len(self.dates) != len(self.values):
             raise ValueError("dates and values must have the same length")
-        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
+        if not _strictly_increasing(self.dates):
             raise OhlcValidationError("volatility dates must be strictly increasing")
         values = np.asarray(self.values)
         if not np.all(np.isfinite(values)):
@@ -140,11 +192,18 @@ class RangeWindow:
 _HEADER = ["date", "open", "high", "low", "close"]
 
 
+def _blank(row: list[str]) -> bool:
+    return not any(cell.strip() for cell in row)
+
+
 def parse_ohlc_csv(text: str, symbol: str = "") -> PriceSeries:
     """Parse OHLC CSV text into a validated PriceSeries.
 
-    Raises OhlcParseError with the offending line number for malformed rows,
-    OhlcValidationError for ordering/invariant violations or an empty body.
+    Blank rows are skipped. Raises OhlcParseError with the offending line
+    number for malformed rows, OhlcValidationError for an empty body, a bar
+    that breaks a bar rule (named by its line) or dates out of order. The
+    first fault in file order wins: a malformed line is reported only when no
+    earlier bar breaks a bar rule, and date order is checked last.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -157,58 +216,85 @@ def parse_ohlc_csv(text: str, symbol: str = "") -> PriceSeries:
             f"expected header 'date,open,high,low,close[,volume]', got {','.join(header)}",
             line=1,
         )
-    has_volume = len(header) == 6
-    bars: list[OhlcBar] = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise OhlcParseError(f"expected {len(header)} fields, got {len(row)}", line_no)
-        try:
-            date = dt.date.fromisoformat(row[0].strip())
-        except ValueError as exc:
-            raise OhlcParseError(f"bad date {row[0]!r}: {exc}", line_no) from None
-        try:
-            o, h, l, c = (float(cell) for cell in row[1:5])
-        except ValueError:
-            raise OhlcParseError(f"non-numeric price in {row[1:5]}", line_no) from None
-        volume: Optional[float] = None
-        if has_volume and row[5].strip():
+    n_fields = len(header)
+    has_volume = n_fields == 6
+    dates: list[dt.date] = []
+    prices: list[tuple[float, float, float, float]] = []
+    volumes: list[Optional[float]] = []
+    lines: list[int] = []  # source line of each bar
+
+    def malformed(message: str, line_no: int) -> OhlcParseError:
+        if dates:
+            _check_bars(dates, *zip(*prices), volumes if has_volume else None)
+        return OhlcParseError(message, line_no)
+
+    try:
+        for line_no, row in enumerate(reader, start=2):
+            # a blank row has the wrong field count or no date, so only those test for one
+            if len(row) != n_fields:
+                if _blank(row):
+                    continue
+                raise malformed(f"expected {n_fields} fields, got {len(row)}", line_no)
             try:
-                volume = float(row[5])
+                date = dt.date.fromisoformat(row[0].strip())
+            except ValueError as exc:
+                if _blank(row):
+                    continue
+                raise malformed(f"bad date {row[0]!r}: {exc}", line_no) from None
+            try:
+                bar = (float(row[1]), float(row[2]), float(row[3]), float(row[4]))
             except ValueError:
-                raise OhlcParseError(f"non-numeric volume {row[5]!r}", line_no) from None
-        try:
-            bars.append(OhlcBar(date=date, open=o, high=h, low=l, close=c, volume=volume))
-        except ValueError as exc:
-            raise OhlcValidationError(f"row {line_no}: {exc}") from None
-    if not bars:
-        raise OhlcValidationError("no bars: input has a header but no data rows")
-    dates = [bar.date for bar in bars]
-    if len(set(dates)) != len(dates):
-        dupes = [d for d, count in Counter(dates).items() if count > 1]
-        raise OhlcValidationError(f"duplicate dates: {min(dupes).isoformat()}")
-    if dates != sorted(dates):
-        raise OhlcValidationError("rows are not sorted by date")
-    return PriceSeries(symbol=symbol, bars=tuple(bars))
+                raise malformed(f"non-numeric price in {row[1:5]}", line_no) from None
+            if has_volume:
+                cell = row[5]
+                try:
+                    volumes.append(float(cell) if cell.strip() else None)
+                except ValueError:
+                    raise malformed(f"non-numeric volume {cell!r}", line_no) from None
+            dates.append(date)
+            prices.append(bar)
+            lines.append(line_no)
+        if not dates:
+            raise OhlcValidationError("no bars: input has a header but no data rows")
+        opens, highs, lows, closes = zip(*prices)
+        return PriceSeries(
+            symbol=symbol,
+            dates=tuple(dates),
+            open=opens,
+            high=highs,
+            low=lows,
+            close=closes,
+            volume=tuple(volumes) if has_volume else None,
+        )
+    except OhlcValidationError as exc:
+        if exc.index is None:
+            raise
+        raise OhlcValidationError(f"row {lines[exc.index]}: {exc.reason}") from None
 
 
 def serialize_ohlc_csv(series: PriceSeries) -> str:
     """Render a PriceSeries back to CSV; parse(serialize(s)) == s."""
-    any_volume = any(bar.volume is not None for bar in series.bars)
+    has_volume = series.volume is not None
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_HEADER + (["volume"] if any_volume else []))
-    for bar in series.bars:
-        row = [bar.date.isoformat(), repr(bar.open), repr(bar.high), repr(bar.low), repr(bar.close)]
-        if any_volume:
-            row.append("" if bar.volume is None else repr(bar.volume))
+    writer.writerow(_HEADER + (["volume"] if has_volume else []))
+    columns = (series.open, series.high, series.low, series.close)
+    for i, date in enumerate(series.dates):
+        row = [date.isoformat()] + [repr(column[i]) for column in columns]
+        if has_volume:
+            volume = series.volume[i]
+            row.append("" if volume is None else repr(volume))
         writer.writerow(row)
     return out.getvalue()
 
 
 def parse_vol_csv(text: str) -> VolSeries:
-    """Parse an externally computed volatility series in ``date,sigma`` CSV form."""
+    """Parse an externally computed volatility series in ``date,sigma`` CSV form.
+
+    Blank rows are skipped. A malformed row, or a sigma that is not finite
+    and >= 0, raises OhlcParseError with its line number; the first in file
+    order wins. Dates out of order raise OhlcValidationError.
+    """
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -218,19 +304,36 @@ def parse_vol_csv(text: str) -> VolSeries:
         raise OhlcParseError("expected header 'date,sigma'", line=1)
     dates: list[dt.date] = []
     values: list[float] = []
+    cells: list[str] = []
+    lines: list[int] = []
+
+    def check_sigma() -> None:
+        sigma = np.array(values, dtype=float)
+        with np.errstate(invalid="ignore"):  # NaN is caught by isfinite
+            bad = ~np.isfinite(sigma) | (sigma < 0)
+        if bad.any():
+            i = int(bad.argmax())
+            raise OhlcParseError(f"sigma must be finite and >= 0, got {cells[i].strip()!r}", lines[i])
+
     for line_no, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
         if len(row) != 2:
+            if _blank(row):
+                continue
+            check_sigma()
             raise OhlcParseError(f"expected 2 fields, got {len(row)}", line_no)
         try:
-            dates.append(dt.date.fromisoformat(row[0].strip()))
+            date = dt.date.fromisoformat(row[0].strip())
             sigma = float(row[1])
         except ValueError as exc:
+            if _blank(row):
+                continue
+            check_sigma()
             raise OhlcParseError(str(exc), line_no) from None
-        if not (math.isfinite(sigma) and sigma >= 0):
-            raise OhlcParseError(f"sigma must be finite and >= 0, got {row[1].strip()!r}", line_no)
+        dates.append(date)
         values.append(sigma)
+        cells.append(row[1])
+        lines.append(line_no)
+    check_sigma()
     if not dates:
         raise OhlcValidationError("no volatility rows")
     return VolSeries(dates=tuple(dates), values=np.array(values, dtype=float), window=0)
@@ -257,11 +360,9 @@ def historical_volatility(
         raise ValueError(f"need more than {window} bars, got {n}")
     closes = series.closes()
     returns = np.diff(np.log(closes))
-    count = n - window
     values = sliding_window_view(returns, window).std(axis=1, ddof=1)
     values *= math.sqrt(periods_per_year)
-    dates = tuple(series.bars[i + window].date for i in range(count))
-    return VolSeries(dates=dates, values=values, window=window)
+    return VolSeries(dates=series.dates[window:], values=values, window=window)
 
 
 def _window_qualifies(
@@ -319,7 +420,7 @@ def detect_ranges(
     if band_tol <= 0:
         raise ValueError(f"band_tol must be > 0, got {band_tol}")
     closes = series.closes()
-    values = closes.tolist()
+    values = series.close
     n = len(values)
     lows: deque[int] = deque()  # indices in [i, r), closes increasing
     highs: deque[int] = deque()  # indices in [i, r), closes decreasing

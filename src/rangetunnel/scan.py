@@ -128,7 +128,7 @@ def scan(
     if vol is not None and len(vol) > cfg.fall_lookback:
         falls = detect_vol_fall(vol, cfg.fall_lookback, cfg.fall_ratio)
 
-    dates = series.dates()
+    dates = series.dates
     events: list[ScanEvent] = []
     for window in windows:
         start_date = dates[window.start]

@@ -126,30 +126,23 @@ class WaveAmplitudes:
 
 @dataclass(frozen=True)
 class TransmissionResult:
-    """Exact, thin-wall and segmented transmission coefficients with diagnostics.
+    """Exact transmission coefficient with its two factors.
 
     t_exact = exp(-2 * prefactor * bracket); bracket is the evaluated barrier
     integral and prefactor the WKB multiplier sqrt((r / sigma^4)(sigma^2 + r)).
     """
 
     t_exact: float
-    t_thin_wall: float
-    t_segmented: float
     bracket: float
     prefactor: float
-    n_segments: int
 
     def __post_init__(self) -> None:
-        for name in ("t_exact", "t_thin_wall", "t_segmented"):
-            value = getattr(self, name)
-            # mathematically in (0, 1]; exp underflows to 0.0 for walls whose
-            # exponent exceeds the double range, which is still a valid result
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        # mathematically in (0, 1]; exp underflows to 0.0 for walls whose
+        # exponent exceeds the double range, which is still a valid result
+        if not 0.0 <= self.t_exact <= 1.0:
+            raise ValueError(f"t_exact must lie in [0, 1], got {self.t_exact}")
         if self.bracket < 0:
             raise ValueError(f"bracket must be >= 0, got {self.bracket}")
-        if self.n_segments < 1:
-            raise ValueError(f"n_segments must be >= 1, got {self.n_segments}")
 
 
 @dataclass(frozen=True)

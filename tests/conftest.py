@@ -7,21 +7,20 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from rangetunnel.market import OhlcBar, PriceSeries
+from rangetunnel.market import PriceSeries
 
 
-def flat_bars(prices, start=dt.date(2013, 1, 1)):
+def flat_series(symbol, prices, start=dt.date(2013, 1, 1)):
     """Bars with open = high = low = close, one calendar day apart."""
-    return tuple(
-        OhlcBar(date=start + dt.timedelta(days=i), open=p, high=p, low=p, close=p)
-        for i, p in enumerate(prices)
-    )
+    prices = tuple(prices)
+    dates = tuple(start + dt.timedelta(days=i) for i in range(len(prices)))
+    return PriceSeries(symbol=symbol, dates=dates, open=prices, high=prices, low=prices, close=prices)
 
 
 def band_series(symbol, support, resistance, n=20, start=dt.date(2013, 1, 1)):
     """Closes alternating between the band edges, flat bars."""
     prices = [support if i % 2 == 0 else resistance for i in range(n)]
-    return PriceSeries(symbol=symbol, bars=flat_bars(prices, start=start))
+    return flat_series(symbol, prices, start=start)
 
 
 def band_series_csv(support, resistance, n=20, start=dt.date(2013, 1, 1)):
@@ -35,7 +34,7 @@ def band_series_csv(support, resistance, n=20, start=dt.date(2013, 1, 1)):
 
 def trending_series(symbol="TREND", n=30, start_price=100.0):
     prices = [start_price * 1.01**i for i in range(n)]
-    return PriceSeries(symbol=symbol, bars=flat_bars(prices))
+    return flat_series(symbol, prices)
 
 
 def gbm_series(sigma_true=0.30, n=5000, seed=42, periods_per_year=252):
@@ -44,7 +43,7 @@ def gbm_series(sigma_true=0.30, n=5000, seed=42, periods_per_year=252):
     step = sigma_true / np.sqrt(periods_per_year)
     log_prices = np.cumsum(rng.normal(0.0, step, size=n))
     prices = 100.0 * np.exp(log_prices - log_prices[0])
-    return PriceSeries(symbol="GBM", bars=flat_bars(prices.tolist()))
+    return flat_series("GBM", prices.tolist())
 
 
 @pytest.fixture

@@ -6,10 +6,12 @@ test_tables.py at printed precision.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, strategies as st
 
+from rangetunnel import barrier
 from rangetunnel.barrier import (
     barrier_geometry,
     barrier_integral_closed,
@@ -219,6 +221,39 @@ class TestClosedBracket:
         if lambda_of(params) * width**2 < 1:
             assert barrier_integral_closed(params, band) >= 0.0
 
+    @staticmethod
+    def edge_case(lam_k2):
+        """A band at about the given lambda*K^2, and that product as the closed form rounds it."""
+        params = MarketParams(r=0.03, sigma=0.47)
+        lam = lambda_of(params)
+        width = math.sqrt(lam_k2 / lam)
+        return params, RangeBound.from_width(width), lam * width * width
+
+    @staticmethod
+    def reference(lam_k2):
+        """atanh(u) - u from the defining log form in 60-digit decimal arithmetic.
+
+        The subtractions cancel at most about 15 of the 60 digits here, which
+        leaves the result exact to double precision for the given double
+        lambda*K^2.
+        """
+        with localcontext() as ctx:
+            ctx.prec = 60
+            u = (1 - Decimal(lam_k2)).sqrt()
+            return float(((1 + u) / (1 - u)).ln() / 2 - u)
+
+    @pytest.mark.parametrize("lam_k2", [1e-14, 1e-12, 1e-8, 1 - 1e-8, 1 - 1e-10])
+    def test_accurate_at_regime_edges(self, lam_k2):
+        params, band, rounded = self.edge_case(lam_k2)
+        expected = self.reference(rounded)
+        assert abs(barrier_integral_closed(params, band) - expected) <= 1e-14 * expected
+
+    @given(st.floats(min_value=1e-15, max_value=1 - 1e-12))
+    def test_accurate_across_regime(self, lam_k2):
+        params, band, rounded = self.edge_case(lam_k2)
+        expected = self.reference(rounded)
+        assert abs(barrier_integral_closed(params, band) - expected) <= 1e-12 * expected
+
 
 class TestTransmissionExact:
     def test_result_fields_consistent(self):
@@ -229,12 +264,20 @@ class TestTransmissionExact:
             math.exp(-2 * result.prefactor * result.bracket), rel=1e-12
         )
         assert result.prefactor == pytest.approx(wkb_prefactor(params), rel=1e-15)
-        assert result.t_thin_wall == transmission_thin_wall(params, band)
-        assert result.t_segmented == transmission_segmented(params, band, result.n_segments)
+
+    def test_computes_no_approximation(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("transmission_exact must not compute an approximation")
+
+        monkeypatch.setattr(barrier, "transmission_thin_wall", unused)
+        monkeypatch.setattr(barrier, "transmission_segmented", unused)
+        assert transmission_exact(MarketParams(r=0.03, sigma=0.53), RangeBound.from_width(2.40)).t_exact > 0
 
     def test_no_barrier_fills_ones(self):
-        result = transmission_exact(MarketParams(r=0.2, sigma=0.2), RangeBound.from_width(2.0))
-        assert result.t_exact == result.t_thin_wall == result.t_segmented == 1.0
+        params, band = MarketParams(r=0.2, sigma=0.2), RangeBound.from_width(2.0)
+        result = transmission_exact(params, band)
+        assert result.t_exact == transmission_thin_wall(params, band) == 1.0
+        assert transmission_segmented(params, band, 64) == 1.0
         assert result.bracket == 0.0
 
     @given(params_st, width_st)

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from rangetunnel import market
 from rangetunnel.market import (
-    OhlcBar,
     OhlcParseError,
     OhlcValidationError,
     PriceSeries,
@@ -23,23 +22,22 @@ from rangetunnel.market import (
     serialize_ohlc_csv,
 )
 
-from conftest import band_series, flat_bars, gbm_series, trending_series
+from conftest import band_series, flat_series, gbm_series, trending_series
 
 
 class TestParse:
     def test_minimal_row(self):
         series = parse_ohlc_csv("date,open,high,low,close\n2013-02-07,124.0,127.2,123.3,126.1\n")
         assert len(series) == 1
-        bar = series.bars[0]
-        assert bar.date == dt.date(2013, 2, 7)
-        assert (bar.open, bar.high, bar.low, bar.close) == (124.0, 127.2, 123.3, 126.1)
-        assert bar.volume is None
+        assert series.dates == (dt.date(2013, 2, 7),)
+        assert (series.open, series.high, series.low, series.close) == ((124.0,), (127.2,), (123.3,), (126.1,))
+        assert series.volume is None
 
     def test_volume_column(self):
         series = parse_ohlc_csv(
             "date,open,high,low,close,volume\n2013-02-07,124.0,127.2,123.3,126.1,1000\n"
         )
-        assert series.bars[0].volume == 1000.0
+        assert series.volume == (1000.0,)
 
     def test_empty_body_rejected(self):
         with pytest.raises(OhlcValidationError, match="no bars"):
@@ -107,11 +105,283 @@ class TestParse:
         second = parse_ohlc_csv(serialize_ohlc_csv(first), symbol="X")
         assert first == second
 
+    def test_round_trip_keeps_volume_column_of_empty_cells(self):
+        first = parse_ohlc_csv("date,open,high,low,close,volume\n2013-02-07,124.0,127.2,123.3,126.1,\n")
+        assert first.volume == (None,)
+        assert parse_ohlc_csv(serialize_ohlc_csv(first)) == first
+
     def test_round_trip_without_volume(self):
         first = parse_ohlc_csv(
             "date,open,high,low,close\n2013-02-07,124.0,127.2,123.3,126.1\n", symbol="X"
         )
         assert parse_ohlc_csv(serialize_ohlc_csv(first), symbol="X") == first
+
+
+_H = "date,open,high,low,close\n"
+_HV = "date,open,high,low,close,volume\n"
+_OK = "124.0,127.2,123.3,126.1"
+
+# (parser, input, error type, exact message); each message is the one the
+# bar-by-bar parser gave, which the CLI prints after "error: <path>: "
+INGEST_ERRORS = {
+    "ohlc-empty": (parse_ohlc_csv, "", OhlcValidationError, "empty input: missing header"),
+    "ohlc-bad-header": (
+        parse_ohlc_csv,
+        "time,o,h,l,c\n",
+        OhlcParseError,
+        "line 1: expected header 'date,open,high,low,close[,volume]', got time,o,h,l,c",
+    ),
+    "ohlc-header-only": (
+        parse_ohlc_csv, _H, OhlcValidationError, "no bars: input has a header but no data rows"
+    ),
+    "ohlc-blank-rows-only": (
+        parse_ohlc_csv,
+        _H + "\n , , , , \n",
+        OhlcValidationError,
+        "no bars: input has a header but no data rows",
+    ),
+    "ohlc-field-count": (
+        parse_ohlc_csv,
+        _H + f"2013-02-07,{_OK}\n2013-02-08,1,2,3\n",
+        OhlcParseError,
+        "line 3: expected 5 fields, got 4",
+    ),
+    "ohlc-bad-date": (
+        parse_ohlc_csv,
+        _H + f"07/02/2013,{_OK}\n",
+        OhlcParseError,
+        "line 2: bad date '07/02/2013': Invalid isoformat string: '07/02/2013'",
+    ),
+    "ohlc-non-numeric-price": (
+        parse_ohlc_csv,
+        _H + "2013-02-07,124.0,xx,123.3,126.1\n",
+        OhlcParseError,
+        "line 2: non-numeric price in ['124.0', 'xx', '123.3', '126.1']",
+    ),
+    "ohlc-non-numeric-volume": (
+        parse_ohlc_csv,
+        _HV + f"2013-02-07,{_OK},abc\n",
+        OhlcParseError,
+        "line 2: non-numeric volume 'abc'",
+    ),
+    # as a numpy 2 scalar the value would print as np.float64(-1.0)
+    "ohlc-negative-open": (
+        parse_ohlc_csv,
+        _H + f"2013-02-07,{_OK}\n2013-02-08,-1.0,127.2,123.3,126.1\n",
+        OhlcValidationError,
+        "row 3: open must be a positive finite price, got -1.0",
+    ),
+    "ohlc-exponent-open": (
+        parse_ohlc_csv,
+        _H + "2013-02-07,-1e-3,127.2,123.3,126.1\n",
+        OhlcValidationError,
+        "row 2: open must be a positive finite price, got -0.001",
+    ),
+    "ohlc-inf-high": (
+        parse_ohlc_csv,
+        _H + "2013-02-07,124.0,inf,123.3,126.1\n",
+        OhlcValidationError,
+        "row 2: high must be a positive finite price, got inf",
+    ),
+    "ohlc-zero-low": (
+        parse_ohlc_csv,
+        _H + "2013-02-07,124.0,127.2,0,126.1\n",
+        OhlcValidationError,
+        "row 2: low must be a positive finite price, got 0.0",
+    ),
+    "ohlc-nan-close": (
+        parse_ohlc_csv,
+        _H + f"2013-02-07,{_OK}\n2013-02-08,124.0,127.2,123.3,nan\n",
+        OhlcValidationError,
+        "row 3: close must be a positive finite price, got nan",
+    ),
+    "ohlc-low-above": (
+        parse_ohlc_csv,
+        _H + f"2013-02-07,{_OK}\n2013-02-08,124.0,127.0,125.0,126.0\n",
+        OhlcValidationError,
+        "row 3: low 125.0 above min(open, close) on 2013-02-08",
+    ),
+    "ohlc-high-below": (
+        parse_ohlc_csv,
+        _H + "2013-02-07,124.0,123.0,122.0,124.5\n",
+        OhlcValidationError,
+        "row 2: high 123.0 below max(open, close) on 2013-02-07",
+    ),
+    "ohlc-negative-volume": (
+        parse_ohlc_csv,
+        _HV + f"2013-02-07,{_OK},\n2013-02-08,{_OK}, \n2013-02-09,{_OK},-0.5\n",
+        OhlcValidationError,
+        "row 4: volume must be >= 0, got -0.5",
+    ),
+    "ohlc-duplicate-before-unsorted": (
+        parse_ohlc_csv,
+        _H + "".join(f"{d},{_OK}\n" for d in ["2013-02-09", "2013-02-09", "2013-02-05", "2013-02-05"]),
+        OhlcValidationError,
+        "duplicate dates: 2013-02-05",
+    ),
+    "ohlc-unsorted": (
+        parse_ohlc_csv,
+        _H + f"2013-02-08,{_OK}\n2013-02-07,{_OK}\n",
+        OhlcValidationError,
+        "rows are not sorted by date",
+    ),
+    "ohlc-two-rules-one-bar": (
+        parse_ohlc_csv,
+        _H + "2013-02-07,-1.0,127.2,130.0,126.1\n",
+        OhlcValidationError,
+        "row 2: open must be a positive finite price, got -1.0",
+    ),
+    "ohlc-bar-before-malformed": (
+        parse_ohlc_csv,
+        _H + f"2013-02-07,-2.5,127.2,123.3,126.1\n2013-02-08,{_OK}\n2013-02-09,1,2\n",
+        OhlcValidationError,
+        "row 2: open must be a positive finite price, got -2.5",
+    ),
+    "ohlc-malformed-before-bar": (
+        parse_ohlc_csv,
+        _H + f"2013-02-07,{_OK}\n2013-02-08,1,2\n2013-02-09,-2.5,127.2,123.3,126.1\n",
+        OhlcParseError,
+        "line 3: expected 5 fields, got 3",
+    ),
+    "ohlc-bar-before-bad-date": (
+        parse_ohlc_csv,
+        _H + f"2013-02-07,{_OK}\n2013-02-08,124.0,127.0,125.0,126.0\nxx,{_OK}\n",
+        OhlcValidationError,
+        "row 3: low 125.0 above min(open, close) on 2013-02-08",
+    ),
+    "ohlc-bad-price-and-volume-same-row": (
+        parse_ohlc_csv,
+        _HV + "2013-02-07,-1.0,127.2,123.3,126.1,abc\n",
+        OhlcParseError,
+        "line 2: non-numeric volume 'abc'",
+    ),
+    "ohlc-bar-before-duplicate": (
+        parse_ohlc_csv,
+        _H + f"2013-02-07,{_OK}\n2013-02-07,{_OK}\n2013-02-08,124.0,123.0,122.0,124.5\n",
+        OhlcValidationError,
+        "row 4: high 123.0 below max(open, close) on 2013-02-08",
+    ),
+    "ohlc-blank-rows-counted": (
+        parse_ohlc_csv,
+        _H + f"2013-02-07,{_OK}\n\n , , , , \n2013-02-08,124.0,123.0,122.0,124.5\n",
+        OhlcValidationError,
+        "row 5: high 123.0 below max(open, close) on 2013-02-08",
+    ),
+    "vol-empty": (parse_vol_csv, "", OhlcValidationError, "empty input: missing header"),
+    "vol-bad-header": (
+        parse_vol_csv, "date,vol\n2013-01-02,0.63\n", OhlcParseError, "line 1: expected header 'date,sigma'"
+    ),
+    "vol-no-rows": (parse_vol_csv, "date,sigma\n\n", OhlcValidationError, "no volatility rows"),
+    "vol-field-count": (
+        parse_vol_csv, "date,sigma\n2013-01-02,0.63,1\n", OhlcParseError, "line 2: expected 2 fields, got 3"
+    ),
+    "vol-bad-date": (
+        parse_vol_csv, "date,sigma\nx,0.63\n", OhlcParseError, "line 2: Invalid isoformat string: 'x'"
+    ),
+    "vol-bad-sigma-text": (
+        parse_vol_csv,
+        "date,sigma\n2013-01-02,abc\n",
+        OhlcParseError,
+        "line 2: could not convert string to float: 'abc'",
+    ),
+    "vol-nan-sigma": (
+        parse_vol_csv,
+        "date,sigma\n2013-01-02,0.63\n2013-01-03,nan\n",
+        OhlcParseError,
+        "line 3: sigma must be finite and >= 0, got 'nan'",
+    ),
+    "vol-negative-sigma-as-written": (
+        parse_vol_csv,
+        "date,sigma\n2013-01-02, -1e-1 \n",
+        OhlcParseError,
+        "line 2: sigma must be finite and >= 0, got '-1e-1'",
+    ),
+    "vol-sigma-before-malformed": (
+        parse_vol_csv,
+        "date,sigma\n2013-01-02,inf\n2013-01-03,0.4\n2013-01-04\n",
+        OhlcParseError,
+        "line 2: sigma must be finite and >= 0, got 'inf'",
+    ),
+    "vol-malformed-before-sigma": (
+        parse_vol_csv,
+        "date,sigma\n2013-01-02,0.4\n2013-01-03\n2013-01-04,-1\n",
+        OhlcParseError,
+        "line 3: expected 2 fields, got 1",
+    ),
+    "vol-sigma-before-unsorted": (
+        parse_vol_csv,
+        "date,sigma\n2013-01-03,0.4\n2013-01-02,-0.2\n",
+        OhlcParseError,
+        "line 3: sigma must be finite and >= 0, got '-0.2'",
+    ),
+    "vol-duplicate": (
+        parse_vol_csv,
+        "date,sigma\n2013-01-02,0.4\n\n2013-01-02,0.2\n",
+        OhlcValidationError,
+        "volatility dates must be strictly increasing",
+    ),
+}
+
+
+@pytest.mark.parametrize("parse,text,error,message", INGEST_ERRORS.values(), ids=INGEST_ERRORS.keys())
+def test_ingest_error_table(parse, text, error, message):
+    with pytest.raises(error) as excinfo:
+        parse(text)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
+    if error is OhlcParseError:
+        assert excinfo.value.line == int(message.split(":")[0].removeprefix("line "))
+
+
+_positive = st.floats(min_value=1e-6, max_value=1e9, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def price_series(draw):
+    """Valid series: increasing dates, prices bracketed by low and high, optional volume."""
+    n = draw(st.integers(min_value=1, max_value=25))
+    gaps = draw(st.lists(st.integers(min_value=1, max_value=5), min_size=n, max_size=n))
+    dates = tuple(dt.date(2013, 1, 1) + dt.timedelta(days=sum(gaps[: i + 1])) for i in range(n))
+    bars = []
+    for _ in range(n):
+        low, a, b, high = sorted(draw(st.lists(_positive, min_size=4, max_size=4)))
+        bars.append((a, high, low, b) if draw(st.booleans()) else (b, high, low, a))
+    volume = draw(
+        st.none()
+        | st.lists(
+            st.none() | st.floats(min_value=0.0, max_value=1e12, allow_nan=False), min_size=n, max_size=n
+        ).map(tuple)
+    )
+    opens, highs, lows, closes = zip(*bars)
+    return PriceSeries(draw(st.sampled_from(["", "X"])), dates, opens, highs, lows, closes, volume)
+
+
+@settings(max_examples=200)
+@given(price_series())
+def test_round_trip_random_series(series):
+    assert parse_ohlc_csv(serialize_ohlc_csv(series), symbol=series.symbol) == series
+
+
+class TestPriceSeries:
+    def test_bar_fault_names_its_index(self):
+        prices = (124.0, -1.0)
+        with pytest.raises(OhlcValidationError) as excinfo:
+            PriceSeries("X", (dt.date(2013, 2, 7), dt.date(2013, 2, 8)), prices, prices, prices, prices)
+        assert excinfo.value.index == 1
+        assert str(excinfo.value) == "bar 1: open must be a positive finite price, got -1.0"
+
+    def test_date_faults(self):
+        day = dt.date(2013, 2, 7)
+        prices = (1.0, 1.0)
+        with pytest.raises(OhlcValidationError, match="^duplicate dates: 2013-02-07$") as excinfo:
+            PriceSeries("X", (day, day), prices, prices, prices, prices)
+        assert excinfo.value.index is None
+        with pytest.raises(OhlcValidationError, match="^rows are not sorted by date$"):
+            PriceSeries("X", (day, day - dt.timedelta(days=1)), prices, prices, prices, prices)
+
+    def test_column_lengths_must_match(self):
+        with pytest.raises(ValueError, match="one value per date"):
+            PriceSeries("X", (dt.date(2013, 2, 7),), (1.0,), (1.0,), (1.0,), (1.0,), volume=())
 
 
 class TestVolCsv:
@@ -151,7 +421,7 @@ class TestVolCsv:
 
 class TestHistoricalVolatility:
     def test_constant_closes_zero_vol(self):
-        series = PriceSeries(symbol="C", bars=flat_bars([100.0] * 40))
+        series = flat_series("C", [100.0] * 40)
         vol = historical_volatility(series)
         assert len(vol) == 40 - 21
         assert np.all(vol.values == 0.0)
@@ -163,9 +433,7 @@ class TestHistoricalVolatility:
         # estimate equals x * sqrt((w+1)/w * periods)
         c0, c1 = 100.0, 102.0
         x = math.log(c1 / c0)
-        series = PriceSeries(
-            symbol="ALT", bars=flat_bars([c0 if i % 2 == 0 else c1 for i in range(60)])
-        )
+        series = flat_series("ALT", [c0 if i % 2 == 0 else c1 for i in range(60)])
         vol = historical_volatility(series, window=21, periods_per_year=252)
         expected = x * math.sqrt((22.0 / 21.0) * 252.0)
         assert np.allclose(vol.values, expected, rtol=1e-12)
@@ -176,10 +444,10 @@ class TestHistoricalVolatility:
         assert abs(float(np.mean(vol.values)) - 0.30) <= 0.02
 
     def test_dates_align_to_window_close(self):
-        series = PriceSeries(symbol="C", bars=flat_bars([100.0] * 30))
+        series = flat_series("C", [100.0] * 30)
         vol = historical_volatility(series, window=21)
-        assert vol.dates[0] == series.bars[21].date
-        assert vol.dates[-1] == series.bars[-1].date
+        assert vol.dates[0] == series.dates[21]
+        assert vol.dates[-1] == series.dates[-1]
 
     @given(
         st.integers(min_value=2, max_value=60),
@@ -189,14 +457,14 @@ class TestHistoricalVolatility:
     def test_vectorised_matches_per_window_loop(self, window, extra, seed):
         closes = 100.0 * np.exp(np.random.default_rng(seed).normal(0.0, 0.02, window + extra))
         vol = historical_volatility(
-            PriceSeries(symbol="R", bars=flat_bars(closes.tolist())), window=window
+            flat_series("R", closes.tolist()), window=window
         )
         returns = np.diff(np.log(closes))
         loop = np.array([np.std(returns[i : i + window], ddof=1) for i in range(extra)])
         assert np.array_equal(vol.values, loop * math.sqrt(252))
 
     def test_too_short_rejected(self):
-        series = PriceSeries(symbol="C", bars=flat_bars([100.0] * 21))
+        series = flat_series("C", [100.0] * 21)
         with pytest.raises(ValueError):
             historical_volatility(series, window=21)
         with pytest.raises(ValueError):
@@ -206,11 +474,9 @@ class TestHistoricalVolatility:
     def test_price_scale_invariance(self, scale):
         base = gbm_series(sigma_true=0.4, n=120, seed=7)
         scaled = PriceSeries(
-            symbol="S",
-            bars=tuple(
-                OhlcBar(b.date, b.open * scale, b.high * scale, b.low * scale, b.close * scale)
-                for b in base.bars
-            ),
+            "S",
+            base.dates,
+            *(tuple(p * scale for p in column) for column in (base.open, base.high, base.low, base.close)),
         )
         vol_base = historical_volatility(base)
         vol_scaled = historical_volatility(scaled)
@@ -284,7 +550,7 @@ class TestDetectRanges:
         st.floats(min_value=0.0, max_value=1.0),
     )
     def test_matches_brute_force(self, closes, min_len, band_tol, touch_count, touch_frac):
-        series = PriceSeries(symbol="H", bars=flat_bars(closes))
+        series = flat_series("H", closes)
         params = dict(
             min_len=min_len, band_tol=band_tol, touch_count=touch_count, touch_frac=touch_frac
         )
@@ -312,12 +578,9 @@ class TestDetectRanges:
         assert 0 < calls < n  # trying every end makes about n**2 / 2 calls
 
     def test_flat_closes_rejected_but_small_wiggle_accepted(self):
-        flat = PriceSeries(symbol="F", bars=flat_bars([100.0] * 20))
+        flat = flat_series("F", [100.0] * 20)
         assert detect_ranges(flat) == []
-        wiggle = PriceSeries(
-            symbol="W",
-            bars=flat_bars([100.0 * (1.005 if i % 2 else 0.995) for i in range(20)]),
-        )
+        wiggle = flat_series("W", [100.0 * (1.005 if i % 2 else 0.995) for i in range(20)])
         windows = detect_ranges(wiggle)
         assert len(windows) == 1
         assert windows[0].band.width > 0
@@ -341,7 +604,7 @@ class TestDetectRanges:
             + [105.0 * 1.02**i for i in range(12)]
             + [130.0 if i % 2 == 0 else 131.5 for i in range(20)]
         )
-        series = PriceSeries(symbol="TWO", bars=flat_bars(prices))
+        series = flat_series("TWO", prices)
         windows = detect_ranges(series)
         assert len(windows) >= 2
         for a, b in zip(windows, windows[1:]):

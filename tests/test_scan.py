@@ -63,7 +63,7 @@ class TestScan:
 
     def test_vol_fall_attached_from_supplied_series(self):
         series = band_series("F", support=123.3, resistance=127.2, n=20)
-        dates = tuple(series.bars[i].date for i in range(20))
+        dates = series.dates[:20]
         values = np.array([0.63] * 10 + [0.39] * 10)
         vol = VolSeries(dates=dates, values=values, window=0)
         events = scan(series, r=0.03, cfg=ScanConfig(sigma_override=0.47), vol=vol)

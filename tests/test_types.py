@@ -42,15 +42,9 @@ class TestRangeBound:
 class TestTransmissionResult:
     def test_bounds_enforced(self):
         with pytest.raises(ValueError):
-            TransmissionResult(
-                t_exact=1.5, t_thin_wall=1.0, t_segmented=1.0,
-                bracket=0.0, prefactor=0.5, n_segments=1,
-            )
+            TransmissionResult(t_exact=1.5, bracket=0.0, prefactor=0.5)
         with pytest.raises(ValueError):
-            TransmissionResult(
-                t_exact=0.5, t_thin_wall=0.5, t_segmented=0.5,
-                bracket=-0.1, prefactor=0.5, n_segments=1,
-            )
+            TransmissionResult(t_exact=0.5, bracket=-0.1, prefactor=0.5)
 
     def test_regime_enum_values(self):
         assert Regime.TUNNELING.value == "tunneling"
