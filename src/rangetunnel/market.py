@@ -30,7 +30,11 @@ from .types import RangeBound
 
 
 class OhlcParseError(ValueError):
-    """Malformed CSV content; carries the 1-based line number."""
+    """Malformed CSV content; carries the 1-based line number.
+
+    The number is the physical line the record starts on, so a quoted cell
+    that holds a newline does not shift the lines reported after it.
+    """
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
@@ -65,17 +69,27 @@ def _check_bars(
 
     The rules, in the order they are reported within one bar: each price is
     positive and finite (open, high, low, close), ``low <= min(open, close)``,
-    ``high >= max(open, close)``, and a given volume is >= 0. Messages are
+    ``high >= max(open, close)``, and a given volume is >= 0 and finite (an
+    empty cell, None, is not a given volume). Messages are
     built from Python floats, so they read the same under every numpy version.
     """
     prices = np.array((open_, high, low, close), dtype=float)
     o, h, lo, c = prices
     vol = np.array(volume, dtype=float) if volume is not None else np.zeros(len(dates))
+    vol_not_finite = ~np.isfinite(vol)
+    if vol_not_finite.any():  # an empty cell (None) reads as NaN here
+        vol_not_finite &= np.array([v is not None for v in volume])
     # a NaN price is reported by the first rule; some numpy builds warn on
     # NaN in the comparisons and in minimum/maximum
     with np.errstate(invalid="ignore"):
         faults = np.vstack(
-            (~(np.isfinite(prices) & (prices > 0)), lo > np.minimum(o, c), h < np.maximum(o, c), vol < 0)
+            (
+                ~(np.isfinite(prices) & (prices > 0)),
+                lo > np.minimum(o, c),
+                h < np.maximum(o, c),
+                vol < 0,
+                vol_not_finite,
+            )
         )
     bad = faults.any(axis=0)
     if not bad.any():
@@ -88,8 +102,10 @@ def _check_bars(
         reason = f"low {float(low[i])} above min(open, close) on {dates[i]}"
     elif rule == 5:
         reason = f"high {float(high[i])} below max(open, close) on {dates[i]}"
-    else:
+    elif rule == 6:
         reason = f"volume must be >= 0, got {float(volume[i])}"
+    else:
+        reason = f"volume must be finite, got {float(volume[i])}"
     raise OhlcValidationError(reason, index=i)
 
 
@@ -105,7 +121,8 @@ class PriceSeries:
     ``volume`` is None when the source has no volume column, and otherwise
     one entry per date, None where the cell was empty. Every bar has
     positive finite prices, ``low <= min(open, close)``,
-    ``high >= max(open, close)`` and a volume, where given, of at least 0.
+    ``high >= max(open, close)`` and a volume, where given, finite and at
+    least 0.
     """
 
     symbol: str
@@ -228,8 +245,10 @@ def parse_ohlc_csv(text: str, symbol: str = "") -> PriceSeries:
             _check_bars(dates, *zip(*prices), volumes if has_volume else None)
         return OhlcParseError(message, line_no)
 
+    last_line = reader.line_num  # a quoted cell may span lines: count physical ones
     try:
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            line_no, last_line = last_line + 1, reader.line_num
             # a blank row has the wrong field count or no date, so only those test for one
             if len(row) != n_fields:
                 if _blank(row):
@@ -315,7 +334,9 @@ def parse_vol_csv(text: str) -> VolSeries:
             i = int(bad.argmax())
             raise OhlcParseError(f"sigma must be finite and >= 0, got {cells[i].strip()!r}", lines[i])
 
-    for line_no, row in enumerate(reader, start=2):
+    last_line = reader.line_num  # a quoted cell may span lines: count physical ones
+    for row in reader:
+        line_no, last_line = last_line + 1, reader.line_num
         if len(row) != 2:
             if _blank(row):
                 continue

@@ -2,7 +2,11 @@
 
 This module deliberately shares no computation with ``barrier``: the wall
 integral is evaluated by adaptive Simpson quadrature from scratch, and the two
-differential-equation residuals are plain central differences. Golden tests
+differential-equation residuals are plain central differences. The
+integrator bisects level by level over arrays of intervals from many
+integrals at once, so the ``validate`` sweep integrates a block of points per
+numpy pass; each result has the bits of the classic depth-first recursion,
+which the tests keep as their reference. Golden tests
 compare these against the closed forms; keeping the implementations disjoint
 is what makes the comparison meaningful, so nothing here may call
 ``barrier_integral_closed``.
@@ -10,13 +14,12 @@ is what makes the comparison meaningful, so nothing here may call
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .types import MarketParams
+from .types import MarketParams, RangeBound
 
 
 @dataclass(frozen=True)
@@ -55,48 +58,145 @@ class ResidualReport:
             raise ValueError("residuals must be >= 0")
 
 
+# Vectorised integrand of the batched integrator: f(x, index) returns f at
+# every abscissa in x, where index[i] is the integral that x[i] belongs to.
+BatchIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _halves(five: np.ndarray) -> np.ndarray:
+    """Rows x0, mid, x2 of both halves of intervals given as five rows.
+
+    ``five`` holds x0, left mid, mid, right mid and x2 (or f there) of each
+    interval; column 2k of the result is interval k's left half, 2k + 1 its
+    right half.
+    """
+    return five[[0, 1, 2, 2, 3, 4]].reshape(2, 3, -1).transpose(1, 2, 0).reshape(3, -1)
+
+
+def adaptive_simpson_batch(
+    f: BatchIntegrand, a: np.ndarray, b: np.ndarray, cfg: QuadratureConfig
+) -> np.ndarray:
+    """Adaptive Simpson integration of f over every interval [a[j], b[j]] at once.
+
+    This is the recursive bisection scheme run one level at a time over the
+    live intervals of all integrals. Each interval is accepted when
+    |S2 - S1| <= 15 tol, where tol starts at max(abs_tol, rel_tol |whole|)
+    and halves per level; an accepted interval is worth S2 + (S2 - S1) / 15,
+    a split one the sum of its left and right halves, added in that order.
+    Every value is formed by the same float operations in the same order as
+    the depth-first recursion, so each result has the same bits. An
+    interval with b <= a integrates to 0.0 without evaluating f.
+
+    Raises QuadratureConvergenceError, naming the failing interval and
+    carrying its estimate, when an interval still fails at max_depth; with
+    several, the first in the order of the integrals and, within one, the
+    leftmost, which is the one the recursion would meet first.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    result = np.zeros(a.shape)
+    live = np.flatnonzero(~(b <= a))
+    if live.size == 0:
+        return result
+    ids = live
+    a, b = a[live], b[live]
+    mid = 0.5 * (a + b)
+    fa, fb, fmid = f(np.concatenate((a, b, mid)), np.concatenate((ids, ids, ids))).reshape(3, -1)
+    simpson = (b - a) / 6.0 * (fa + 4.0 * fmid + fb)
+    scaled = cfg.rel_tol * np.abs(simpson)
+    # max(abs_tol, scaled) as Python's max picks it, so a NaN estimate gets abs_tol
+    tol = np.where(scaled > cfg.abs_tol, scaled, cfg.abs_tol)
+    # rows x0, mid, x2 of each live interval, and f at them
+    x = np.array((a, mid, b))
+    fx = np.array((fa, fmid, fb))
+    levels = []  # per level: each interval's own estimate, and which were split
+    for depth in range(cfg.max_depth, -1, -1):
+        left_mid = 0.5 * (x[0] + x[1])
+        right_mid = 0.5 * (x[1] + x[2])
+        f_lm, f_rm = f(np.concatenate((left_mid, right_mid)), np.concatenate((ids, ids))).reshape(2, -1)
+        left = (x[1] - x[0]) / 6.0 * (fx[0] + 4.0 * f_lm + fx[1])
+        right = (x[2] - x[1]) / 6.0 * (fx[1] + 4.0 * f_rm + fx[2])
+        delta = left + right - simpson
+        estimate = left + right + delta / 15.0
+        split = ~(np.abs(delta) <= 15.0 * tol)
+        levels.append((estimate, split))
+        if not split.any():
+            break
+        if depth <= 0:
+            i = int(split.argmax())
+            raise QuadratureConvergenceError(
+                f"max_depth exhausted on [{float(x[0, i]):.12g}, {float(x[2, i]):.12g}]",
+                best_estimate=float(estimate[i]),
+            )
+        # the halves of each split interval, left then right, keep tree order
+        x = _halves(np.array((x[0], left_mid, x[1], right_mid, x[2]))[:, split])
+        fx = _halves(np.array((fx[0], f_lm, fx[1], f_rm, fx[2]))[:, split])
+        simpson = np.array((left, right))[:, split].T.ravel()
+        tol = (tol[split] / 2.0).repeat(2)
+        ids = ids[split].repeat(2)
+    value = levels[-1][0]
+    for estimate, split in reversed(levels[:-1]):
+        estimate[split] = value[0::2] + value[1::2]
+        value = estimate
+    result[live] = value
+    return result
+
+
 def adaptive_simpson(
     f: Callable[[float], float], a: float, b: float, cfg: QuadratureConfig
 ) -> float:
-    """Adaptive Simpson integration of f over [a, b] by interval bisection.
+    """Adaptive Simpson integration of a scalar f over [a, b] by interval bisection.
 
-    Each interval is accepted when the Richardson estimate |S2 - S1| / 15
-    falls inside its share of the tolerance. Raises
+    f is called once per abscissa with a Python float. The integration is
+    ``adaptive_simpson_batch`` on the one interval, so the result has the
+    bits of the depth-first recursion it runs level by level. Raises
     QuadratureConvergenceError when max_depth is exhausted anywhere.
     """
-    if b <= a:
-        return 0.0
-    fa, fb = f(a), f(b)
-    mid = 0.5 * (a + b)
-    fmid = f(mid)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fmid + fb)
-    tol = max(cfg.abs_tol, cfg.rel_tol * abs(whole))
 
-    def recurse(x0, f0, x1, f1, x2, f2, simpson, tol, depth):
-        left_mid = 0.5 * (x0 + x1)
-        right_mid = 0.5 * (x1 + x2)
-        f_lm = f(left_mid)
-        f_rm = f(right_mid)
-        left = (x1 - x0) / 6.0 * (f0 + 4.0 * f_lm + f1)
-        right = (x2 - x1) / 6.0 * (f1 + 4.0 * f_rm + f2)
-        delta = left + right - simpson
-        if abs(delta) <= 15.0 * tol:
-            return left + right + delta / 15.0
-        if depth <= 0:
-            raise QuadratureConvergenceError(
-                f"max_depth exhausted on [{x0:.12g}, {x2:.12g}]",
-                best_estimate=left + right + delta / 15.0,
-            )
-        return recurse(x0, f0, left_mid, f_lm, x1, f1, left, tol / 2.0, depth - 1) + recurse(
-            x1, f1, right_mid, f_rm, x2, f2, right, tol / 2.0, depth - 1
-        )
+    def batch(x: np.ndarray, _: np.ndarray) -> np.ndarray:
+        return np.array([f(v) for v in x.tolist()], dtype=float)
 
-    return recurse(a, fa, mid, fmid, b, fb, whole, tol, cfg.max_depth)
+    return float(adaptive_simpson_batch(batch, np.array([a]), np.array([b]), cfg)[0])
+
+
+def quad_barrier_integrals(
+    points: Sequence[tuple[MarketParams, RangeBound]],
+    cfg: QuadratureConfig | None = None,
+) -> np.ndarray:
+    """``quad_barrier_integral`` at every (params, band) point, integrated together.
+
+    Each value has the bits of the one-point call. The s parts of all points
+    form one batch and the t parts another, so memory grows with the number
+    of points: callers with many points pass them in blocks. On depth
+    exhaustion the error comes from the first failing s part, if any, then
+    from the first failing t part.
+    """
+    if cfg is None:
+        cfg = QuadratureConfig()
+    lam = np.array([params.r / params.sigma for params, _ in points])
+    k_width = np.array([band.width for _, band in points])
+    if np.any(lam * k_width * k_width > 1.0):
+        raise ValueError("no wall to integrate over: lambda*K^2 > 1")
+    s1 = np.sqrt(1.0 / lam)
+    # a zero-width wall (S1 <= K) gets two empty parts: mid = K and t_end = 0
+    mid = np.maximum(k_width, 0.5 * s1)
+    t_end = np.sqrt(np.maximum(s1 - mid, 0.0))
+
+    def integrand(s: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return np.sqrt(1.0 / (s * s) - lam[j])  # >= sqrt(3 lambda) on [K, mid]
+
+    def substituted(t: np.ndarray, j: np.ndarray) -> np.ndarray:
+        t2 = t * t
+        return 2.0 * t2 * np.sqrt(lam[j] * (2.0 * s1[j] - t2)) / (s1[j] - t2)
+
+    inner = adaptive_simpson_batch(integrand, k_width, mid, cfg)
+    outer = adaptive_simpson_batch(substituted, np.zeros_like(t_end), t_end, cfg)
+    return inner + outer
 
 
 def quad_barrier_integral(
     params: MarketParams,
-    band,
+    band: RangeBound,
     cfg: QuadratureConfig | None = None,
 ) -> float:
     """Numerically integrate sqrt(1/S^2 - lambda) over the wall [K, S1].
@@ -114,28 +214,9 @@ def quad_barrier_integral(
     S1 - t^2 near t = sqrt(S1 - K) cancels nearly all digits of s while the
     integrand grows like 1/s there, so the integrator would chase rounding
     noise. Past mid, s >= S1/2 and that cancellation costs at most one bit.
+    Raises ValueError when lambda*K^2 > 1; a zero-width wall gives 0.0.
     """
-    if cfg is None:
-        cfg = QuadratureConfig()
-    lam = params.r / params.sigma
-    k_width = band.width
-    if lam * k_width * k_width > 1.0:
-        raise ValueError("no wall to integrate over: lambda*K^2 > 1")
-    s1 = math.sqrt(1.0 / lam)
-    if s1 <= k_width:
-        return 0.0  # degenerate zero-width wall
-    mid = max(k_width, 0.5 * s1)
-
-    def integrand(s: float) -> float:
-        return math.sqrt(1.0 / (s * s) - lam)  # >= sqrt(3 lambda) on [K, mid]
-
-    def substituted(t: float) -> float:
-        t2 = t * t
-        return 2.0 * t2 * math.sqrt(lam * (2.0 * s1 - t2)) / (s1 - t2)
-
-    return adaptive_simpson(integrand, k_width, mid, cfg) + adaptive_simpson(
-        substituted, 0.0, math.sqrt(s1 - mid), cfg
-    )
+    return float(quad_barrier_integrals([(params, band)], cfg)[0])
 
 
 def _check_grid(grid: np.ndarray) -> float:

@@ -121,8 +121,8 @@ _H = "date,open,high,low,close\n"
 _HV = "date,open,high,low,close,volume\n"
 _OK = "124.0,127.2,123.3,126.1"
 
-# (parser, input, error type, exact message); each message is the one the
-# bar-by-bar parser gave, which the CLI prints after "error: <path>: "
+# (parser, input, error type, exact message), which the CLI prints after
+# "error: <path>: "; lines are physical lines, where each record starts
 INGEST_ERRORS = {
     "ohlc-empty": (parse_ohlc_csv, "", OhlcValidationError, "empty input: missing header"),
     "ohlc-bad-header": (
@@ -212,6 +212,49 @@ INGEST_ERRORS = {
         _HV + f"2013-02-07,{_OK},\n2013-02-08,{_OK}, \n2013-02-09,{_OK},-0.5\n",
         OhlcValidationError,
         "row 4: volume must be >= 0, got -0.5",
+    ),
+    "ohlc-nan-volume": (
+        parse_ohlc_csv,
+        _HV + f"2013-02-07,{_OK},\n2013-02-08,{_OK},nan\n",
+        OhlcValidationError,
+        "row 3: volume must be finite, got nan",
+    ),
+    "ohlc-inf-volume": (
+        parse_ohlc_csv,
+        _HV + f"2013-02-07,{_OK},inf\n",
+        OhlcValidationError,
+        "row 2: volume must be finite, got inf",
+    ),
+    "ohlc-minus-inf-volume-is-negative": (
+        parse_ohlc_csv,
+        _HV + f"2013-02-07,{_OK},-inf\n",
+        OhlcValidationError,
+        "row 2: volume must be >= 0, got -inf",
+    ),
+    "ohlc-price-before-nan-volume": (
+        parse_ohlc_csv,
+        _HV + "2013-02-07,124.0,123.0,122.0,124.5,nan\n",
+        OhlcValidationError,
+        "row 2: high 123.0 below max(open, close) on 2013-02-07",
+    ),
+    # a quoted cell holding a newline: later records keep their physical line
+    "ohlc-quoted-newline-then-malformed": (
+        parse_ohlc_csv,
+        _H + '2013-02-07,124.0,127.2,123.3,"126.1\n"\n2013-02-08,1,2,3\n',
+        OhlcParseError,
+        "line 4: expected 5 fields, got 4",
+    ),
+    "ohlc-quoted-newline-then-bad-bar": (
+        parse_ohlc_csv,
+        _H + '2013-02-07,"124.0\n\n",127.2,123.3,126.1\n2013-02-08,124.0,123.0,122.0,124.5\n',
+        OhlcValidationError,
+        "row 5: high 123.0 below max(open, close) on 2013-02-08",
+    ),
+    "ohlc-malformed-record-spanning-lines": (
+        parse_ohlc_csv,
+        _H + f'2013-02-07,{_OK}\n2013-02-08,"1\n",2,3\n',
+        OhlcParseError,
+        "line 3: expected 5 fields, got 4",
     ),
     "ohlc-duplicate-before-unsorted": (
         parse_ohlc_csv,
@@ -313,6 +356,18 @@ INGEST_ERRORS = {
         "date,sigma\n2013-01-03,0.4\n2013-01-02,-0.2\n",
         OhlcParseError,
         "line 3: sigma must be finite and >= 0, got '-0.2'",
+    ),
+    "vol-quoted-newline-then-bad-sigma": (
+        parse_vol_csv,
+        'date,sigma\n2013-01-02,"0.4\n"\n2013-01-03,-1\n',
+        OhlcParseError,
+        "line 4: sigma must be finite and >= 0, got '-1'",
+    ),
+    "vol-quoted-newline-then-malformed": (
+        parse_vol_csv,
+        'date,sigma\n2013-01-02,"0.4\n"\n2013-01-03\n',
+        OhlcParseError,
+        "line 4: expected 2 fields, got 1",
     ),
     "vol-duplicate": (
         parse_vol_csv,

@@ -4,19 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rangetunnel import numerics
 from rangetunnel.numerics import (
     QuadratureConfig,
     QuadratureConvergenceError,
     adaptive_simpson,
+    adaptive_simpson_batch,
     merton_ode_residual,
     quad_barrier_integral,
     schrodinger_form_residual,
 )
 from rangetunnel.barrier import barrier_integral_closed, exit_price, lambda_of, wkb_prefactor
 from rangetunnel.types import MarketParams, RangeBound
-from rangetunnel.validate import _draw_params
+from rangetunnel.validate import SWEEP_QUADRATURE, quadrature_sweep
 from rangetunnel.wavefunction import w_from_psi
 
 # the tolerances of the validate sweep and of acceptance c05
@@ -24,25 +26,150 @@ SWEEP_CFG = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12, max_depth=60)
 
 
 def count_evals(monkeypatch, cap=math.inf):
-    """Count integrand evaluations made through numerics.adaptive_simpson.
+    """Count integrand evaluations made through numerics.adaptive_simpson_batch.
 
-    Past ``cap`` evaluations the counter raises, so a runaway integration
-    fails at once instead of hanging the suite.
+    Every integral in the package goes through that integrator, one array of
+    abscissas per call of its integrand, so the counter adds each array's
+    size. Past ``cap`` evaluations it raises, so a runaway integration fails
+    at once instead of hanging the suite.
     """
     counter = {"evals": 0}
-    real = numerics.adaptive_simpson
+    real = numerics.adaptive_simpson_batch
 
     def counting(f, a, b, cfg):
-        def counted(x):
-            counter["evals"] += 1
+        def counted(x, index):
+            counter["evals"] += x.size
             if counter["evals"] > cap:
                 raise AssertionError(f"more than {cap} integrand evaluations")
-            return f(x)
+            return f(x, index)
 
         return real(counted, a, b, cfg)
 
-    monkeypatch.setattr(numerics, "adaptive_simpson", counting)
+    monkeypatch.setattr(numerics, "adaptive_simpson_batch", counting)
     return counter
+
+
+def recursive_simpson(f, a, b, cfg):
+    """Reference: the depth-first recursive adaptive Simpson, one scalar call per abscissa.
+
+    This was the package's integrator; the level-by-level one must give the
+    same bits, the same error message and the same best estimate.
+    """
+    if b <= a:
+        return 0.0
+    fa, fb = f(a), f(b)
+    mid = 0.5 * (a + b)
+    fmid = f(mid)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fmid + fb)
+    tol = max(cfg.abs_tol, cfg.rel_tol * abs(whole))
+
+    def recurse(x0, f0, x1, f1, x2, f2, simpson, tol, depth):
+        left_mid = 0.5 * (x0 + x1)
+        right_mid = 0.5 * (x1 + x2)
+        f_lm = f(left_mid)
+        f_rm = f(right_mid)
+        left = (x1 - x0) / 6.0 * (f0 + 4.0 * f_lm + f1)
+        right = (x2 - x1) / 6.0 * (f1 + 4.0 * f_rm + f2)
+        delta = left + right - simpson
+        if abs(delta) <= 15.0 * tol:
+            return left + right + delta / 15.0
+        if depth <= 0:
+            raise QuadratureConvergenceError(
+                f"max_depth exhausted on [{x0:.12g}, {x2:.12g}]",
+                best_estimate=left + right + delta / 15.0,
+            )
+        return recurse(x0, f0, left_mid, f_lm, x1, f1, left, tol / 2.0, depth - 1) + recurse(
+            x1, f1, right_mid, f_rm, x2, f2, right, tol / 2.0, depth - 1
+        )
+
+    return recurse(a, fa, mid, fmid, b, fb, whole, tol, cfg.max_depth)
+
+
+def recursive_quad_barrier_integral(params, band, cfg):
+    """Reference: the split-wall integral with scalar integrands and the recursion."""
+    lam = params.r / params.sigma
+    k_width = band.width
+    s1 = math.sqrt(1.0 / lam)
+    if s1 <= k_width:
+        return 0.0
+    mid = max(k_width, 0.5 * s1)
+
+    def substituted(t):
+        t2 = t * t
+        return 2.0 * t2 * math.sqrt(lam * (2.0 * s1 - t2)) / (s1 - t2)
+
+    return recursive_simpson(lambda s: math.sqrt(1.0 / (s * s) - lam), k_width, mid, cfg) + (
+        recursive_simpson(substituted, 0.0, math.sqrt(s1 - mid), cfg)
+    )
+
+
+@st.composite
+def integrals(draw):
+    """(a, b, scalar f, vectorised f) of one integral, empty for b <= a.
+
+    Polynomials are easy, sqrt|x - c| has a cusp the mesh must chase, and
+    1/(x - c) has a pole just left of a; both forms of f do the same float
+    operations.
+    """
+    a = draw(st.floats(-2.0, 2.0))
+    empty = draw(st.integers(0, 4)) == 0
+    b = a + draw(st.sampled_from([0.0, -0.5]) if empty else st.floats(1e-3, 3.0))
+    kind = draw(st.sampled_from(["poly", "sqrt", "pole"]))
+    if kind == "poly":
+        coeffs = draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=6))
+
+        def horner(x):
+            acc = 0.0
+            for c in coeffs:
+                acc = acc * x + c
+            return acc
+
+        return a, b, horner, horner
+    if kind == "sqrt":
+        c = draw(st.floats(-3.0, 3.0))
+        return a, b, lambda x: math.sqrt(abs(x - c)), lambda x: np.sqrt(np.abs(x - c))
+    c = a - draw(st.floats(1e-6, 1.0))
+    return a, b, lambda x: 1.0 / (x - c), lambda x: 1.0 / (x - c)
+
+
+quadrature_configs = st.builds(
+    QuadratureConfig,
+    abs_tol=st.floats(1e-14, 1e-6),
+    rel_tol=st.floats(1e-14, 1e-6),
+    max_depth=st.integers(1, 16) | st.just(60),
+)
+
+
+def run_batch(batch, cfg):
+    """adaptive_simpson_batch over the integrals, each with its own vectorised f."""
+
+    def f(x, index):
+        out = np.empty_like(x)
+        for j in np.unique(index):
+            at = index == j
+            out[at] = batch[j][3](x[at])
+        return out
+
+    a = np.array([item[0] for item in batch])
+    b = np.array([item[1] for item in batch])
+    return adaptive_simpson_batch(f, a, b, cfg)
+
+
+def assert_same_outcome(run, reference):
+    """run() and reference() give equal values, or raise the same convergence error.
+
+    Returns whether reference() completed.
+    """
+    try:
+        expected = reference()
+    except QuadratureConvergenceError as exc:
+        with pytest.raises(QuadratureConvergenceError) as excinfo:
+            run()
+        assert str(excinfo.value) == str(exc)
+        assert excinfo.value.best_estimate == exc.best_estimate
+        return False
+    assert run() == expected
+    return True
 
 
 def reference_bracket(params, band):
@@ -76,6 +203,51 @@ class TestAdaptiveSimpson:
         with pytest.raises(QuadratureConvergenceError) as excinfo:
             adaptive_simpson(lambda x: math.sqrt(abs(x - 0.3)), 0.0, 1.0, cfg)
         assert math.isfinite(excinfo.value.best_estimate)
+
+    @settings(max_examples=300, deadline=None)
+    @given(integral=integrals(), cfg=quadrature_configs)
+    def test_scalar_equals_recursion(self, integral, cfg):
+        # one call of f per abscissa: as many calls as the recursion makes
+        a, b, f, _ = integral
+        abscissas = {"level": [], "recursive": []}
+
+        def recording(key):
+            def g(x):
+                abscissas[key].append(x)
+                return f(x)
+
+            return g
+
+        completed = assert_same_outcome(
+            lambda: adaptive_simpson(recording("level"), a, b, cfg),
+            lambda: recursive_simpson(recording("recursive"), a, b, cfg),
+        )
+        if completed:
+            assert sorted(abscissas["level"]) == sorted(abscissas["recursive"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(batch=st.lists(integrals(), min_size=1, max_size=6), cfg=quadrature_configs)
+    def test_batch_equals_recursion(self, batch, cfg):
+        assert_same_outcome(
+            lambda: run_batch(batch, cfg).tolist(),
+            lambda: [recursive_simpson(f, a, b, cfg) for a, b, f, _ in batch],
+        )
+
+    def test_batch_exhaustion_names_first_failure(self):
+        # the second and third integrals fail, the third further left; the
+        # recursion, integral by integral, meets the second's failure first
+        def cusp(c):
+            return lambda x: math.sqrt(abs(x - c)), lambda x: np.sqrt(np.abs(x - c))
+
+        square = (lambda x: x * x, lambda x: x * x)
+        batch = [(0.0, 1.0, *square), (0.0, 1.0, *cusp(0.7)), (0.0, 1.0, *cusp(0.3)), (1.0, 0.0, *cusp(0.5))]
+        cfg = QuadratureConfig(abs_tol=1e-4, rel_tol=1e-4, max_depth=3)
+        with pytest.raises(QuadratureConvergenceError) as expected:
+            [recursive_simpson(f, a, b, cfg) for a, b, f, _ in batch]
+        with pytest.raises(QuadratureConvergenceError) as got:
+            run_batch(batch, cfg)
+        assert str(got.value) == str(expected.value) == "max_depth exhausted on [0.625, 0.75]"
+        assert got.value.best_estimate == expected.value.best_estimate
 
 
 class TestBarrierQuadrature:
@@ -129,11 +301,16 @@ class TestBarrierQuadrature:
     def test_sweep_evaluation_budget(self, monkeypatch):
         # the endpoint-graded integrand of the old oracle took about 5000 per point
         counter = count_evals(monkeypatch)
-        rng = np.random.default_rng(4)
         points = 1000
-        for _ in range(points):
-            quad_barrier_integral(*_draw_params(rng), SWEEP_CFG)
+        quadrature_sweep(4, points)
         assert counter["evals"] / points < 2000
+
+    def test_sweep_values_equal_one_point_calls(self):
+        # 100 points span a full block and a partial one
+        draws, quads = quadrature_sweep(4, 100)
+        cfg = SWEEP_QUADRATURE
+        assert quads == [quad_barrier_integral(params, band, cfg) for params, band in draws]
+        assert quads == [recursive_quad_barrier_integral(params, band, cfg) for params, band in draws]
 
     def test_integrand_never_evaluated_at_exit(self):
         params = MarketParams(r=0.03, sigma=0.47)
