@@ -15,7 +15,6 @@ from .barrier import (
     exit_price,
     lambda_of,
     potential_v,
-    time_factor,
     transmission_exact,
     transmission_segmented,
     transmission_thin_wall,
@@ -52,7 +51,6 @@ from .types import (
     MarketParams,
     RangeBound,
     Regime,
-    TimeFactor,
     TransmissionResult,
     WaveAmplitudes,
 )
@@ -75,7 +73,6 @@ __all__ = [
     "ResidualReport",
     "ScanConfig",
     "ScanEvent",
-    "TimeFactor",
     "TransmissionResult",
     "VolFallEvent",
     "VolSeries",
@@ -103,7 +100,6 @@ __all__ = [
     "schrodinger_form_residual",
     "serialize_ohlc_csv",
     "thin_wall_amplitudes",
-    "time_factor",
     "transmission_exact",
     "transmission_segmented",
     "transmission_thin_wall",

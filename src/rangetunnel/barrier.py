@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 
-from .types import BarrierGeometry, MarketParams, RangeBound, Regime, TimeFactor, TransmissionResult
+from .types import BarrierGeometry, MarketParams, RangeBound, Regime, TransmissionResult
 
 # lambda * K^2 values within this distance of 1 are treated as the zero-width
 # boundary; closer than this, 1 - lambda*K^2 loses all significant digits.
@@ -142,26 +142,17 @@ def barrier_integral_closed(params: MarketParams, band: RangeBound) -> float:
     return 0.5 * math.log((1.0 + u) / (1.0 - u)) - u
 
 
-def transmission_thin_wall(
-    params: MarketParams, band: RangeBound, at: str = "entry"
-) -> float:
+def transmission_thin_wall(params: MarketParams, band: RangeBound) -> float:
     """Constant-q transmission estimate T = exp(-2 q d).
 
-    The decay rate is frozen at the wall entry K by default; ``at="midpoint"``
-    evaluates it at the wall center instead. The exact closed form is the
-    reference; this is the quick estimate. Returns 1.0 in the NO_BARRIER
+    The decay rate is frozen at the wall entry K. The exact closed form is
+    the reference; this is the quick estimate. Returns 1.0 in the NO_BARRIER
     regime (the price already sits outside the wall).
     """
     geo = barrier_geometry(params, band)
     if geo.regime is Regime.NO_BARRIER:
         return 1.0
-    if at == "entry":
-        s_eval = band.width
-    elif at == "midpoint":
-        s_eval = 0.5 * (band.width + geo.s_exit)
-    else:
-        raise ValueError(f"at must be 'entry' or 'midpoint', got {at!r}")
-    q = decay_q(params, s_eval)
+    q = decay_q(params, band.width)
     return math.exp(-2.0 * q * geo.width_d)
 
 
@@ -202,10 +193,3 @@ def transmission_exact(params: MarketParams, band: RangeBound) -> TransmissionRe
         return TransmissionResult(t_exact=1.0, bracket=0.0, prefactor=pf)
     bracket = barrier_integral_closed(params, band)
     return TransmissionResult(t_exact=math.exp(-2.0 * pf * bracket), bracket=bracket, prefactor=pf)
-
-
-def time_factor(lam: float, t: float) -> TimeFactor:
-    """Separable time multiplier exp(lam * t) for a horizon of t years."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    return TimeFactor(lam=lam, t=t, value=math.exp(lam * t))

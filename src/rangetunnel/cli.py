@@ -7,8 +7,10 @@ output uses 6 significant digits so identical flags give identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 from .barrier import barrier_geometry, transmission_exact, transmission_thin_wall
@@ -20,26 +22,36 @@ from .validate import DEFAULT_SEED, run_all
 from .wavefunction import sample_wavefunction
 
 
+@contextlib.contextmanager
+def _usage_errors(parser: argparse.ArgumentParser) -> Iterator[None]:
+    """Report a model's ValueError from the flags as a usage error (exit 2)."""
+    try:
+        yield
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def _strike_band(parser: argparse.ArgumentParser, strike: float) -> RangeBound:
+    if strike <= 0:
+        parser.error("--strike must be > 0")
+    return RangeBound.from_width(strike)
+
+
 def _band_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RangeBound:
     has_band = args.support is not None or args.resistance is not None
     if args.strike is not None and has_band:
         parser.error("give either --strike or --support/--resistance, not both")
     if args.strike is not None:
-        if args.strike <= 0:
-            parser.error("--strike must be > 0")
-        return RangeBound.from_width(args.strike)
+        return _strike_band(parser, args.strike)
     if args.support is None or args.resistance is None:
         parser.error("give --strike, or both --support and --resistance")
-    try:
-        return RangeBound(support=args.support, resistance=args.resistance)
-    except ValueError as exc:
-        parser.error(str(exc))
-    raise AssertionError("unreachable")
+    return RangeBound(support=args.support, resistance=args.resistance)
 
 
 def _cmd_tc(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    band = _band_from_args(parser, args)
-    params = MarketParams(r=args.r, sigma=args.sigma)
+    with _usage_errors(parser):
+        band = _band_from_args(parser, args)
+        params = MarketParams(r=args.r, sigma=args.sigma)
     geo = barrier_geometry(params, band)
     result = transmission_exact(params, band)
     thin = transmission_thin_wall(params, band)
@@ -139,8 +151,9 @@ def _cmd_scan(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 def _cmd_wavefunction(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.samples < 10:
         parser.error("--samples must be >= 10")
-    params = MarketParams(r=args.r, sigma=args.sigma)
-    band = RangeBound.from_width(args.strike)
+    with _usage_errors(parser):
+        params = MarketParams(r=args.r, sigma=args.sigma)
+        band = _strike_band(parser, args.strike)
     try:
         rows = sample_wavefunction(params, band, args.samples)
     except ValueError as exc:

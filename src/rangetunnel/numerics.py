@@ -51,7 +51,6 @@ class ResidualReport:
 
     max_abs_residual: float
     max_rel_residual: float
-    grid: np.ndarray
 
     def __post_init__(self) -> None:
         if self.max_abs_residual < 0 or self.max_rel_residual < 0:
@@ -271,7 +270,6 @@ def merton_ode_residual(
     return ResidualReport(
         max_abs_residual=float(np.max(np.abs(residual))),
         max_rel_residual=_relative_residual(residual, term_diff, term_drift, term_disc),
-        grid=s_in,
     )
 
 
@@ -309,5 +307,4 @@ def schrodinger_form_residual(
         max_rel_residual=_relative_residual(
             residual, np.abs(term_kin), np.abs(term_pot), np.abs(term_eig)
         ),
-        grid=s_in,
     )

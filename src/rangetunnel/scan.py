@@ -44,9 +44,7 @@ class ScanConfig:
     min_len: int = 15
     band_tol: float = 0.05
     touch_count: int = 2
-    touch_frac: float = 0.25
     vol_window: int = 21
-    periods_per_year: int = 252
     fall_lookback: int = 5
     fall_ratio: float = 0.7
     sigma_override: Optional[float] = None
@@ -54,7 +52,11 @@ class ScanConfig:
 
 @dataclass(frozen=True)
 class ScanEvent:
-    """One detected range with its breakout probability and diagnostics."""
+    """One detected range with its breakout probability and diagnostics.
+
+    vol_fall_ratio is the ``VolFallEvent.ratio`` of the latest volatility fall
+    dated inside the window, None without one; ``detect_vol_fall`` bounds it.
+    """
 
     symbol: str
     window_start: dt.date
@@ -64,13 +66,7 @@ class ScanEvent:
     r: float
     geometry: BarrierGeometry
     transmission: TransmissionResult
-    sigma_before: Optional[float] = None
-    sigma_after: Optional[float] = None
     vol_fall_ratio: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.vol_fall_ratio is not None and not 0.0 < self.vol_fall_ratio <= 1.0:
-            raise ValueError(f"vol_fall_ratio must be in (0, 1], got {self.vol_fall_ratio}")
 
 
 def _pick_sigma(
@@ -116,14 +112,10 @@ def scan(
     if cfg is None:
         cfg = ScanConfig()
     windows = detect_ranges(
-        series,
-        min_len=cfg.min_len,
-        band_tol=cfg.band_tol,
-        touch_count=cfg.touch_count,
-        touch_frac=cfg.touch_frac,
+        series, min_len=cfg.min_len, band_tol=cfg.band_tol, touch_count=cfg.touch_count
     )
     if vol is None and len(series) > cfg.vol_window:
-        vol = historical_volatility(series, cfg.vol_window, cfg.periods_per_year)
+        vol = historical_volatility(series, cfg.vol_window)
     falls: list[VolFallEvent] = []
     if vol is not None and len(vol) > cfg.fall_lookback:
         falls = detect_vol_fall(vol, cfg.fall_lookback, cfg.fall_ratio)
@@ -148,8 +140,6 @@ def scan(
                 r=r,
                 geometry=geometry,
                 transmission=transmission,
-                sigma_before=fall.sigma_before if fall else None,
-                sigma_after=fall.sigma_after if fall else None,
                 vol_fall_ratio=fall.ratio if fall else None,
             )
         )

@@ -1,11 +1,12 @@
 """Golden reference tables and their regeneration from the formulas.
 
 Three published reference sets are reproduced: a rate sweep and a volatility
-sweep on a fixed band, and four stock case studies with pinned inputs. The
-reference cells print a mix of rounded and truncated digits, so a computed
-value counts as matching when it falls within one unit of the cell's last
-printed digit. The prefactor variant hook exists as a negative control: the
-denominator form fails the sweeps outright.
+sweep on a fixed band, and four stock case studies with pinned inputs. Each
+table is module data, rows of printed inputs and reference cells, and one
+loop regenerates every row. The reference cells print a mix of rounded and
+truncated digits, so a computed value counts as matching when it falls within
+one unit of the cell's last printed digit. The prefactor variant hook exists
+as a negative control: the denominator form fails the sweeps outright.
 """
 
 from __future__ import annotations
@@ -57,43 +58,48 @@ class TableResult:
         return all(row.ok for row in self.rows)
 
 
-# rate sweep: K = 2.40, sigma = 0.53; T in percent (integer cells), d at 2 dp
-RATE_SWEEP_K = 2.40
-RATE_SWEEP_SIGMA = 0.53
-RATE_SWEEP_ROWS = [
-    # (r, T_pct_ref, d_ref)
-    (0.01, 73.0, 4.88),
-    (0.02, 75.0, 2.75),
-    (0.03, 79.0, 1.80),
-    (0.04, 83.0, 1.24),
-    (0.05, 87.0, 0.85),
-    (0.06, 91.0, 0.57),
-    (0.07, 95.0, 0.35),
-]
+def _sweep(r: float, sigma: float, t_pct: float, t_tol: float, d: float) -> tuple:
+    """Sweep row on the band of width K = 2.40: T in percent, d printed at 2 dp."""
+    return {"r": r, "sigma": sigma, "K": 2.40}, (("T%", t_pct, t_tol), ("d", d, 0.01))
 
-# volatility sweep: K = 2.40, r = 0.05; the last three T cells print 2 dp
-VOL_SWEEP_K = 2.40
-VOL_SWEEP_R = 0.05
-VOL_SWEEP_ROWS = [
-    # (sigma, T_pct_ref, T_tol, d_ref)
-    (0.43, 91.0, 1.0, 0.53),
-    (0.53, 87.0, 1.0, 0.85),
-    (0.63, 85.0, 1.0, 1.15),
-    (0.73, 84.0, 1.0, 1.42),
-    (0.83, 83.95, 0.01, 1.67),
-    (0.93, 83.69, 0.01, 1.91),
-    (0.97, 83.64, 0.01, 2.00),
-]
 
-# stock case studies: pinned (r, sigma, resistance, support) with printed
-# (K, d, T) at per-cell precision
-STOCK_CASE_ROWS = [
-    # (symbol, r, sigma, resistance, support, K_ref, K_tol, d_ref, d_tol, T_ref, T_tol)
-    ("LNKD", 0.03, 0.47, 127.2, 123.3, 3.9, 0.1, 0.058114, 1e-6, 0.998675, 1e-6),
-    ("GOOG", 0.03, 0.15, 704.7, 702.6, 2.1, 0.1, 0.136068, 1e-6, 0.95, 0.01),
-    ("HUM", 0.03, 0.31, 70.08, 66.95, 3.13, 0.01, 0.08455, 1e-5, 0.9948, 1e-4),
-    ("NFLX", 0.03, 0.55, 101.17, 97.81, 3.36, 0.01, 0.921744, 1e-6, 0.933, 1e-3),
-]
+def _stock(symbol: str, r: float, sigma: float, resistance: float, support: float,
+           k: float, k_tol: float, d: float, d_tol: float, t: float, t_tol: float) -> tuple:
+    """Stock case row: pinned inputs, (K, d, T) at per-cell precision."""
+    inputs = {"symbol": symbol, "r": r, "sigma": sigma, "resistance": resistance, "support": support}
+    return inputs, (("K", k, k_tol), ("d", d, d_tol), ("T", t, t_tol))
+
+
+# table id -> rows of (printed inputs, checked cells as (label, reference, tol))
+TABLE_ROWS = {
+    # rate sweep at sigma = 0.53; integer T% cells
+    1: [
+        _sweep(0.01, 0.53, 73.0, 1.0, 4.88),
+        _sweep(0.02, 0.53, 75.0, 1.0, 2.75),
+        _sweep(0.03, 0.53, 79.0, 1.0, 1.80),
+        _sweep(0.04, 0.53, 83.0, 1.0, 1.24),
+        _sweep(0.05, 0.53, 87.0, 1.0, 0.85),
+        _sweep(0.06, 0.53, 91.0, 1.0, 0.57),
+        _sweep(0.07, 0.53, 95.0, 1.0, 0.35),
+    ],
+    # volatility sweep at r = 0.05; the last three T% cells print 2 dp
+    2: [
+        _sweep(0.05, 0.43, 91.0, 1.0, 0.53),
+        _sweep(0.05, 0.53, 87.0, 1.0, 0.85),
+        _sweep(0.05, 0.63, 85.0, 1.0, 1.15),
+        _sweep(0.05, 0.73, 84.0, 1.0, 1.42),
+        _sweep(0.05, 0.83, 83.95, 0.01, 1.67),
+        _sweep(0.05, 0.93, 83.69, 0.01, 1.91),
+        _sweep(0.05, 0.97, 83.64, 0.01, 2.00),
+    ],
+    # stock case studies
+    3: [
+        _stock("LNKD", 0.03, 0.47, 127.2, 123.3, 3.9, 0.1, 0.058114, 1e-6, 0.998675, 1e-6),
+        _stock("GOOG", 0.03, 0.15, 704.7, 702.6, 2.1, 0.1, 0.136068, 1e-6, 0.95, 0.01),
+        _stock("HUM", 0.03, 0.31, 70.08, 66.95, 3.13, 0.01, 0.08455, 1e-5, 0.9948, 1e-4),
+        _stock("NFLX", 0.03, 0.55, 101.17, 97.81, 3.36, 0.01, 0.921744, 1e-6, 0.933, 1e-3),
+    ],
+}
 
 
 def _transmission(params: MarketParams, band: RangeBound, prefactor_variant: str) -> float:
@@ -111,65 +117,20 @@ def _transmission(params: MarketParams, band: RangeBound, prefactor_variant: str
 
 def reproduce_table(which: int, prefactor_variant: str = "numerator") -> TableResult:
     """Regenerate reference table 1, 2 or 3 and compare cell by cell."""
-    if which == 1:
-        rows = []
-        for r, t_ref, d_ref in RATE_SWEEP_ROWS:
-            params = MarketParams(r=r, sigma=RATE_SWEEP_SIGMA)
-            band = RangeBound.from_width(RATE_SWEEP_K)
-            t_pct = 100.0 * _transmission(params, band, prefactor_variant)
-            d = exit_price(params) - RATE_SWEEP_K
-            rows.append(
-                RowResult(
-                    inputs={"r": r, "sigma": RATE_SWEEP_SIGMA, "K": RATE_SWEEP_K},
-                    cells=(
-                        CellResult("T%", t_pct, t_ref, 1.0),
-                        CellResult("d", d, d_ref, 0.01),
-                    ),
-                )
-            )
-        return TableResult(which=1, rows=tuple(rows))
-    if which == 2:
-        rows = []
-        for sigma, t_ref, t_tol, d_ref in VOL_SWEEP_ROWS:
-            params = MarketParams(r=VOL_SWEEP_R, sigma=sigma)
-            band = RangeBound.from_width(VOL_SWEEP_K)
-            t_pct = 100.0 * _transmission(params, band, prefactor_variant)
-            d = exit_price(params) - VOL_SWEEP_K
-            rows.append(
-                RowResult(
-                    inputs={"r": VOL_SWEEP_R, "sigma": sigma, "K": VOL_SWEEP_K},
-                    cells=(
-                        CellResult("T%", t_pct, t_ref, t_tol),
-                        CellResult("d", d, d_ref, 0.01),
-                    ),
-                )
-            )
-        return TableResult(which=2, rows=tuple(rows))
-    if which == 3:
-        rows = []
-        for symbol, r, sigma, resistance, support, k_ref, k_tol, d_ref, d_tol, t_ref, t_tol in STOCK_CASE_ROWS:
-            params = MarketParams(r=r, sigma=sigma)
-            band = RangeBound(support=support, resistance=resistance)
-            geo = barrier_geometry(params, band)
-            t = _transmission(params, band, prefactor_variant)
-            rows.append(
-                RowResult(
-                    inputs={
-                        "symbol": symbol,
-                        "r": r,
-                        "sigma": sigma,
-                        "resistance": resistance,
-                        "support": support,
-                    },
-                    cells=(
-                        CellResult("K", band.width, k_ref, k_tol),
-                        CellResult("d", geo.s_exit - band.width, d_ref, d_tol),
-                        CellResult("T", t, t_ref, t_tol),
-                    ),
-                )
-            )
-        return TableResult(which=3, rows=tuple(rows))
-    raise ValueError(f"table id must be 1, 2 or 3, got {which}")
+    if which not in TABLE_ROWS:
+        raise ValueError(f"table id must be 1, 2 or 3, got {which}")
+    rows = []
+    for inputs, refs in TABLE_ROWS[which]:
+        params = MarketParams(r=inputs["r"], sigma=inputs["sigma"])
+        if "K" in inputs:
+            band = RangeBound.from_width(inputs["K"])
+        else:
+            band = RangeBound(support=inputs["support"], resistance=inputs["resistance"])
+        t = _transmission(params, band, prefactor_variant)
+        computed = {"K": band.width, "d": exit_price(params) - band.width, "T": t, "T%": 100.0 * t}
+        cells = tuple(CellResult(label, computed[label], ref, tol) for label, ref, tol in refs)
+        rows.append(RowResult(inputs=dict(inputs), cells=cells))
+    return TableResult(which=which, rows=tuple(rows))
 
 
 def render_table(result: TableResult) -> str:

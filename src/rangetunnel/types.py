@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 
 class Regime(enum.Enum):
@@ -102,20 +101,18 @@ class BarrierGeometry:
 class WaveAmplitudes:
     """Amplitudes of the three-region wavefunction.
 
-    a, b: incident / reflected amplitudes left of the wall; c is the growing
-    in-wall term (always 0 here, only the decaying branch is kept); d_amp the
-    decaying in-wall amplitude; f the transmitted amplitude. k is the
-    oscillation wavenumber and q_at(s) the in-wall decay rate, defined only
-    where the potential exceeds the eigenvalue.
+    a, b: incident / reflected amplitudes left of the wall; d_amp the decaying
+    in-wall amplitude (the growing in-wall branch is dropped); f the
+    transmitted amplitude. k is the oscillation wavenumber and q_entry the
+    in-wall decay rate frozen at the wall entry K.
     """
 
     a: complex
     b: complex
-    c: float
     d_amp: float
     f: complex
     k: float
-    q_at: Callable[[float], float] = field(repr=False, compare=False)
+    q_entry: float
 
     def __post_init__(self) -> None:
         if self.k <= 0:
@@ -143,12 +140,3 @@ class TransmissionResult:
             raise ValueError(f"t_exact must lie in [0, 1], got {self.t_exact}")
         if self.bracket < 0:
             raise ValueError(f"bracket must be >= 0, got {self.bracket}")
-
-
-@dataclass(frozen=True)
-class TimeFactor:
-    """Separable time multiplier exp(lam * t); equals 1 at t = 0."""
-
-    lam: float
-    t: float
-    value: float

@@ -31,8 +31,9 @@ def thin_wall_amplitudes(
 
     The transmitted amplitude follows the thin-wall rule f = a * exp(-q(K) d);
     the in-wall amplitude anchors the region-II modulus to |a| at the wall
-    entry. The growing in-wall branch is dropped (c = 0). The transmission
-    ratio |f|/|a| does not depend on the reflected amplitude ``b``.
+    entry, where the decay rate q_entry is frozen. The growing in-wall branch
+    is dropped. The transmission ratio |f|/|a| does not depend on the
+    reflected amplitude ``b``.
     """
     geo = barrier_geometry(params, band)
     if geo.regime is Regime.NO_BARRIER:
@@ -42,11 +43,10 @@ def thin_wall_amplitudes(
     return WaveAmplitudes(
         a=complex(a),
         b=complex(b),
-        c=0.0,
         d_amp=abs(a) * math.exp(q_entry * k_width),
         f=complex(a) * math.exp(-q_entry * geo.width_d),
         k=wavenumber_k(params),
-        q_at=lambda s: decay_q(params, s),
+        q_entry=q_entry,
     )
 
 
@@ -64,13 +64,11 @@ def wavefunction_eval(
     if s < 0:
         raise ValueError(f"need s >= 0, got {s}")
     geo = barrier_geometry(params, band)
-    k_width = band.width
-    if s < k_width:
+    if s < band.width:
         value = amps.a * cmath.exp(1j * amps.k * s) + amps.b * cmath.exp(-1j * amps.k * s)
         return value, "I"
     if s < geo.s_exit:
-        q_entry = amps.q_at(k_width)
-        return complex(amps.d_amp * math.exp(-q_entry * s)), "II"
+        return complex(amps.d_amp * math.exp(-amps.q_entry * s)), "II"
     return amps.f * cmath.exp(1j * amps.k * s), "III"
 
 

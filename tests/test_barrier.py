@@ -19,7 +19,6 @@ from rangetunnel.barrier import (
     exit_price,
     lambda_of,
     potential_v,
-    time_factor,
     transmission_exact,
     transmission_segmented,
     transmission_thin_wall,
@@ -176,17 +175,6 @@ class TestThinWall:
     def test_no_barrier_returns_one(self):
         assert transmission_thin_wall(MarketParams(r=0.2, sigma=0.2), RangeBound.from_width(2.0)) == 1.0
 
-    def test_midpoint_mode(self):
-        params = MarketParams(r=0.03, sigma=0.47)
-        band = RangeBound.from_width(3.9)
-        entry = transmission_thin_wall(params, band, at="entry")
-        midpoint = transmission_thin_wall(params, band, at="midpoint")
-        assert midpoint != entry
-        exact = transmission_exact(params, band).t_exact
-        assert abs(midpoint - exact) < abs(entry - exact)
-        with pytest.raises(ValueError):
-            transmission_thin_wall(params, band, at="elsewhere")
-
     def test_thicker_wall_smaller_t(self):
         params = MarketParams(r=0.03, sigma=0.47)
         t_values = [
@@ -339,20 +327,3 @@ class TestMonotonicity:
             d_values.append(exit_price(params) - 2.40)
         assert all(b < a for a, b in zip(t_values, t_values[1:]))
         assert all(b > a for a, b in zip(d_values, d_values[1:]))
-
-
-class TestTimeFactor:
-    def test_initial_condition(self):
-        assert time_factor(0.064, 0.0).value == 1.0
-
-    def test_one_year(self):
-        assert time_factor(0.064, 1.0).value == pytest.approx(math.exp(0.064), rel=1e-15)
-        assert time_factor(0.064, 1.0).value == pytest.approx(1.0661, abs=1e-4)
-
-    def test_vanishing_rate(self):
-        for t in (0.0, 0.5, 3.0):
-            assert time_factor(0.0, t).value == 1.0
-
-    def test_negative_horizon_rejected(self):
-        with pytest.raises(ValueError):
-            time_factor(0.064, -1.0)

@@ -1,12 +1,16 @@
 """Command-line surface: flags, exit codes, output formats, determinism."""
 
+import datetime as dt
 import json
+from pathlib import Path
 
 import pytest
 
 from rangetunnel import cli
 
 from conftest import band_series_csv
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +71,25 @@ class TestTc:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["tc", "--r", "0.03", "--sigma", "0.47"])
         assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["tc", "--r", "0", "--sigma", "0.3", "--strike", "2"], "r must be > 0"),
+        (["tc", "--r", "0.03", "--sigma", "-1", "--strike", "2"], "sigma must be > 0"),
+        (["tc", "--r", "nan", "--sigma", "0.3", "--strike", "2"], "r must be finite"),
+        (["tc", "--r", "0.03", "--sigma", "0.3", "--strike", "inf"], "resistance must be finite"),
+        (["wavefunction", "--r", "0", "--sigma", "0.3", "--strike", "2"], "r must be > 0"),
+        (["wavefunction", "--r", "0.03", "--sigma", "0.3", "--strike", "0"], "--strike must be > 0"),
+        (["wavefunction", "--r", "0.03", "--sigma", "0.3", "--strike", "-1"], "--strike must be > 0"),
+    ],
+)
+def test_bad_model_flags_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 class TestTables:
@@ -147,13 +170,27 @@ class TestScan:
         assert code == 1
         assert f"{vol}: volatility dates must be strictly increasing" in err
 
+    def test_volatility_falling_to_zero_is_reported(self, capsys, tmp_path):
+        # the rolling volatility of the flat tail is exactly 0, a fall ratio of 0
+        closes = [(102, 102, 100, 100)[i % 4] for i in range(30)] + [101] * 25
+        start = dt.date(2013, 1, 1)
+        lines = ["date,open,high,low,close"] + [
+            f"{start + dt.timedelta(days=i)},{p},{p},{p},{p}" for i, p in enumerate(closes)
+        ]
+        src = tmp_path / "FALL.csv"
+        src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, _ = run_cli(
+            capsys, "scan", "--input", str(src), "--r", "0.03", "--sigma", "0.3",
+            "--vol-window", "5",
+        )
+        assert code == 0
+        assert out.splitlines()[0].endswith("  vol_fall=0")
+
     def test_missing_file_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "scan", "--input", str(tmp_path / "nope.csv"), "--r", "0.03")
         assert code == 1
 
     def test_trending_fixture_zero_events(self, capsys, tmp_path):
-        import datetime as dt
-
         lines = ["date,open,high,low,close"]
         price = 100.0
         start = dt.date(2013, 1, 1)
@@ -252,3 +289,36 @@ class TestDeterminism:
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
+
+
+# argv, file under tests/golden holding the expected stdout, exit code
+GOLDEN_CASES = [
+    (["tables", "--which", "1"], "tables_1.txt", 0),
+    (["tables", "--which", "2"], "tables_2.txt", 0),
+    (["tables", "--which", "3"], "tables_3.txt", 0),
+    (["tc", "--r", "0.03", "--sigma", "0.47", "--strike", "3.9"], "tc_strike.txt", 0),
+    (
+        ["tc", "--r", "0.03", "--sigma", "0.47", "--support", "123.3", "--resistance", "127.2",
+         "--json"],
+        "tc_band.json",
+        0,
+    ),
+    (["tc", "--r", "0.05", "--sigma", "0.3", "--strike", "3"], "tc_no_barrier.txt", 0),
+    (["wavefunction", "--r", "0.03", "--sigma", "0.47", "--strike", "3.9"], "wavefunction.tsv", 0),
+    (
+        ["validate", "--quad-points", "5", "--prefactor-variant", "denominator"],
+        "validate_denominator_tables.txt",
+        1,
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,name,code", GOLDEN_CASES, ids=[case[1] for case in GOLDEN_CASES])
+def test_golden_bytes(capsys, argv, name, code):
+    got_code, out, _ = run_cli(capsys, *argv)
+    if argv[0] == "validate":
+        # only the three table lines: the residual lines go through numpy's
+        # vectorised ** and exp, whose last bits may differ across CPUs and builds
+        out = "".join(out.splitlines(keepends=True)[:3])
+    assert got_code == code
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")

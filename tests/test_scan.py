@@ -69,15 +69,12 @@ class TestScan:
         events = scan(series, r=0.03, cfg=ScanConfig(sigma_override=0.47), vol=vol)
         assert len(events) == 1
         event = events[0]
-        assert event.vol_fall_ratio == pytest.approx(0.39 / 0.63, rel=1e-12)
-        assert event.sigma_before == 0.63
-        assert event.sigma_after == 0.39
+        assert event.vol_fall_ratio == 0.39 / 0.63
 
     def test_no_fall_leaves_fields_empty(self):
         series = band_series("NF", support=123.3, resistance=127.2)
         events = scan(series, r=0.03, cfg=ScanConfig(sigma_override=0.47))
         assert events[0].vol_fall_ratio is None
-        assert events[0].sigma_before is None
 
 
 def linear_pick(vol, window_start, window_end):

