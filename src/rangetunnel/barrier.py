@@ -29,6 +29,9 @@ transmission coefficient is exactly 1.
 from __future__ import annotations
 
 import math
+import sys
+
+import numpy as np
 
 from .types import BarrierGeometry, MarketParams, RangeBound, Regime, TransmissionResult
 
@@ -41,11 +44,12 @@ def potential_v(s: float) -> float:
     """Barrier potential V(S) = 1 / S^2 in the support-relative coordinate.
 
     Strictly decreasing, singular at the support (s = 0) and tangent to the
-    axis at infinity.
+    axis at infinity. Where s^2 underflows to 0, V overflows to inf.
     """
     if s <= 0:
         raise ValueError(f"potential is singular at the support; need s > 0, got {s}")
-    return 1.0 / (s * s)
+    s2 = s * s
+    return 1.0 / s2 if s2 > 0.0 else math.inf
 
 
 def lambda_of(params: MarketParams) -> float:
@@ -120,10 +124,12 @@ def barrier_integral_closed(params: MarketParams, band: RangeBound) -> float:
     That form cancels at both edges of the tunneling regime, so it is
     evaluated only between them. For small u (lambda K^2 -> 1) the odd series
     u^3/3 + u^5/5 + ... is summed instead; for u -> 1 (lambda K^2 -> 0) the
-    identity (1+u)/(1-u) = (1+u)^2 / (lambda K^2) removes the difference 1 - u.
-    Both cut-offs lie outside lambda K^2 in [0.01, 0.99], where the direct
-    form is accurate to a few 1e-13; keeping it there leaves the scan
-    reports and the validate sweep bit-for-bit reproducible across versions.
+    identity (1+u)/(1-u) = (1+u)^2 / (lambda K^2) removes the difference 1 - u;
+    once lambda K^2 underflows below the smallest normal float, its log is
+    taken as log(lambda) + 2 log(K). The cut-offs lie outside lambda K^2 in
+    [0.01, 0.99], where the direct form is accurate to a few 1e-13; keeping
+    it there leaves the scan reports and the validate sweep bit-for-bit
+    reproducible across versions.
     """
     lam = lambda_of(params)
     k_width = band.width
@@ -137,6 +143,9 @@ def barrier_integral_closed(params: MarketParams, band: RangeBound) -> float:
         u2 = u * u
         # ten terms: the first one left out is below 1e-20 of the sum
         return u * u2 * sum(u2**k / (2 * k + 3) for k in range(10))
+    if lam_k2 < sys.float_info.min:
+        # lambda*K^2 underflowed to a subnormal or to 0: take its log from the factors
+        return math.log(1.0 + u) - 0.5 * math.log(lam) - math.log(k_width) - u
     if lam_k2 < 0.005:
         return math.log((1.0 + u) / math.sqrt(lam_k2)) - u
     return 0.5 * math.log((1.0 + u) / (1.0 - u)) - u
@@ -160,24 +169,22 @@ def transmission_segmented(params: MarketParams, band: RangeBound, n: int) -> fl
     """Segment-sum transmission T = exp(-2 sum_i q_i d_i) on n equal pieces.
 
     q is evaluated at each segment midpoint; the sum converges to the exact
-    barrier integral as n grows.
+    barrier integral as n grows. A midpoint past the exit, where rounding
+    can leave the gap V - lambda slightly negative, adds nothing. The terms
+    are added by a sequential ``np.cumsum``, left to right like a Python
+    loop, so T is the same to the last bit as the one-segment-at-a-time
+    sum; ``np.sum`` adds pairwise and would round differently.
     """
     if n < 1:
         raise ValueError(f"segment count must be >= 1, got {n}")
     geo = barrier_geometry(params, band)
     if geo.regime is Regime.NO_BARRIER:
         return 1.0
-    k_width = band.width
-    lam = geo.lam
-    pf = wkb_prefactor(params)
     step = geo.width_d / n
-    total = 0.0
-    for i in range(n):
-        mid = k_width + (i + 0.5) * step
-        gap = 1.0 / (mid * mid) - lam
-        if gap > 0.0:
-            total += math.sqrt(gap) * step
-    return math.exp(-2.0 * pf * total)
+    mid = band.width + (np.arange(n) + 0.5) * step
+    gap = 1.0 / (mid * mid) - geo.lam
+    total = float(np.cumsum(np.sqrt(np.maximum(gap, 0.0)) * step)[-1])
+    return math.exp(-2.0 * wkb_prefactor(params) * total)
 
 
 def transmission_exact(params: MarketParams, band: RangeBound) -> TransmissionResult:

@@ -52,7 +52,7 @@ def _cmd_tc(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     with _usage_errors(parser):
         band = _band_from_args(parser, args)
         params = MarketParams(r=args.r, sigma=args.sigma)
-    geo = barrier_geometry(params, band)
+        geo = barrier_geometry(params, band)  # lambda or S1 may underflow or overflow
     result = transmission_exact(params, band)
     thin = transmission_thin_wall(params, band)
     report = {
@@ -174,6 +174,8 @@ def _cmd_wavefunction(parser: argparse.ArgumentParser, args: argparse.Namespace)
 
 
 def _cmd_validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    if args.quad_points < 1:
+        parser.error("--quad-points must be >= 1")
     results = run_all(
         seed=args.seed,
         quad_points=args.quad_points,

@@ -62,14 +62,22 @@ class ResidualReport:
 BatchIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _halves(five: np.ndarray) -> np.ndarray:
-    """Rows x0, mid, x2 of both halves of intervals given as five rows.
+def _interleave_halves(
+    rows: np.ndarray, left_mid: np.ndarray, right_mid: np.ndarray
+) -> np.ndarray:
+    """Rows x0, mid, x2 (or f there) of both halves of the intervals in ``rows``.
 
-    ``five`` holds x0, left mid, mid, right mid and x2 (or f there) of each
-    interval; column 2k of the result is interval k's left half, 2k + 1 its
-    right half.
+    Column 2k of the result is interval k's left half (x0, left mid, mid),
+    column 2k + 1 its right half (mid, right mid, x2). Each row is written
+    straight into its interleaved slices of one preallocated array.
     """
-    return five[[0, 1, 2, 2, 3, 4]].reshape(2, 3, -1).transpose(1, 2, 0).reshape(3, -1)
+    out = np.empty((3, 2 * rows.shape[1]))
+    out[0, 0::2] = rows[0]
+    out[1, 0::2] = left_mid
+    out[2, 0::2] = out[0, 1::2] = rows[1]
+    out[1, 1::2] = right_mid
+    out[2, 1::2] = rows[2]
+    return out
 
 
 def adaptive_simpson_batch(
@@ -115,8 +123,9 @@ def adaptive_simpson_batch(
         f_lm, f_rm = f(np.concatenate((left_mid, right_mid)), np.concatenate((ids, ids))).reshape(2, -1)
         left = (x[1] - x[0]) / 6.0 * (fx[0] + 4.0 * f_lm + fx[1])
         right = (x[2] - x[1]) / 6.0 * (fx[1] + 4.0 * f_rm + fx[2])
-        delta = left + right - simpson
-        estimate = left + right + delta / 15.0
+        estimate = left + right
+        delta = estimate - simpson
+        estimate += delta / 15.0
         split = ~(np.abs(delta) <= 15.0 * tol)
         levels.append((estimate, split))
         if not split.any():
@@ -127,10 +136,13 @@ def adaptive_simpson_batch(
                 f"max_depth exhausted on [{float(x[0, i]):.12g}, {float(x[2, i]):.12g}]",
                 best_estimate=float(estimate[i]),
             )
-        # the halves of each split interval, left then right, keep tree order
-        x = _halves(np.array((x[0], left_mid, x[1], right_mid, x[2]))[:, split])
-        fx = _halves(np.array((fx[0], f_lm, fx[1], f_rm, fx[2]))[:, split])
-        simpson = np.array((left, right))[:, split].T.ravel()
+        # the halves of each split interval, left then right, keep tree order;
+        # the next level's rows and Simpson estimates go into interleaved slices
+        x = _interleave_halves(x[:, split], left_mid[split], right_mid[split])
+        fx = _interleave_halves(fx[:, split], f_lm[split], f_rm[split])
+        simpson = np.empty(x.shape[1])
+        simpson[0::2] = left[split]
+        simpson[1::2] = right[split]
         tol = (tol[split] / 2.0).repeat(2)
         ids = ids[split].repeat(2)
     value = levels[-1][0]
@@ -186,7 +198,8 @@ def quad_barrier_integrals(
 
     def substituted(t: np.ndarray, j: np.ndarray) -> np.ndarray:
         t2 = t * t
-        return 2.0 * t2 * np.sqrt(lam[j] * (2.0 * s1[j] - t2)) / (s1[j] - t2)
+        s1_j = s1[j]
+        return 2.0 * t2 * np.sqrt(lam[j] * (2.0 * s1_j - t2)) / (s1_j - t2)
 
     inner = adaptive_simpson_batch(integrand, k_width, mid, cfg)
     outer = adaptive_simpson_batch(substituted, np.zeros_like(t_end), t_end, cfg)

@@ -91,6 +91,7 @@ class BarrierGeometry:
             raise ValueError(f"lam must be > 0, got {self.lam}")
         if self.s_exit <= 0:
             raise ValueError(f"s_exit must be > 0, got {self.s_exit}")
+        _require_finite("s_exit", self.s_exit)
         if self.width_d < 0:
             raise ValueError(f"width_d must be >= 0, got {self.width_d}")
         if (self.width_d > 0) != (self.regime is Regime.TUNNELING):

@@ -157,7 +157,7 @@ def check_transform_residual(seed: int = DEFAULT_SEED, pairs: int = 5) -> CheckR
         pf2 = wkb_prefactor(params) ** 2
         alpha = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * pf2))
         psi = grid**alpha
-        w = np.array([w_from_psi(p, s, params).real for p, s in zip(psi, grid)])
+        w = w_from_psi(psi, grid, params)
         report = merton_ode_residual(w, params, grid)
         if report.max_rel_residual > worst:
             worst = report.max_rel_residual

@@ -17,6 +17,8 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 from .barrier import barrier_geometry, decay_q, wavenumber_k
 from .types import MarketParams, RangeBound, Regime, WaveAmplitudes
 
@@ -33,13 +35,16 @@ def thin_wall_amplitudes(
     the in-wall amplitude anchors the region-II modulus to |a| at the wall
     entry, where the decay rate q_entry is frozen. The growing in-wall branch
     is dropped. The transmission ratio |f|/|a| does not depend on the
-    reflected amplitude ``b``.
+    reflected amplitude ``b``. Raises ValueError outside the tunneling
+    regime, and when K is so close to the support that V(K) overflows.
     """
     geo = barrier_geometry(params, band)
     if geo.regime is Regime.NO_BARRIER:
         raise ValueError("no wall: amplitudes are only defined in the tunneling regime")
     k_width = band.width
     q_entry = decay_q(params, k_width)
+    if q_entry == math.inf:
+        raise ValueError(f"K={k_width:.6g} is too close to the support: V(K) overflows")
     return WaveAmplitudes(
         a=complex(a),
         b=complex(b),
@@ -72,15 +77,26 @@ def wavefunction_eval(
     return amps.f * cmath.exp(1j * amps.k * s), "III"
 
 
-def w_from_psi(psi_value: complex, s: float, params: MarketParams) -> complex:
-    """Map psi to the option value w = psi * S^(-r / sigma^2).
+def w_from_psi(
+    psi: complex | np.ndarray, s: float | np.ndarray, params: MarketParams
+) -> complex | np.ndarray:
+    """Map psi to the option value w = psi * S^(-r / sigma^2), pointwise over a grid.
 
-    Inverse of the log substitution that removes the first-derivative term
-    from the stationary pricing ODE; the map is the identity as r -> 0.
+    ``psi`` and ``s`` are scalars or arrays of one shape. Inverse of the log
+    substitution that removes the first-derivative term from the stationary
+    pricing ODE; the map is the identity as r -> 0. The factor S^(-r/sigma^2)
+    is raised with scalar ``math.pow``, one grid point at a time, like the
+    C ``pow`` behind a scalar ``**``: numpy's array ``**`` may take a
+    vectorised power whose last bits differ, and the residual ``validate``
+    prints is sensitive to them. Raises ValueError unless every s > 0.
     """
-    if s <= 0:
-        raise ValueError(f"need s > 0, got {s}")
-    return psi_value * s ** (-params.r / params.sigma**2)
+    grid = np.asarray(s, dtype=float)
+    bad = grid[grid <= 0]
+    if bad.size:
+        raise ValueError(f"need s > 0, got {float(bad[0])}")
+    exponent = -params.r / params.sigma**2
+    factor = np.array([math.pow(v, exponent) for v in grid.ravel().tolist()]).reshape(grid.shape)
+    return psi * factor
 
 
 def sample_wavefunction(

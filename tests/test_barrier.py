@@ -6,10 +6,12 @@ test_tables.py at printed precision.
 """
 
 import math
+import sys
 from decimal import Decimal, localcontext
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rangetunnel import barrier
 from rangetunnel.barrier import (
@@ -26,6 +28,7 @@ from rangetunnel.barrier import (
     wkb_prefactor,
 )
 from rangetunnel.types import MarketParams, RangeBound, Regime
+from rangetunnel.validate import DEFAULT_SEED, SEGMENT_LADDER, _draw_params
 
 params_st = st.builds(
     MarketParams,
@@ -53,6 +56,10 @@ class TestPotential:
     def test_singular_at_support(self, s):
         with pytest.raises(ValueError):
             potential_v(s)
+
+    @pytest.mark.parametrize("s", [1e-160, 1e-200, 5e-324])
+    def test_overflows_to_inf_where_s_squared_underflows(self, s):
+        assert potential_v(s) == math.inf
 
 
 class TestEigenvalue:
@@ -230,6 +237,27 @@ class TestClosedBracket:
             u = (1 - Decimal(lam_k2)).sqrt()
             return float(((1 + u) / (1 - u)).ln() / 2 - u)
 
+    @pytest.mark.parametrize("width", [1e-160, 1e-170, 1e-300, 5e-324])
+    def test_underflowing_lambda_k2_uses_logs_of_factors(self, width):
+        # lambda*K^2 is subnormal or 0; atanh(u) - u with u = 1 is
+        # log 2 - log(sqrt(lambda K^2)) - 1
+        params = MarketParams(r=0.03, sigma=0.3)
+        lam = lambda_of(params)
+        assert lam * width * width < sys.float_info.min
+        expected = math.log(2.0) - 0.5 * math.log(lam) - math.log(width) - 1.0
+        bracket = barrier_integral_closed(params, RangeBound.from_width(width))
+        assert bracket == pytest.approx(expected, rel=1e-15)
+        assert transmission_exact(params, RangeBound.from_width(width)).t_exact < 1e-200
+
+    def test_smallest_normal_lambda_k2_keeps_the_direct_form(self):
+        params = MarketParams(r=0.03, sigma=0.3)
+        width = math.sqrt(4 * sys.float_info.min / lambda_of(params))
+        lam_k2 = lambda_of(params) * width * width
+        assert lam_k2 >= sys.float_info.min
+        u = math.sqrt(1.0 - lam_k2)
+        expected = math.log((1.0 + u) / math.sqrt(lam_k2)) - u
+        assert barrier_integral_closed(params, RangeBound.from_width(width)) == expected
+
     @pytest.mark.parametrize("lam_k2", [1e-14, 1e-12, 1e-8, 1 - 1e-8, 1 - 1e-10])
     def test_accurate_at_regime_edges(self, lam_k2):
         params, band, rounded = self.edge_case(lam_k2)
@@ -281,7 +309,43 @@ class TestTransmissionExact:
             assert result.t_exact < 1.0
 
 
+def segmented_loop(params, band, n):
+    """Reference: the segment sum one midpoint at a time, as the package once computed it."""
+    geo = barrier_geometry(params, band)
+    if geo.regime is Regime.NO_BARRIER:
+        return 1.0
+    k_width = band.width
+    step = geo.width_d / n
+    total = 0.0
+    for i in range(n):
+        mid = k_width + (i + 0.5) * step
+        gap = 1.0 / (mid * mid) - geo.lam
+        if gap > 0.0:
+            total += math.sqrt(gap) * step
+    return math.exp(-2.0 * wkb_prefactor(params) * total)
+
+
 class TestSegmented:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        r=st.floats(0.005, 0.1),
+        sigma=st.floats(0.1, 1.0),
+        lam_k2=st.floats(0.01, 0.99) | st.floats(1e-12, 1.0),
+        n=st.integers(1, 5000),
+    )
+    def test_equals_one_segment_at_a_time(self, r, sigma, lam_k2, n):
+        # the validate sweep's range of points, and the whole regime up to the exit
+        params = MarketParams(r=r, sigma=sigma)
+        band = RangeBound.from_width(math.sqrt(lam_k2 / lambda_of(params)))
+        assert transmission_segmented(params, band, n) == segmented_loop(params, band, n)
+
+    def test_ladder_of_validate_sweep_equals_loop(self):
+        rng = np.random.default_rng(DEFAULT_SEED)
+        for _ in range(20):
+            params, band = _draw_params(rng)
+            for n in SEGMENT_LADDER:
+                assert transmission_segmented(params, band, n) == segmented_loop(params, band, n)
+
     def test_one_segment_beats_thin_wall(self):
         params = MarketParams(r=0.03, sigma=0.47)
         band = RangeBound.from_width(3.9)

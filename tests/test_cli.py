@@ -83,6 +83,13 @@ class TestTc:
         (["wavefunction", "--r", "0", "--sigma", "0.3", "--strike", "2"], "r must be > 0"),
         (["wavefunction", "--r", "0.03", "--sigma", "0.3", "--strike", "0"], "--strike must be > 0"),
         (["wavefunction", "--r", "0.03", "--sigma", "0.3", "--strike", "-1"], "--strike must be > 0"),
+        # S1 = sqrt(sigma / r) and lambda = r / sigma underflow to 0
+        (["tc", "--r", "1e300", "--sigma", "1e-300", "--strike", "1"], "s_exit must be > 0, got 0.0"),
+        (["tc", "--r", "1e-300", "--sigma", "1e300", "--strike", "1"], "lam must be > 0, got 0.0"),
+        # sigma / r overflows: an infinite wall printed T_thin_wall nan
+        (["tc", "--r", "1e-300", "--sigma", "1e10", "--strike", "1"], "s_exit must be finite, got inf"),
+        (["validate", "--quad-points", "0"], "--quad-points must be >= 1"),
+        (["validate", "--quad-points", "-5"], "--quad-points must be >= 1"),
     ],
 )
 def test_bad_model_flags_are_usage_errors(capsys, argv, message):
@@ -90,6 +97,30 @@ def test_bad_model_flags_are_usage_errors(capsys, argv, message):
         cli.main(argv)
     assert excinfo.value.code == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,code,expected",
+    [
+        # lambda*K^2 underflows to 0: the wall is about 700 e-folds thick
+        (["tc", "--r", "0.03", "--sigma", "0.3", "--strike", "1e-300"], 0, "T_exact              0\n"),
+        (["tc", "--r", "0.03", "--sigma", "0.3", "--strike", "1e-300", "--json"], 0, '"T_exact": 0.0,'),
+        (
+            ["wavefunction", "--r", "0.03", "--sigma", "0.3", "--strike", "1e-300"],
+            1,
+            "error: K=1e-300 is too close to the support: V(K) overflows",
+        ),
+        (
+            ["wavefunction", "--r", "1e300", "--sigma", "1e-300", "--strike", "1"],
+            1,
+            "error: s_exit must be > 0, got 0.0",
+        ),
+    ],
+)
+def test_underflowing_flags_end_without_traceback(capsys, argv, code, expected):
+    got_code, out, err = run_cli(capsys, *argv)
+    assert got_code == code
+    assert expected in (out if code == 0 else err)
 
 
 class TestTables:
@@ -310,15 +341,22 @@ GOLDEN_CASES = [
         "validate_denominator_tables.txt",
         1,
     ),
+    (["validate"], "validate_quadrature_segmented.txt", 0),
 ]
+
+# Lines of validate stdout that are pinned, by golden file. The residual lines
+# are left out: they go through numpy's vectorised ** and exp, whose last
+# bits may differ across CPUs and builds.
+VALIDATE_LINES = {
+    "validate_denominator_tables.txt": slice(0, 3),
+    "validate_quadrature_segmented.txt": slice(3, 5),
+}
 
 
 @pytest.mark.parametrize("argv,name,code", GOLDEN_CASES, ids=[case[1] for case in GOLDEN_CASES])
 def test_golden_bytes(capsys, argv, name, code):
     got_code, out, _ = run_cli(capsys, *argv)
     if argv[0] == "validate":
-        # only the three table lines: the residual lines go through numpy's
-        # vectorised ** and exp, whose last bits may differ across CPUs and builds
-        out = "".join(out.splitlines(keepends=True)[:3])
+        out = "".join(out.splitlines(keepends=True)[VALIDATE_LINES[name]])
     assert got_code == code
     assert out == (GOLDEN / name).read_text(encoding="utf-8")

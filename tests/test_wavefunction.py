@@ -47,6 +47,12 @@ class TestAmplitudes:
         with pytest.raises(ValueError):
             thin_wall_amplitudes(MarketParams(r=0.2, sigma=0.2), RangeBound.from_width(2.0))
 
+    @pytest.mark.parametrize("width", [1e-160, 1e-300])
+    def test_overflowing_entry_rate_rejected(self, width):
+        # V(K) = 1/K^2 overflows: the in-wall amplitude would be inf and |psi|^2 NaN
+        with pytest.raises(ValueError, match="too close to the support"):
+            thin_wall_amplitudes(PARAMS, RangeBound.from_width(width))
+
 
 class TestEvaluation:
     def test_support_limit_is_sum_of_amplitudes(self):
@@ -111,6 +117,25 @@ class TestTransform:
     def test_nonpositive_coordinate_rejected(self):
         with pytest.raises(ValueError):
             w_from_psi(1.0, 0.0, PARAMS)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5])
+    def test_nonpositive_grid_point_rejected(self, bad):
+        grid = np.array([0.5, 1.0, bad, 2.0])
+        with pytest.raises(ValueError, match=f"need s > 0, got {bad}"):
+            w_from_psi(np.ones(4), grid, PARAMS)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_grid_equals_scalar_form(self, seed):
+        # the inputs of validate.check_transform_residual, against the
+        # point-by-point form psi * s ** (-r / sigma^2) on numpy scalars
+        rng = np.random.default_rng(seed)
+        grid = np.linspace(0.5, 10.0, 10_000)
+        for _ in range(5):
+            params = MarketParams(r=rng.uniform(0.005, 0.1), sigma=rng.uniform(0.1, 1.0))
+            alpha = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * wkb_prefactor(params) ** 2))
+            psi = grid**alpha
+            scalar = [p * s ** (-params.r / params.sigma**2) for p, s in zip(psi, grid)]
+            assert w_from_psi(psi, grid, params).tobytes() == np.array(scalar).tobytes()
 
 
 class TestSampling:
