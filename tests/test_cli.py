@@ -178,6 +178,17 @@ class TestScan:
         assert code == 1
         assert "line 2" in err
 
+    def test_oversized_field_exits_one_with_line(self, capsys, tmp_path):
+        # a stray opening quote on line 3 swallows the rest of a 5000-bar file
+        lines = band_series_csv(123.3, 127.2, n=5000).splitlines()
+        lines[2] = lines[2].replace(",", ',"', 1)
+        src = tmp_path / "QUOTE.csv"
+        src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "scan", "--input", str(src), "--r", "0.03", "--sigma", "0.3")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {src}: line 3: field larger than field limit (131072)\n"  # no traceback
+
     @pytest.mark.parametrize("sigma", ["nan", "-0.2"])
     def test_bad_vol_value_exits_one_with_line(self, capsys, tmp_path, sigma):
         src = tmp_path / "LNKD.csv"
@@ -189,6 +200,23 @@ class TestScan:
         )
         assert code == 1
         assert f"{vol}: line 3: sigma" in err
+
+    def test_negative_zero_sigma_is_no_fall(self, capsys, tmp_path):
+        # -0 passes the sigma check; five bars on, 0.4 / -0.0 must not read as a fall
+        src = tmp_path / "LNKD.csv"
+        src.write_text(band_series_csv(123.3, 127.2), encoding="utf-8")
+        sigmas = ["-0"] + ["0.4"] * 19
+        vol = tmp_path / "vol.csv"
+        vol.write_text(
+            "date,sigma\n" + "".join(f"2013-01-{d:02d},{s}\n" for d, s in enumerate(sigmas, 1)),
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(
+            capsys, "scan", "--input", str(src), "--vol", str(vol), "--r", "0.03"
+        )
+        assert (code, err) == (0, "")
+        summary, _, _, row = out.splitlines()
+        assert "vol_fall" not in summary and row.endswith(",")  # no vol_fall_ratio
 
     def test_unsorted_vol_dates_exit_one(self, capsys, tmp_path):
         src = tmp_path / "LNKD.csv"
@@ -216,6 +244,16 @@ class TestScan:
         )
         assert code == 0
         assert out.splitlines()[0].endswith("  vol_fall=0")
+
+    @pytest.mark.parametrize("band_tol", ["inf", "nan"])
+    def test_unbounded_band_tol_scans_whole_history(self, capsys, tmp_path, band_tol):
+        # every window passes the band test, so the widest one is the whole file
+        src = tmp_path / "LNKD.csv"
+        src.write_text(band_series_csv(123.3, 127.2), encoding="utf-8")
+        args = ("scan", "--input", str(src), "--r", "0.03", "--sigma", "0.3")
+        code, out, err = run_cli(capsys, *args, "--band-tol", band_tol)
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, *args, "--band-tol", "1")[1]
 
     def test_missing_file_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "scan", "--input", str(tmp_path / "nope.csv"), "--r", "0.03")

@@ -310,6 +310,25 @@ INGEST_ERRORS = {
         OhlcValidationError,
         "row 5: high 123.0 below max(open, close) on 2013-02-08",
     ),
+    # a stray opening quote swallows the rest of a large file into one field
+    "ohlc-oversized-field": (
+        parse_ohlc_csv,
+        _H + f'2013-02-07,{_OK}\n2013-02-08,"{_OK}\n' + f"2013-02-09,{_OK}\n" * 4000,
+        OhlcParseError,
+        "line 3: field larger than field limit (131072)",
+    ),
+    "ohlc-bar-before-oversized-field": (
+        parse_ohlc_csv,
+        _H + f'2013-02-07,-1.0,127.2,123.3,126.1\n2013-02-08,"{_OK}\n' + f"2013-02-09,{_OK}\n" * 4000,
+        OhlcValidationError,
+        "row 2: open must be a positive finite price, got -1.0",
+    ),
+    "ohlc-oversized-header-field": (
+        parse_ohlc_csv,
+        'date,"open,high,low,close\n' + f"2013-02-09,{_OK}\n" * 4000,
+        OhlcParseError,
+        "line 1: field larger than field limit (131072)",
+    ),
     "vol-empty": (parse_vol_csv, "", OhlcValidationError, "empty input: missing header"),
     "vol-bad-header": (
         parse_vol_csv, "date,vol\n2013-01-02,0.63\n", OhlcParseError, "line 1: expected header 'date,sigma'"
@@ -368,6 +387,24 @@ INGEST_ERRORS = {
         'date,sigma\n2013-01-02,"0.4\n"\n2013-01-03\n',
         OhlcParseError,
         "line 4: expected 2 fields, got 1",
+    ),
+    "vol-oversized-field": (
+        parse_vol_csv,
+        'date,sigma\n2013-01-02,0.4\n2013-01-03,"0.3\n' + "2013-01-04,0.4\n" * 10000,
+        OhlcParseError,
+        "line 3: field larger than field limit (131072)",
+    ),
+    "vol-sigma-before-oversized-field": (
+        parse_vol_csv,
+        'date,sigma\n2013-01-02,-1\n2013-01-03,"0.3\n' + "2013-01-04,0.4\n" * 10000,
+        OhlcParseError,
+        "line 2: sigma must be finite and >= 0, got '-1'",
+    ),
+    "vol-oversized-header-field": (
+        parse_vol_csv,
+        'date,"sigma\n' + "2013-01-04,0.4\n" * 10000,
+        OhlcParseError,
+        "line 1: field larger than field limit (131072)",
     ),
     "vol-duplicate": (
         parse_vol_csv,
@@ -591,6 +628,23 @@ def close_paths(draw):
     return closes
 
 
+def first_failing_end(closes, band_tol, i):
+    """Oracle for a band horizon: the first end whose window fails the band test, else n."""
+    for j in range(i, len(closes)):
+        lo, hi = min(closes[i : j + 1]), max(closes[i : j + 1])
+        if (hi - lo) / lo > band_tol:
+            return j
+    return len(closes)
+
+
+@st.composite
+def runs_of_closes(draw):
+    """1-70 closes in flat runs, drawn partly from a few shared levels so ties are common."""
+    level = st.sampled_from([100.0, 102.5, 105.0, 95.0]) | st.floats(min_value=90.0, max_value=110.0)
+    runs = draw(st.lists(st.tuples(level, st.integers(min_value=1, max_value=20)), min_size=1, max_size=12))
+    return [price for price, length in runs for _ in range(length)][:70]
+
+
 def window_tuples(windows):
     return [(w.start, w.end, w.band.support, w.band.resistance) for w in windows]
 
@@ -631,6 +685,24 @@ class TestDetectRanges:
         n = 2000
         assert detect_ranges(gbm_series(n=n))
         assert 0 < calls < n  # trying every end makes about n**2 / 2 calls
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        runs_of_closes(),
+        # 0.05 puts 100 -> 105 exactly at the tolerance; inf and nan pass every window
+        st.sampled_from([0.05, 0.025, math.inf, math.nan]) | st.floats(min_value=1e-4, max_value=0.2),
+    )
+    def test_band_horizons_match_first_failing_end(self, closes, band_tol):
+        horizons = market._band_horizons(np.array(closes), band_tol, len(closes))
+        assert horizons == [first_failing_end(closes, band_tol, i) for i in range(len(closes))]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 63, 64, 65])
+    def test_band_horizons_at_powers_of_two(self, n):
+        closes = [100.0, 105.0] * (n // 2) + [100.0] * (n % 2)  # every window exactly at 0.05
+        assert market._band_horizons(np.array(closes), 0.05, n) == [n] * n
+        closes[-1] = 105.5  # the last bar breaks every window that reaches it
+        expected = [first_failing_end(closes, 0.05, i) for i in range(n)]
+        assert market._band_horizons(np.array(closes), 0.05, n) == expected
 
     def test_flat_closes_rejected_but_small_wiggle_accepted(self):
         flat = flat_series("F", [100.0] * 20)
@@ -685,7 +757,53 @@ class TestDetectRanges:
             detect_ranges(lnkd_series, min_len=4)
 
 
+def vol_fall_loop(vol, lookback=5, fall_ratio=0.7):
+    """Oracle for detect_vol_fall: the per-index loop it replaced."""
+    events = []
+    values = np.asarray(vol.values, dtype=float)
+    for t in range(lookback, len(values)):
+        before = values[t - lookback]
+        after = values[t]
+        with np.errstate(over="ignore"):  # a subnormal sigma before
+            fell = before > 0 and after / before <= fall_ratio
+        if fell:
+            events.append(
+                market.VolFallEvent(date=vol.dates[t], sigma_before=float(before), sigma_after=float(after))
+            )
+    return events
+
+
 class TestDetectVolFall:
+    @given(
+        st.lists(
+            st.sampled_from([0.0, -0.0, 5e-324, 0.35, 0.5, 0.7, 1.0]) | st.floats(min_value=0.0, max_value=2.0),
+            min_size=2,
+            max_size=60,
+        ),
+        st.integers(min_value=1, max_value=10),
+        # 0.7 and 0.5 put 0.7 / 1.0 and 0.35 / 0.7 exactly at the ratio
+        st.sampled_from([0.7, 0.5]) | st.floats(min_value=0.01, max_value=0.99),
+    )
+    def test_matches_loop(self, values, lookback, fall_ratio):
+        dates = tuple(dt.date(2013, 1, 1) + dt.timedelta(days=i) for i in range(len(values)))
+        vol = VolSeries(dates=dates, values=np.array(values), window=0)
+        if len(values) <= lookback:
+            with pytest.raises(ValueError, match="too short"):
+                detect_vol_fall(vol, lookback, fall_ratio)
+            return
+        assert detect_vol_fall(vol, lookback, fall_ratio) == vol_fall_loop(vol, lookback, fall_ratio)
+
+    def test_zero_sigmas_and_exact_ratio(self):
+        values = [0.0, 1.0, 0.0, 0.7, 0.0, 0.49]
+        dates = tuple(dt.date(2013, 1, 1) + dt.timedelta(days=i) for i in range(len(values)))
+        vol = VolSeries(dates=dates, values=np.array(values), window=0)
+        events = detect_vol_fall(vol, lookback=1, fall_ratio=0.7)
+        assert [(e.sigma_before, e.sigma_after) for e in events] == [(1.0, 0.0), (0.7, 0.0)]
+        events = detect_vol_fall(vol, lookback=2, fall_ratio=0.7)
+        assert [(e.sigma_before, e.sigma_after) for e in events] == [(1.0, 0.7)]
+        assert events == vol_fall_loop(vol, 2, 0.7)
+
+
     @staticmethod
     def step_vol(before, after, n_before=10, n_after=10):
         values = [before] * n_before + [after] * n_after
