@@ -70,10 +70,16 @@ def wkb_prefactor(params: MarketParams) -> float:
     """Multiplier P = sqrt((r / sigma^4)(sigma^2 + r)) in front of the barrier integral.
 
     The same coefficient converts the potential gap into the local rates:
-    k^2 = P^2 * lambda and q(S)^2 = P^2 * (V(S) - lambda).
+    k^2 = P^2 * lambda and q(S)^2 = P^2 * (V(S) - lambda). Raises ValueError
+    where sigma^4 overflows (sigma above about 1e77) or underflows to 0
+    (below about 1e-81).
     """
     r, sigma = params.r, params.sigma
-    return math.sqrt((r / sigma**4) * (sigma * sigma + r))
+    try:
+        return math.sqrt((r / sigma**4) * (sigma * sigma + r))
+    except (OverflowError, ZeroDivisionError) as exc:
+        fault = "overflows" if isinstance(exc, OverflowError) else "underflows to 0"
+        raise ValueError(f"sigma={sigma:.6g} is out of range: sigma^4 {fault} in the prefactor P") from None
 
 
 def wavenumber_k(params: MarketParams) -> float:
@@ -85,7 +91,8 @@ def decay_q(params: MarketParams, s: float) -> float:
     """In-wall decay rate q(S) = P * sqrt(V(S) - lambda).
 
     Defined only inside the wall, where V(S) > lambda; q falls to 0 at the
-    exit coordinate S1.
+    exit coordinate S1. Raises ValueError where P underflows to 0 while
+    V(S) overflows, since their product is then undefined.
     """
     gap = potential_v(s) - lambda_of(params)
     if gap < 0:
@@ -93,7 +100,10 @@ def decay_q(params: MarketParams, s: float) -> float:
             f"s={s} lies outside the wall: V(s)={potential_v(s):.6g} "
             f"<= lambda={lambda_of(params):.6g}"
         )
-    return wkb_prefactor(params) * math.sqrt(gap)
+    q = wkb_prefactor(params) * math.sqrt(gap)
+    if math.isnan(q):  # 0 * inf
+        raise ValueError(f"q(s) is undefined at s={s:.6g}: P underflows to 0 while V(s) overflows")
+    return q
 
 
 def barrier_geometry(params: MarketParams, band: RangeBound) -> BarrierGeometry:

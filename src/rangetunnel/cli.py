@@ -53,8 +53,8 @@ def _cmd_tc(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         band = _band_from_args(parser, args)
         params = MarketParams(r=args.r, sigma=args.sigma)
         geo = barrier_geometry(params, band)  # lambda or S1 may underflow or overflow
-    result = transmission_exact(params, band)
-    thin = transmission_thin_wall(params, band)
+        result = transmission_exact(params, band)  # so may sigma^4 in the prefactor
+        thin = transmission_thin_wall(params, band)
     report = {
         "K": band.width,
         "lambda": geo.lam,
@@ -93,7 +93,7 @@ def _cmd_tables(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 def _cmd_scan(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     path = Path(args.input)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # a spreadsheet export may start with a BOM
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return 1
@@ -105,7 +105,7 @@ def _cmd_scan(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     vol = None
     if args.vol is not None:
         try:
-            vol = parse_vol_csv(Path(args.vol).read_text(encoding="utf-8"))
+            vol = parse_vol_csv(Path(args.vol).read_text(encoding="utf-8-sig"))
         except OSError as exc:
             print(f"error: cannot read {args.vol}: {exc}", file=sys.stderr)
             return 1

@@ -1,15 +1,22 @@
 """OHLC ingestion, volatility estimation, and range/volatility-fall detection.
 
-CSV input is ``date,open,high,low,close[,volume]`` with ISO dates. The parser
-reads it in one pass straight into the columns of a PriceSeries, which checks
-the bar rules (one vectorised pass) and the date order, each in one place;
-the parser only turns the position of a faulty bar into its line. Volatility
-is the annualized rolling sample standard deviation of close-to-close log
-returns (window 21 bars, 252 periods/year by default); an externally computed
-series can be supplied instead as ``date,sigma``. Range-bound windows are
-detected on closes: the band of a window is [min close, max close], and a
-window qualifies when it is long enough, the band is tight relative to price,
-and the closes visit both edges of the band often enough.
+CSV input is ``date,open,high,low,close[,volume]`` with ISO dates. A plain
+body (no quote, no carriage return, the header's field count on every line) is
+split on newlines and commas and converted a column at a time. Any other
+input, and any plain input with a fault, is read by the row loop over
+``csv.reader``, which always names the first fault in file order by its line.
+Either way the columns go to a PriceSeries, which checks the bar rules (one
+vectorised pass) and the date order, each in one place. The parsers take text;
+the CLI decodes files as ``utf-8-sig``, so a UTF-8 byte-order mark is
+accepted.
+
+Volatility is the annualized rolling sample standard deviation of
+close-to-close log returns (window 21 bars, 252 periods/year by default); an
+externally computed series can be supplied instead as ``date,sigma``.
+Range-bound windows are detected on closes: the band of a window is [min
+close, max close], and a window qualifies when it is long enough, the band is
+tight relative to price, and the closes visit both edges of the band often
+enough.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -213,8 +221,44 @@ def _blank(row: list[str]) -> bool:
     return not any(cell.strip() for cell in row)
 
 
+def _plain_cells(text: str, headers: Sequence[list[str]]) -> Optional[tuple[int, list[str]]]:
+    """The field count and the body cells, row after row, of a plain CSV text; else None.
+
+    A text is plain when it holds no quote and no carriage return, its first
+    line is one of ``headers`` (each cell stripped and lower-cased, as the row
+    loops test it), at least one line follows, every line has the header's
+    field count and none is longer than the csv field limit. Split on newline
+    and comma, such a text holds the same cells, line for line, that
+    ``csv.reader`` returns for it. Anything else is left to the row loops.
+    """
+    if '"' in text or "\r" in text:
+        return None
+    lines = text.removesuffix("\n").split("\n")
+    names = [h.strip().lower() for h in lines[0].split(",")]
+    if names not in headers or len(lines) < 2:
+        return None
+    n = len(names)
+    # every line, not the total: a line one field long next to one a field short adds up
+    if set(map(str.count, lines, repeat(","))) != {n - 1}:
+        return None
+    if max(map(len, lines)) > csv.field_size_limit():  # no field is longer than its line
+        return None
+    cells = ",".join(lines).split(",")
+    del cells[:n]
+    return n, cells
+
+
+def _volume_cell(cell: str) -> Optional[float]:
+    return float(cell) if cell.strip() else None
+
+
 def parse_ohlc_csv(text: str, symbol: str = "") -> PriceSeries:
     """Parse OHLC CSV text into a validated PriceSeries.
+
+    A plain text (see ``_plain_cells``) is converted a column at a time, with
+    the conversions of the row loop, so every value keeps its bits. Any other
+    text, and any plain text that fails to convert or to validate, is parsed
+    by the row loop, the only code that names a fault.
 
     Blank rows are skipped. Raises OhlcParseError with the offending line
     number for malformed rows, OhlcValidationError for an empty body, a bar
@@ -222,6 +266,26 @@ def parse_ohlc_csv(text: str, symbol: str = "") -> PriceSeries:
     first fault in file order wins: a malformed line is reported only when no
     earlier bar breaks a bar rule, and date order is checked last.
     """
+    plain = _plain_cells(text, (_HEADER, _HEADER + ["volume"]))
+    if plain is not None:
+        n, cells = plain
+        try:
+            return PriceSeries(
+                symbol=symbol,
+                dates=tuple(map(dt.date.fromisoformat, map(str.strip, cells[0::n]))),
+                open=tuple(map(float, cells[1::n])),
+                high=tuple(map(float, cells[2::n])),
+                low=tuple(map(float, cells[3::n])),
+                close=tuple(map(float, cells[4::n])),
+                volume=tuple(map(_volume_cell, cells[5::n])) if n == 6 else None,
+            )
+        except ValueError:
+            pass  # the row loop finds the first fault in file order and names its line
+    return _parse_ohlc_rows(text, symbol)
+
+
+def _parse_ohlc_rows(text: str, symbol: str) -> PriceSeries:
+    """Parse OHLC CSV text row by row; see ``parse_ohlc_csv``."""
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -317,8 +381,27 @@ def parse_vol_csv(text: str) -> VolSeries:
 
     Blank rows are skipped. A malformed row, or a sigma that is not finite
     and >= 0, raises OhlcParseError with its line number; the first in file
-    order wins. Dates out of order raise OhlcValidationError.
+    order wins. Dates out of order raise OhlcValidationError. A plain text
+    (see ``_plain_cells``) is converted a column at a time; any other text,
+    and any plain text that fails, is parsed by the row loop, which names the
+    first fault.
     """
+    plain = _plain_cells(text, (["date", "sigma"],))
+    if plain is not None:
+        cells = plain[1]
+        try:
+            return VolSeries(
+                dates=tuple(map(dt.date.fromisoformat, map(str.strip, cells[0::2]))),
+                values=np.array(tuple(map(float, cells[1::2])), dtype=float),
+                window=0,
+            )
+        except ValueError:
+            pass  # the row loop finds the first fault in file order and names its line
+    return _parse_vol_rows(text)
+
+
+def _parse_vol_rows(text: str) -> VolSeries:
+    """Parse ``date,sigma`` CSV text row by row; see ``parse_vol_csv``."""
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)

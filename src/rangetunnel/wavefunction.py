@@ -36,7 +36,8 @@ def thin_wall_amplitudes(
     entry, where the decay rate q_entry is frozen. The growing in-wall branch
     is dropped. The transmission ratio |f|/|a| does not depend on the
     reflected amplitude ``b``. Raises ValueError outside the tunneling
-    regime, and when K is so close to the support that V(K) overflows.
+    regime, when K is so close to the support that V(K) overflows, and when
+    the in-wall amplitude exp(q(K) K) overflows.
     """
     geo = barrier_geometry(params, band)
     if geo.regime is Regime.NO_BARRIER:
@@ -45,10 +46,16 @@ def thin_wall_amplitudes(
     q_entry = decay_q(params, k_width)
     if q_entry == math.inf:
         raise ValueError(f"K={k_width:.6g} is too close to the support: V(K) overflows")
+    try:
+        d_amp = abs(a) * math.exp(q_entry * k_width)
+    except OverflowError:
+        raise ValueError(
+            f"q(K)*K = {q_entry * k_width:.6g} is out of range: the in-wall amplitude overflows"
+        ) from None
     return WaveAmplitudes(
         a=complex(a),
         b=complex(b),
-        d_amp=abs(a) * math.exp(q_entry * k_width),
+        d_amp=d_amp,
         f=complex(a) * math.exp(-q_entry * geo.width_d),
         k=wavenumber_k(params),
         q_entry=q_entry,

@@ -1,6 +1,7 @@
 """Command-line surface: flags, exit codes, output formats, determinism."""
 
 import datetime as dt
+import itertools
 import json
 from pathlib import Path
 
@@ -90,6 +91,20 @@ class TestTc:
         (["tc", "--r", "1e-300", "--sigma", "1e10", "--strike", "1"], "s_exit must be finite, got inf"),
         (["validate", "--quad-points", "0"], "--quad-points must be >= 1"),
         (["validate", "--quad-points", "-5"], "--quad-points must be >= 1"),
+        # sigma^4 underflows to 0 or overflows in the prefactor P
+        (
+            ["tc", "--r", "1e-300", "--sigma", "1e-300", "--strike", "1"],
+            "sigma=1e-300 is out of range: sigma^4 underflows to 0 in the prefactor P",
+        ),
+        (
+            ["tc", "--r", "0.3", "--sigma", "1e300", "--strike", "1"],
+            "sigma=1e+300 is out of range: sigma^4 overflows in the prefactor P",
+        ),
+        # P underflows to 0 and V(K) overflows: q(K) printed T_thin_wall nan
+        (
+            ["tc", "--r", "1e-160", "--sigma", "1e77", "--strike", "1e-300"],
+            "q(s) is undefined at s=1e-300: P underflows to 0 while V(s) overflows",
+        ),
     ],
 )
 def test_bad_model_flags_are_usage_errors(capsys, argv, message):
@@ -115,12 +130,39 @@ def test_bad_model_flags_are_usage_errors(capsys, argv, message):
             1,
             "error: s_exit must be > 0, got 0.0",
         ),
+        (
+            ["wavefunction", "--r", "1e-10", "--sigma", "1e-10", "--strike", "0.03"],
+            1,
+            "error: q(K)*K = 9.9955e+09 is out of range: the in-wall amplitude overflows",
+        ),
+        (
+            ["wavefunction", "--r", "1e-300", "--sigma", "1e-300", "--strike", "1e-300"],
+            1,
+            "error: sigma=1e-300 is out of range: sigma^4 underflows to 0 in the prefactor P",
+        ),
     ],
 )
 def test_underflowing_flags_end_without_traceback(capsys, argv, code, expected):
     got_code, out, err = run_cli(capsys, *argv)
     assert got_code == code
     assert expected in (out if code == 0 else err)
+
+
+_EXTREMES = ("1e-300", "1e-160", "1e-77", "1e-10", "0.3", "1e10", "1e77", "1e300")
+
+
+@pytest.mark.parametrize("command", ["tc", "wavefunction"])
+def test_extreme_flags_never_raise(capsys, command):
+    # every r, sigma and K from 1e-300 to 1e300: a result, exit 1 or a usage error, never
+    # a traceback or a printed nan
+    for r, sigma, strike in itertools.product(_EXTREMES, repeat=3):
+        argv = [command, "--r", r, "--sigma", sigma, "--strike", strike]
+        try:
+            code, out, _ = run_cli(capsys, *argv)
+        except SystemExit as exc:
+            code, out = exc.code, capsys.readouterr().out
+        assert code in (0, 1, 2), argv
+        assert "nan" not in out, argv
 
 
 class TestTables:
@@ -254,6 +296,32 @@ class TestScan:
         code, out, err = run_cli(capsys, *args, "--band-tol", band_tol)
         assert (code, err) == (0, "")
         assert out == run_cli(capsys, *args, "--band-tol", "1")[1]
+
+    def test_byte_order_mark_is_accepted(self, capsys, tmp_path):
+        # some spreadsheet exports start a UTF-8 file with the bytes EF BB BF
+        ohlc = band_series_csv(123.3, 127.2).encode("utf-8")
+        vol = ("date,sigma\n" + "".join(f"2013-01-{d:02d},0.4\n" for d in range(1, 21))).encode("utf-8")
+        outputs = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            folder = tmp_path / ("bom" if bom else "plain")
+            folder.mkdir()
+            (folder / "LNKD.csv").write_bytes(bom + ohlc)
+            (folder / "vol.csv").write_bytes(bom + vol)
+            args = ("scan", "--input", str(folder / "LNKD.csv"), "--r", "0.03")
+            outputs.append(
+                (run_cli(capsys, *args, "--sigma", "0.47"), run_cli(capsys, *args, "--vol", str(folder / "vol.csv")))
+            )
+        plain, bom = outputs
+        assert bom == plain
+        assert all(code == 0 and "LNKD" in out and err == "" for code, out, err in plain)
+
+    @pytest.mark.parametrize("sigma", ["1e-100", "1e100"])
+    def test_extreme_sigma_exits_one(self, capsys, tmp_path, sigma):
+        src = tmp_path / "LNKD.csv"
+        src.write_text(band_series_csv(123.3, 127.2), encoding="utf-8")
+        code, out, err = run_cli(capsys, "scan", "--input", str(src), "--r", "0.03", "--sigma", sigma)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: sigma={float(sigma):.6g} is out of range: sigma^4 ")
 
     def test_missing_file_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "scan", "--input", str(tmp_path / "nope.csv"), "--r", "0.03")

@@ -2,10 +2,11 @@
 
 import datetime as dt
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rangetunnel import market
 from rangetunnel.market import (
@@ -452,6 +453,200 @@ def price_series(draw):
 @given(price_series())
 def test_round_trip_random_series(series):
     assert parse_ohlc_csv(serialize_ohlc_csv(series), symbol=series.symbol) == series
+
+
+# The column pass of each reader against its row loop, which parses every text
+# that is not plain and names every fault, so the two must agree on any input.
+_LIMIT = 131072  # the csv module's default field size limit
+_CELLS = (
+    "nan", "inf", "-inf", "-0", "-1", "-1e-3", "1e999", "", " ", "abc", "1_0", " 2.5 ", "2.5\r", "\x00",
+    "2013-02-30", "x", "20130101", "2013-1-1", " 2013-01-05 ", "2013-01-05T00:00",
+    "0" * _LIMIT, "0" * (_LIMIT + 1),
+)
+
+
+def _at(draw, items):
+    return draw(st.integers(min_value=0, max_value=max(len(items) - 1, 0)))
+
+
+def _misalign(draw, lines):
+    # one line gains the first field of the next, which loses it: the total count holds
+    i = _at(draw, lines[:-1])
+    if i + 1 >= len(lines):
+        return lines
+    head, _, rest = lines[i + 1].partition(",")
+    return lines[:i] + [f"{lines[i]},{head}", rest] + lines[i + 2 :]
+
+
+def _gain_field(draw, lines):
+    i = _at(draw, lines)
+    return lines[:i] + [f"{lines[i]},{draw(st.sampled_from(_CELLS[:12]))}"] + lines[i + 1 :]
+
+
+def _lose_field(draw, lines):
+    i = _at(draw, lines)
+    return lines[:i] + [lines[i].rpartition(",")[0]] + lines[i + 1 :]
+
+
+def _insert_line(draw, lines):
+    i = _at(draw, lines)
+    return lines[:i] + [draw(st.sampled_from(["", "  ", ",", ",,,,", ",,,,,", " , , , , ", "\t"]))] + lines[i:]
+
+
+def _set_cell(draw, lines, cell):
+    i = _at(draw, lines)
+    cells = lines[i].split(",")
+    j = _at(draw, cells)
+    cells[j] = cell(cells[j])
+    return lines[:i] + [",".join(cells)] + lines[i + 1 :]
+
+
+def _substitute_cell(draw, lines):
+    value = draw(st.sampled_from(_CELLS))
+    return _set_cell(draw, lines, lambda _: value)
+
+
+def _quote_cell(draw, lines):
+    inner = draw(st.sampled_from(["", "\n", "\n\n", '""']))
+    return _set_cell(draw, lines, lambda cell: f'"{cell}{inner}"')
+
+
+def _insert_char(draw, lines):
+    char = draw(st.sampled_from([",", '"', "\r", "\x00", " ", "\n", "a", "-", ".", "e"]))
+    i = _at(draw, lines)
+    k = draw(st.integers(min_value=0, max_value=len(lines[i])))
+    return lines[:i] + [lines[i][:k] + char + lines[i][k:]] + lines[i + 1 :]
+
+
+def _crlf(draw, lines):
+    return [line + "\r" for line in lines[:-1]] + lines[-1:]
+
+
+def _swap_lines(draw, lines):
+    i, j = _at(draw, lines), _at(draw, lines)
+    lines = list(lines)
+    lines[i], lines[j] = lines[j], lines[i]
+    return lines
+
+
+def _duplicate_line(draw, lines):
+    i = _at(draw, lines)
+    return lines[: i + 1] + lines[i:]
+
+
+def _header_only(draw, lines):
+    return lines[:1] + draw(st.sampled_from([[], [""], ["", ""]]))
+
+
+def _restyle_header(draw, lines):
+    header = draw(st.sampled_from([str.upper, lambda h: h.replace(",", " , "), lambda h: "\ufeff" + h]))
+    return [header(lines[0])] + lines[1:]
+
+
+def _strip_last_newline(draw, lines):
+    return lines[:-1] if len(lines) > 1 and lines[-1] == "" else lines
+
+
+_MUTATIONS = (
+    _misalign, _gain_field, _lose_field, _insert_line, _substitute_cell, _quote_cell, _insert_char,
+    _crlf, _swap_lines, _duplicate_line, _header_only, _restyle_header, _strip_last_newline,
+)
+
+
+@st.composite
+def mutated(draw, texts):
+    """A text drawn from ``texts`` with up to three of the mutations above."""
+    lines = draw(texts).split("\n")
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        lines = draw(st.sampled_from(_MUTATIONS))(draw, lines)
+    return "\n".join(lines)
+
+
+@st.composite
+def vol_texts(draw):
+    n = draw(st.integers(min_value=1, max_value=20))
+    start = dt.date(2013, 1, 1)
+    rows = "".join(
+        f"{start + dt.timedelta(days=i)},{sigma!r}\n"
+        for i, sigma in enumerate(draw(st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n)))
+    )
+    return "date,sigma\n" + rows
+
+
+def _outcome(parse, text):
+    """The result to the bit, or the error's class, message and line."""
+    try:
+        result = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    values = result.values.tobytes() if isinstance(result, VolSeries) else None
+    return repr(result), values
+
+
+@settings(max_examples=400)
+@given(mutated(price_series().map(serialize_ohlc_csv)))
+# line 2 gains the date of line 3: the strided columns would read two good bars
+@example("date,open,high,low,close\n2013-01-02,1,1,1,1,2013-01-03\n1,1,1,1\n")
+# an unquoted volume cell over the csv field limit
+@example(_HV + f"2013-02-07,{_OK},{'0' * (_LIMIT + 1)}\n")
+# a carriage return ends a csv record inside the line
+@example(_H + "2013-02-07,124.0\r,127.2,123.3,126.1\n")
+def test_ohlc_column_pass_matches_row_loop(text):
+    assert _outcome(parse_ohlc_csv, text) == _outcome(lambda t: market._parse_ohlc_rows(t, ""), text)
+
+
+@settings(max_examples=400)
+@given(mutated(vol_texts()))
+@example("date,sigma\n2013-01-02,0.4,2013-01-03\n0.3\n")
+@example(f"date,sigma\n2013-01-02,{'0' * (_LIMIT + 1)}\n")
+@example("date,sigma\n2013-01-02,0.4\r,\n")
+def test_vol_column_pass_matches_row_loop(text):
+    assert _outcome(parse_vol_csv, text) == _outcome(market._parse_vol_rows, text)
+
+
+def _no_row_loop(*args):
+    raise AssertionError("a plain text fell back to the row loop")
+
+
+@settings(max_examples=100)
+@given(price_series())
+def test_clean_ohlc_text_skips_row_loop(series):
+    text = serialize_ohlc_csv(series)
+    with mock.patch.object(market, "_parse_ohlc_rows", _no_row_loop):
+        assert parse_ohlc_csv(text, symbol=series.symbol) == series
+
+
+@settings(max_examples=100)
+@given(vol_texts())
+def test_clean_vol_text_skips_row_loop(text):
+    expected = _outcome(market._parse_vol_rows, text)
+    with mock.patch.object(market, "_parse_vol_rows", _no_row_loop):
+        assert _outcome(parse_vol_csv, text) == expected
+
+
+# plain texts beyond what serialize_ohlc_csv writes: the column pass takes them too
+_PLAIN = {
+    "ohlc-padded-dates": (
+        parse_ohlc_csv, _H + f" 2013-02-07 ,{_OK}\n\t2013-02-08,{_OK}\n2013-02-09\t,{_OK}\n"
+    ),
+    "ohlc-padded-header": (parse_ohlc_csv, f" DATE , Open,HIGH,low ,Close\n2013-02-07,{_OK}\n"),
+    "ohlc-no-trailing-newline": (parse_ohlc_csv, _H + f"2013-02-07,{_OK}\n2013-02-08,{_OK}"),
+    "ohlc-blank-volume-cells": (
+        parse_ohlc_csv, _HV + f"2013-02-07,{_OK},\n2013-02-08,{_OK}, \n2013-02-09,{_OK},7\n"
+    ),
+    "ohlc-padded-numbers": (parse_ohlc_csv, _H + "2013-02-07, 124.0 ,127.2\t,1_23.3,+126.1\n"),
+    "vol-padded": (parse_vol_csv, " Date , SIGMA \n 2013-01-02 , 0.4 \n2013-01-03,-0"),
+    "vol-zero-and-exponent": (parse_vol_csv, "date,sigma\n2013-01-02,0\n2013-01-03,4E-1\n"),
+}
+
+
+@pytest.mark.parametrize("parse,text", _PLAIN.values(), ids=_PLAIN.keys())
+def test_plain_text_skips_row_loop(parse, text):
+    rows = "_parse_ohlc_rows" if parse is parse_ohlc_csv else "_parse_vol_rows"
+    expected = _outcome(parse, text)
+    assert expected[0] not in (OhlcParseError, OhlcValidationError)
+    with mock.patch.object(market, rows, _no_row_loop):
+        assert _outcome(parse, text) == expected
 
 
 class TestPriceSeries:
