@@ -176,6 +176,8 @@ def _cmd_wavefunction(parser: argparse.ArgumentParser, args: argparse.Namespace)
 def _cmd_validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.quad_points < 1:
         parser.error("--quad-points must be >= 1")
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
     results = run_all(
         seed=args.seed,
         quad_points=args.quad_points,

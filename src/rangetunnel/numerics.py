@@ -116,22 +116,33 @@ def adaptive_simpson_batch(
     # rows x0, mid, x2 of each live interval, and f at them
     x = np.array((a, mid, b))
     fx = np.array((fa, fmid, fb))
-    levels = []  # per level: each interval's own estimate, and which were split
+    levels = []  # per level: each interval's own estimate, and the indices of those split
     for depth in range(cfg.max_depth, -1, -1):
-        left_mid = 0.5 * (x[0] + x[1])
-        right_mid = 0.5 * (x[1] + x[2])
-        f_lm, f_rm = f(np.concatenate((left_mid, right_mid)), np.concatenate((ids, ids))).reshape(2, -1)
-        left = (x[1] - x[0]) / 6.0 * (fx[0] + 4.0 * f_lm + fx[1])
-        right = (x[2] - x[1]) / 6.0 * (fx[1] + 4.0 * f_rm + fx[2])
+        # row 0 of each (2, m) array holds the left halves, row 1 the right
+        # ones; each half's midpoint 0.5 * (x0 + x2) and Simpson estimate
+        # (x2 - x0) / 6 * (f0 + 4 fmid + f2) are formed in place, by the same
+        # operations in the same order (IEEE + and * commute exactly)
+        mids = x[:2] + x[1:]
+        mids *= 0.5
+        left_mid, right_mid = mids
+        f_mids = f(mids.ravel(), np.concatenate((ids, ids))).reshape(2, -1)
+        f_lm, f_rm = f_mids
+        halves = x[1:] - x[:2]
+        halves /= 6.0
+        weights = 4.0 * f_mids
+        weights += fx[:2]
+        weights += fx[1:]
+        halves *= weights
+        left, right = halves
         estimate = left + right
         delta = estimate - simpson
         estimate += delta / 15.0
-        split = ~(np.abs(delta) <= 15.0 * tol)
+        split = np.flatnonzero(~(np.abs(delta) <= 15.0 * tol))
         levels.append((estimate, split))
-        if not split.any():
+        if not split.size:
             break
         if depth <= 0:
-            i = int(split.argmax())
+            i = int(split[0])
             raise QuadratureConvergenceError(
                 f"max_depth exhausted on [{float(x[0, i]):.12g}, {float(x[2, i]):.12g}]",
                 best_estimate=float(estimate[i]),
@@ -171,21 +182,21 @@ def adaptive_simpson(
 
 
 def quad_barrier_integrals(
-    points: Sequence[tuple[MarketParams, RangeBound]],
-    cfg: QuadratureConfig | None = None,
+    lam: np.ndarray, k_width: np.ndarray, cfg: QuadratureConfig | None = None
 ) -> np.ndarray:
-    """``quad_barrier_integral`` at every (params, band) point, integrated together.
+    """``quad_barrier_integral`` at every point (lam[j], k_width[j]), integrated together.
 
-    Each value has the bits of the one-point call. The s parts of all points
-    form one batch and the t parts another, so memory grows with the number
-    of points: callers with many points pass them in blocks. On depth
-    exhaustion the error comes from the first failing s part, if any, then
-    from the first failing t part.
+    ``lam`` holds each point's r / sigma and ``k_width`` its band width K, as
+    float arrays of one length. Each value has the bits of the one-point
+    call: that call passes one-element arrays, and numpy's +, -, *, / and
+    sqrt round every element as correctly as Python's scalar float ones. The
+    s parts of all points form one batch and the t parts another, so memory
+    grows with the number of points: callers with many points pass them in
+    blocks. On depth exhaustion the error comes from the first failing s
+    part, if any, then from the first failing t part.
     """
     if cfg is None:
         cfg = QuadratureConfig()
-    lam = np.array([params.r / params.sigma for params, _ in points])
-    k_width = np.array([band.width for _, band in points])
     if np.any(lam * k_width * k_width > 1.0):
         raise ValueError("no wall to integrate over: lambda*K^2 > 1")
     s1 = np.sqrt(1.0 / lam)
@@ -197,9 +208,18 @@ def quad_barrier_integrals(
         return np.sqrt(1.0 / (s * s) - lam[j])  # >= sqrt(3 lambda) on [K, mid]
 
     def substituted(t: np.ndarray, j: np.ndarray) -> np.ndarray:
+        # 2.0 * t2 * np.sqrt(lam[j] * (2.0 * s1_j - t2)) / (s1_j - t2), in place
         t2 = t * t
         s1_j = s1[j]
-        return 2.0 * t2 * np.sqrt(lam[j] * (2.0 * s1_j - t2)) / (s1_j - t2)
+        root = 2.0 * s1_j
+        root -= t2
+        root *= lam[j]
+        np.sqrt(root, out=root)
+        value = 2.0 * t2
+        value *= root
+        s1_j -= t2
+        value /= s1_j
+        return value
 
     inner = adaptive_simpson_batch(integrand, k_width, mid, cfg)
     outer = adaptive_simpson_batch(substituted, np.zeros_like(t_end), t_end, cfg)
@@ -228,7 +248,8 @@ def quad_barrier_integral(
     noise. Past mid, s >= S1/2 and that cancellation costs at most one bit.
     Raises ValueError when lambda*K^2 > 1; a zero-width wall gives 0.0.
     """
-    return float(quad_barrier_integrals([(params, band)], cfg)[0])
+    lam = np.array([params.r / params.sigma])
+    return float(quad_barrier_integrals(lam, np.array([band.width]), cfg)[0])
 
 
 def _check_grid(grid: np.ndarray) -> float:

@@ -41,7 +41,7 @@ SEGMENT_LADDER = (1, 4, 16, 64, 256, 1024, 4096)
 SWEEP_QUADRATURE = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12, max_depth=60)
 # Sweep points integrated together. The integrator's level arrays grow with
 # the batch, so the sweep goes in blocks: a block of 64 points peaks at about
-# 2.4 MB of arrays, all 1000 points at once at about 38 MB, for no gain in speed.
+# 2.7 MB of arrays, all 1000 points at once at about 38 MB, for no gain in speed.
 QUAD_BLOCK = 64
 
 
@@ -52,14 +52,36 @@ class CheckResult:
     detail: str
 
 
+def _draw_points(
+    rng: np.random.Generator, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``n`` random tunneling-regime points: arrays of r, sigma and the band width.
+
+    One broadcast ``uniform`` call fills an (n, 3) array in C order, each
+    element as ``low + (high - low) * next_double`` by the same C routine as
+    a scalar call, so row k holds the bits of the k-th scalar draw of
+    r, sigma and lambda*K^2, and consecutive calls continue one stream.
+    Writing the affine map in numpy instead would not be safe: the compiled
+    routine may fuse its multiply-add into one rounding on some builds. The
+    width sqrt(lambda*K^2 / lambda) is correctly rounded, as ``math.sqrt`` is.
+    """
+    r, sigma, lam_k2 = rng.uniform((0.005, 0.1, 0.01), (0.1, 1.0, 0.99), size=(n, 3)).T
+    return r, sigma, np.sqrt(lam_k2 / (r / sigma))
+
+
+def _pairs(
+    r: np.ndarray, sigma: np.ndarray, width: np.ndarray
+) -> list[tuple[MarketParams, RangeBound]]:
+    """The (params, band) pair of every drawn point."""
+    return [
+        (MarketParams(r=a, sigma=b), RangeBound.from_width(k))
+        for a, b, k in zip(r.tolist(), sigma.tolist(), width.tolist())
+    ]
+
+
 def _draw_params(rng: np.random.Generator) -> tuple[MarketParams, RangeBound]:
     """One random tunneling-regime parameter point: r, sigma and a band width."""
-    r = rng.uniform(0.005, 0.1)
-    sigma = rng.uniform(0.1, 1.0)
-    lam_k2 = rng.uniform(0.01, 0.99)
-    lam = r / sigma
-    width = math.sqrt(lam_k2 / lam)
-    return MarketParams(r=r, sigma=sigma), RangeBound.from_width(width)
+    return _pairs(*_draw_points(rng, 1))[0]
 
 
 def check_tables(prefactor_variant: str = "numerator") -> list[CheckResult]:
@@ -82,14 +104,16 @@ def quadrature_sweep(
 ) -> tuple[list[tuple[MarketParams, RangeBound]], list[float]]:
     """The sweep's seeded parameter points and the quadrature value at each.
 
-    The points are integrated QUAD_BLOCK at a time; each value has the bits
-    of ``quad_barrier_integral`` at its point.
+    The points are drawn and integrated QUAD_BLOCK at a time; each value has
+    the bits of ``quad_barrier_integral`` at its point.
     """
     rng = np.random.default_rng(seed)
-    draws = [_draw_params(rng) for _ in range(points)]
+    draws: list[tuple[MarketParams, RangeBound]] = []
     quads: list[float] = []
     for start in range(0, points, QUAD_BLOCK):
-        quads.extend(quad_barrier_integrals(draws[start : start + QUAD_BLOCK], SWEEP_QUADRATURE).tolist())
+        r, sigma, width = _draw_points(rng, min(QUAD_BLOCK, points - start))
+        quads.extend(quad_barrier_integrals(r / sigma, width, SWEEP_QUADRATURE).tolist())
+        draws.extend(_pairs(r, sigma, width))
     return draws, quads
 
 
@@ -113,9 +137,7 @@ def check_quadrature_sweep(seed: int = DEFAULT_SEED, points: int = 1000) -> Chec
 
 def check_segmented_convergence(seed: int = DEFAULT_SEED, points: int = 20) -> CheckResult:
     """Segment-sum error strictly decreasing along the ladder, final <= 1e-6."""
-    rng = np.random.default_rng(seed)
-    for _ in range(points):
-        params, band = _draw_params(rng)
+    for params, band in _pairs(*_draw_points(np.random.default_rng(seed), points)):
         exact = transmission_exact(params, band).t_exact
         errs = [abs(transmission_segmented(params, band, n) - exact) for n in SEGMENT_LADDER]
         if errs[-1] > 1e-6:

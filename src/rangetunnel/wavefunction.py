@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -95,14 +96,18 @@ def w_from_psi(
     is raised with scalar ``math.pow``, one grid point at a time, like the
     C ``pow`` behind a scalar ``**``: numpy's array ``**`` may take a
     vectorised power whose last bits differ, and the residual ``validate``
-    prints is sensitive to them. Raises ValueError unless every s > 0.
+    prints is sensitive to them. ``map`` runs that same scalar call in a
+    C-level loop and ``np.fromiter`` stores each result as it is, so the
+    bits match a Python loop over the grid. Raises ValueError unless every
+    s > 0.
     """
     grid = np.asarray(s, dtype=float)
     bad = grid[grid <= 0]
     if bad.size:
         raise ValueError(f"need s > 0, got {float(bad[0])}")
     exponent = -params.r / params.sigma**2
-    factor = np.array([math.pow(v, exponent) for v in grid.ravel().tolist()]).reshape(grid.shape)
+    powers = map(math.pow, grid.ravel().tolist(), repeat(exponent))
+    factor = np.fromiter(powers, float, grid.size).reshape(grid.shape)
     return psi * factor
 
 

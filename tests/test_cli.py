@@ -105,6 +105,7 @@ class TestTc:
             ["tc", "--r", "1e-160", "--sigma", "1e77", "--strike", "1e-300"],
             "q(s) is undefined at s=1e-300: P underflows to 0 while V(s) overflows",
         ),
+        (["validate", "--seed", "-1"], "--seed must be >= 0"),
     ],
 )
 def test_bad_model_flags_are_usage_errors(capsys, argv, message):
