@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from pathlib import Path
 
 from .barrier import barrier_geometry, transmission_exact, transmission_thin_wall
@@ -195,7 +196,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    tc = sub.add_parser("tc", help="transmission coefficient for one parameter set")
+    def command(
+        name: str, handler: Callable[[argparse.ArgumentParser, argparse.Namespace], int], summary: str
+    ) -> argparse.ArgumentParser:
+        # the handler gets its own subparser, so its usage errors print that usage line
+        subparser = sub.add_parser(name, help=summary)
+        subparser.set_defaults(run=functools.partial(handler, subparser))
+        return subparser
+
+    tc = command("tc", _cmd_tc, "transmission coefficient for one parameter set")
     tc.add_argument("--r", type=float, required=True, help="annualized risk-free rate")
     tc.add_argument("--sigma", type=float, required=True, help="annualized volatility")
     tc.add_argument("--strike", type=float, help="band width K (support at the origin)")
@@ -203,10 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     tc.add_argument("--resistance", type=float, help="absolute resistance price")
     tc.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
-    tables = sub.add_parser("tables", help="regenerate a golden reference table")
+    tables = command("tables", _cmd_tables, "regenerate a golden reference table")
     tables.add_argument("--which", type=int, choices=(1, 2, 3), required=True)
 
-    scan_p = sub.add_parser("scan", help="scan an OHLC CSV for range-bound breakout setups")
+    scan_p = command("scan", _cmd_scan, "scan an OHLC CSV for range-bound breakout setups")
     scan_p.add_argument("--input", required=True, help="OHLC CSV path")
     scan_p.add_argument("--r", type=float, required=True, help="annualized risk-free rate")
     scan_p.add_argument("--sigma", type=float, help="pin volatility instead of estimating")
@@ -220,14 +229,14 @@ def build_parser() -> argparse.ArgumentParser:
     scan_p.add_argument("--fall-lookback", type=int, default=5, help="volatility-fall lookback bars")
     scan_p.add_argument("--fall-ratio", type=float, default=0.7, help="volatility-fall flag ratio")
 
-    wave = sub.add_parser("wavefunction", help="tabulate potential and |psi|^2 for plotting")
+    wave = command("wavefunction", _cmd_wavefunction, "tabulate potential and |psi|^2 for plotting")
     wave.add_argument("--r", type=float, required=True)
     wave.add_argument("--sigma", type=float, required=True)
     wave.add_argument("--strike", type=float, required=True)
     wave.add_argument("--samples", type=int, default=200)
     wave.add_argument("--out", help="TSV output path (stdout when omitted)")
 
-    validate = sub.add_parser("validate", help="run the numerical self-check suite")
+    validate = command("validate", _cmd_validate, "run the numerical self-check suite")
     validate.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sweep RNG seed")
     validate.add_argument("--quad-points", type=int, default=1000, help="quadrature sweep size")
     validate.add_argument(
@@ -240,16 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "tc": _cmd_tc,
-        "tables": _cmd_tables,
-        "scan": _cmd_scan,
-        "wavefunction": _cmd_wavefunction,
-        "validate": _cmd_validate,
-    }
-    return handlers[args.command](parser, args)
+    args = build_parser().parse_args(argv)
+    return args.run(args)
 
 
 if __name__ == "__main__":

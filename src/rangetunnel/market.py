@@ -482,22 +482,30 @@ def historical_volatility(
 
 def _window_qualifies(
     closes: np.ndarray, i: int, j: int, band_tol: float, touch_count: int, touch_frac: float
-) -> Optional[RangeBound]:
-    """Band of closes[i..j] if the window qualifies as range-bound, else None."""
+) -> tuple[Optional[RangeBound], int]:
+    """Band of closes[i..j] if the window qualifies as range-bound, else None; and ``keep``.
+
+    ``keep`` is the offset from ``i`` of the later of the first min and the
+    first max close, so every window ``closes[i..e]`` with
+    ``i + keep <= e <= j`` has the same band floats.
+    """
     segment = closes[i : j + 1]
-    lo = float(segment.min())
-    hi = float(segment.max())
+    top = int(segment.argmax())
+    bottom = int(segment.argmin())
+    keep = max(top, bottom)
+    lo = float(segment[bottom])
+    hi = float(segment[top])
     width = hi - lo
     if width <= 0:
-        return None  # flat closes have no band
+        return None, keep  # flat closes have no band
     if width / lo > band_tol:
-        return None
+        return None, keep
     margin = touch_frac * width
     top_touches = int(np.count_nonzero(segment >= hi - margin))
     bottom_touches = int(np.count_nonzero(segment <= lo + margin))
     if top_touches < touch_count or bottom_touches < touch_count:
-        return None
-    return RangeBound(support=lo, resistance=hi)
+        return None, keep
+    return RangeBound(support=lo, resistance=hi), keep
 
 
 def _band_horizons(closes: np.ndarray, band_tol: float, starts: int) -> list[int]:
@@ -559,11 +567,21 @@ def detect_ranges(
     float test in numpy float64 still passes. That is O(n log n) array work
     in O(log n) numpy passes over all starts at once, and the tables take
     under ``2 n ceil(log2 n)`` floats (about 0.16 MB at 1000 bars, 2.2 MB at
-    10k). Each end below the horizon costs one O(j - i) call of
-    ``_window_qualifies``, from ``r(i) - 1`` down to the first that
-    qualifies. On GBM price histories that is one or two calls per hundred
-    bars; a long in-band stretch that never meets the touch rule, flat closes
-    included, still costs cubic time in its own length.
+    10k). Ends are tried from ``r(i) - 1`` down, each by one O(j - i) call of
+    ``_window_qualifies``, until one qualifies.
+
+    A failed end ``j`` skips every end down to the later of the window's first
+    min and first max close, at ``i + keep``, and the next end tried is
+    ``i + keep - 1``; a flat window (``keep`` 0) ends the start. The skip is
+    exact: every skipped window holds both first extremes, so it has the same
+    ``lo`` and ``hi`` floats, hence the same band test and touch thresholds,
+    and as a part of the failed window it has no more touches at either edge,
+    so it fails too. On GBM price histories that is one or two calls per
+    hundred bars, and flat closes with one spike cost at most two calls a
+    start. The worst case is a stretch where most bars make a new first
+    extreme while the touch rule keeps failing, such as closes rising
+    strictly inside the band with ``touch_frac`` 0: each end is still tried,
+    and such a stretch costs cubic time in its own length.
     """
     if min_len < 5:
         raise ValueError(f"min_len must be >= 5, got {min_len}")
@@ -577,17 +595,15 @@ def detect_ranges(
     windows: list[RangeWindow] = []
     i = 0
     while i + min_len - 1 < n:
-        found = None
-        for j in range(horizons[i] - 1, i + min_len - 2, -1):
-            band = _window_qualifies(closes, i, j, band_tol, touch_count, touch_frac)
+        shortest = i + min_len - 1
+        j = horizons[i] - 1
+        while j >= shortest:
+            band, keep = _window_qualifies(closes, i, j, band_tol, touch_count, touch_frac)
             if band is not None:
-                found = RangeWindow(start=i, end=j, band=band)
+                windows.append(RangeWindow(start=i, end=j, band=band))
                 break
-        if found is not None:
-            windows.append(found)
-            i = found.end + 1
-        else:
-            i += 1
+            j = i + keep - 1  # the ends i + keep .. j fail alike
+        i = j + 1 if j >= shortest else i + 1
     return windows
 
 

@@ -106,13 +106,20 @@ class TestTc:
             "q(s) is undefined at s=1e-300: P underflows to 0 while V(s) overflows",
         ),
         (["validate", "--seed", "-1"], "--seed must be >= 0"),
+        (["tc", "--r", "0.03", "--sigma", "0.3", "--strike", "-1"], "--strike must be > 0"),
+        (
+            ["wavefunction", "--r", "0.03", "--sigma", "0.3", "--strike", "2", "--samples", "2"],
+            "--samples must be >= 10",
+        ),
     ],
 )
 def test_bad_model_flags_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(argv)
     assert excinfo.value.code == 2
-    assert f"error: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: rangetunnel {argv[0]} [-h]")  # the subcommand's usage line
+    assert f"\nrangetunnel {argv[0]}: error: {message}" in err
 
 
 @pytest.mark.parametrize(

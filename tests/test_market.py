@@ -22,6 +22,7 @@ from rangetunnel.market import (
     parse_vol_csv,
     serialize_ohlc_csv,
 )
+from rangetunnel.types import RangeBound
 
 from conftest import band_series, flat_series, gbm_series, trending_series
 
@@ -770,16 +771,36 @@ class TestHistoricalVolatility:
         assert np.allclose(vol_base.values, vol_scaled.values, rtol=1e-9)
 
 
-def brute_force_ranges(series, min_len=15, band_tol=0.05, touch_count=2, touch_frac=0.25):
-    """Oracle for detect_ranges: try every end from the last bar down, per start."""
+def window_qualifies(closes, i, j, band_tol, touch_count, touch_frac):
+    """Oracle for the range test: the band of closes[i..j] if the window qualifies, else None."""
+    segment = closes[i : j + 1]
+    lo = float(segment.min())
+    hi = float(segment.max())
+    width = hi - lo
+    if width <= 0:
+        return None
+    if width / lo > band_tol:
+        return None
+    margin = touch_frac * width
+    top_touches = int(np.count_nonzero(segment >= hi - margin))
+    bottom_touches = int(np.count_nonzero(segment <= lo + margin))
+    if top_touches < touch_count or bottom_touches < touch_count:
+        return None
+    return RangeBound(support=lo, resistance=hi)
+
+
+def ranges_trying_every_end(series, last_ends, min_len, band_tol, touch_count, touch_frac):
+    """Windows found by trying each end from ``last_ends[i]`` down, per start; and the calls."""
     closes = series.closes()
     n = len(closes)
     windows = []
+    calls = 0
     i = 0
     while i + min_len - 1 < n:
         found = None
-        for j in range(n - 1, i + min_len - 2, -1):
-            band = market._window_qualifies(closes, i, j, band_tol, touch_count, touch_frac)
+        for j in range(last_ends[i], i + min_len - 2, -1):
+            calls += 1
+            band = window_qualifies(closes, i, j, band_tol, touch_count, touch_frac)
             if band is not None:
                 found = RangeWindow(start=i, end=j, band=band)
                 break
@@ -788,7 +809,27 @@ def brute_force_ranges(series, min_len=15, band_tol=0.05, touch_count=2, touch_f
             i = found.end + 1
         else:
             i += 1
+    return windows, calls
+
+
+def brute_force_ranges(series, min_len=15, band_tol=0.05, touch_count=2, touch_frac=0.25):
+    """Oracle for detect_ranges: try every end from the last bar down, per start."""
+    last_ends = [len(series) - 1] * len(series)
+    windows, _ = ranges_trying_every_end(series, last_ends, min_len, band_tol, touch_count, touch_frac)
     return windows
+
+
+def horizon_bounded_ranges(series, min_len=15, band_tol=0.05, touch_count=2, touch_frac=0.25):
+    """Oracle for detect_ranges and its call count: try every end below the band horizon."""
+    last_ends = [r - 1 for r in market._band_horizons(series.closes(), band_tol, len(series))]
+    return ranges_trying_every_end(series, last_ends, min_len, band_tol, touch_count, touch_frac)
+
+
+def counted_detect_ranges(series, **params):
+    """detect_ranges(series, **params) and the number of its ``_window_qualifies`` calls."""
+    with mock.patch.object(market, "_window_qualifies", wraps=market._window_qualifies) as qualifies:
+        windows = detect_ranges(series, **params)
+    return windows, qualifies.call_count
 
 
 @st.composite
@@ -867,19 +908,40 @@ class TestDetectRanges:
         series = gbm_series(sigma_true=0.30, n=300, seed=seed)
         assert window_tuples(detect_ranges(series)) == window_tuples(brute_force_ranges(series))
 
-    def test_candidate_count_stays_below_bar_count(self, monkeypatch):
-        calls = 0
-        qualifies = market._window_qualifies
+    @settings(max_examples=300, deadline=None)
+    @given(
+        close_paths() | runs_of_closes(),
+        st.integers(min_value=5, max_value=25),
+        st.sampled_from([0.05, 0.025]) | st.floats(min_value=1e-4, max_value=0.2),
+        st.integers(min_value=1, max_value=6),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_matches_horizon_bounded_loop(self, closes, min_len, band_tol, touch_count, touch_frac):
+        series = flat_series("H", closes)
+        params = dict(
+            min_len=min_len, band_tol=band_tol, touch_count=touch_count, touch_frac=touch_frac
+        )
+        windows, calls = counted_detect_ranges(series, **params)
+        oracle_windows, oracle_calls = horizon_bounded_ranges(series, **params)
+        assert window_tuples(windows) == window_tuples(oracle_windows)
+        assert calls <= oracle_calls
 
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return qualifies(*args)
-
-        monkeypatch.setattr(market, "_window_qualifies", counting)
+    def test_candidate_count_stays_below_bar_count(self):
         n = 2000
-        assert detect_ranges(gbm_series(n=n))
+        windows, calls = counted_detect_ranges(gbm_series(n=n))
+        assert windows
         assert 0 < calls < n  # trying every end makes about n**2 / 2 calls
+
+    @pytest.mark.parametrize("n", [200, 400, 800])
+    @pytest.mark.parametrize("spike", ["start", "middle", "end", None])
+    def test_flat_closes_with_one_spike_cost_linear_calls(self, n, spike):
+        closes = [100.0] * n
+        if spike is not None:
+            # inside the band but only one top touch: no window, and every start is tried
+            closes[{"start": 0, "middle": n // 2, "end": n - 1}[spike]] = 101.0
+        windows, calls = counted_detect_ranges(flat_series("F", closes))
+        assert windows == []
+        assert calls <= 2 * n  # trying every end below the horizon makes about n**2 / 2 calls
 
     @settings(max_examples=200, deadline=None)
     @given(
