@@ -92,6 +92,8 @@ def _cmd_tables(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 
 
 def _cmd_scan(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    with _usage_errors(parser):  # whatever the files hold; a placeholder sigma checks r alone
+        MarketParams(r=args.r, sigma=1.0 if args.sigma is None else args.sigma)
     path = Path(args.input)
     try:
         text = path.read_text(encoding="utf-8-sig")  # a spreadsheet export may start with a BOM

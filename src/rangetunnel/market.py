@@ -3,16 +3,17 @@
 CSV input is ``date,open,high,low,close[,volume]`` with ISO dates. A plain
 body (no quote, no carriage return, the header's field count on every line) is
 split on newlines and commas and converted a column at a time. Any other
-input, and any plain input with a fault, is read by the row loop over
-``csv.reader``, which always names the first fault in file order by its line.
-Either way the columns go to a PriceSeries, which checks the bar rules (one
-vectorised pass) and the date order, each in one place. The parsers take text;
-the CLI decodes files as ``utf-8-sig``, so a UTF-8 byte-order mark is
-accepted.
+input, and any plain input with a fault, is read by the row loop, which always
+names the first fault in file order by its line. Either way the columns go to
+a PriceSeries, which checks the bar rules (one vectorised pass) and the date
+order, each in one place. The parsers take text; the CLI decodes files as
+``utf-8-sig``, so a UTF-8 byte-order mark is accepted.
 
 Volatility is the annualized rolling sample standard deviation of
 close-to-close log returns (window 21 bars, 252 periods/year by default); an
-externally computed series can be supplied instead as ``date,sigma``.
+externally computed series can be supplied instead as ``date,sigma``, read
+the same way; its VolSeries checks the sigma rule and the date order. The two
+row loops share one record reader over ``csv.reader``.
 Range-bound windows are detected on closes: the band of a window is [min
 close, max close], and a window qualifies when it is long enough, the band is
 tight relative to price, and the closes visit both edges of the band often
@@ -27,6 +28,7 @@ import io
 import math
 import operator
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Optional, Sequence
@@ -117,6 +119,16 @@ def _check_bars(
     raise OhlcValidationError(reason, index=i)
 
 
+def _check_sigma(values: Sequence[float]) -> None:
+    """Raise OhlcValidationError, with its index, for the first sigma that is not finite and >= 0."""
+    sigma = np.asarray(values, dtype=float)
+    with np.errstate(invalid="ignore"):  # NaN is caught by isfinite
+        bad = ~np.isfinite(sigma) | (sigma < 0)
+    if bad.any():
+        i = int(bad.argmax())
+        raise OhlcValidationError(f"sigma must be finite and >= 0, got {float(sigma[i])}", index=i)
+
+
 def _strictly_increasing(dates: Sequence[dt.date]) -> bool:
     return all(map(operator.lt, dates, dates[1:]))
 
@@ -170,7 +182,8 @@ class VolSeries:
 
     ``dates[i]`` is the date of the bar that closes the i-th return window;
     for estimator output the length equals ``len(bars) - window``. Externally
-    supplied series use window = 0. Dates are strictly increasing.
+    supplied series use window = 0. Dates are strictly increasing; values are
+    finite and >= 0.
     """
 
     dates: tuple[dt.date, ...]
@@ -180,13 +193,9 @@ class VolSeries:
     def __post_init__(self) -> None:
         if len(self.dates) != len(self.values):
             raise ValueError("dates and values must have the same length")
+        _check_sigma(self.values)
         if not _strictly_increasing(self.dates):
             raise OhlcValidationError("volatility dates must be strictly increasing")
-        values = np.asarray(self.values)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("volatility estimates must be finite")
-        if np.any(values < 0):
-            raise ValueError("volatility estimates must be >= 0")
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -215,10 +224,6 @@ class RangeWindow:
 
 
 _HEADER = ["date", "open", "high", "low", "close"]
-
-
-def _blank(row: list[str]) -> bool:
-    return not any(cell.strip() for cell in row)
 
 
 def _plain_cells(text: str, headers: Sequence[list[str]]) -> Optional[tuple[int, list[str]]]:
@@ -284,8 +289,17 @@ def parse_ohlc_csv(text: str, symbol: str = "") -> PriceSeries:
     return _parse_ohlc_rows(text, symbol)
 
 
-def _parse_ohlc_rows(text: str, symbol: str) -> PriceSeries:
-    """Parse OHLC CSV text row by row; see ``parse_ohlc_csv``."""
+def _records(
+    text: str, headers: Sequence[list[str]], mismatch: str
+) -> tuple[int, Iterator[tuple[int, list[str]]]]:
+    """The header's field count, and each non-blank record after it with its physical line.
+
+    An empty text raises OhlcValidationError. A header that ``csv.reader``
+    rejects, or that is not in ``headers`` once stripped and lower-cased,
+    raises OhlcParseError on line 1, the latter with ``mismatch`` formatted
+    with the header as ``got``. The iteration raises OhlcParseError at a
+    record of another field count, or at a ``csv.Error`` such as a stray quote.
+    """
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -293,67 +307,64 @@ def _parse_ohlc_rows(text: str, symbol: str) -> PriceSeries:
         raise OhlcValidationError("empty input: missing header") from None
     except csv.Error as exc:
         raise OhlcParseError(str(exc), line=1) from None
-    header = [h.strip().lower() for h in header]
-    if header != _HEADER and header != _HEADER + ["volume"]:
-        raise OhlcParseError(
-            f"expected header 'date,open,high,low,close[,volume]', got {','.join(header)}",
-            line=1,
-        )
-    n_fields = len(header)
+    names = [h.strip().lower() for h in header]
+    if names not in headers:
+        raise OhlcParseError(mismatch.format(got=",".join(names)), line=1)
+    n_fields = len(names)
+
+    def records() -> Iterator[tuple[int, list[str]]]:
+        last_line = reader.line_num  # a quoted cell may span lines: count physical ones
+        try:
+            for row in reader:
+                line_no, last_line = last_line + 1, reader.line_num
+                if not any(cell.strip() for cell in row):
+                    continue  # a blank row
+                if len(row) != n_fields:
+                    raise OhlcParseError(f"expected {n_fields} fields, got {len(row)}", line_no)
+                yield line_no, row
+        except csv.Error as exc:
+            raise OhlcParseError(str(exc), last_line + 1) from None
+
+    return n_fields, records()
+
+
+def _parse_ohlc_rows(text: str, symbol: str) -> PriceSeries:
+    """Parse OHLC CSV text row by row; see ``parse_ohlc_csv``."""
+    n_fields, records = _records(
+        text, (_HEADER, _HEADER + ["volume"]),
+        "expected header 'date,open,high,low,close[,volume]', got {got}",
+    )
     has_volume = n_fields == 6
     dates: list[dt.date] = []
     prices: list[tuple[float, float, float, float]] = []
     volumes: list[Optional[float]] = []
     lines: list[int] = []  # source line of each bar
-
-    def malformed(message: str, line_no: int) -> OhlcParseError:
-        if dates:
-            _check_bars(dates, *zip(*prices), volumes if has_volume else None)
-        return OhlcParseError(message, line_no)
-
-    last_line = reader.line_num  # a quoted cell may span lines: count physical ones
     try:
         try:
-            for row in reader:
-                line_no, last_line = last_line + 1, reader.line_num
-                # a blank row has the wrong field count or no date, so only those test for one
-                if len(row) != n_fields:
-                    if _blank(row):
-                        continue
-                    raise malformed(f"expected {n_fields} fields, got {len(row)}", line_no)
+            for line_no, row in records:
                 try:
                     date = dt.date.fromisoformat(row[0].strip())
                 except ValueError as exc:
-                    if _blank(row):
-                        continue
-                    raise malformed(f"bad date {row[0]!r}: {exc}", line_no) from None
+                    raise OhlcParseError(f"bad date {row[0]!r}: {exc}", line_no) from None
                 try:
                     bar = (float(row[1]), float(row[2]), float(row[3]), float(row[4]))
                 except ValueError:
-                    raise malformed(f"non-numeric price in {row[1:5]}", line_no) from None
+                    raise OhlcParseError(f"non-numeric price in {row[1:5]}", line_no) from None
                 if has_volume:
-                    cell = row[5]
                     try:
-                        volumes.append(float(cell) if cell.strip() else None)
+                        volumes.append(_volume_cell(row[5]))
                     except ValueError:
-                        raise malformed(f"non-numeric volume {cell!r}", line_no) from None
+                        raise OhlcParseError(f"non-numeric volume {row[5]!r}", line_no) from None
                 dates.append(date)
                 prices.append(bar)
                 lines.append(line_no)
-        except csv.Error as exc:  # e.g. a stray quote that swallows the rest of the file
-            raise malformed(str(exc), last_line + 1) from None
+        except OhlcParseError:
+            if dates:  # an earlier bar that breaks a bar rule wins
+                _check_bars(dates, *zip(*prices), volumes if has_volume else None)
+            raise
         if not dates:
             raise OhlcValidationError("no bars: input has a header but no data rows")
-        opens, highs, lows, closes = zip(*prices)
-        return PriceSeries(
-            symbol=symbol,
-            dates=tuple(dates),
-            open=opens,
-            high=highs,
-            low=lows,
-            close=closes,
-            volume=tuple(volumes) if has_volume else None,
-        )
+        return PriceSeries(symbol, tuple(dates), *zip(*prices), tuple(volumes) if has_volume else None)
     except OhlcValidationError as exc:
         if exc.index is None:
             raise
@@ -402,56 +413,34 @@ def parse_vol_csv(text: str) -> VolSeries:
 
 def _parse_vol_rows(text: str) -> VolSeries:
     """Parse ``date,sigma`` CSV text row by row; see ``parse_vol_csv``."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise OhlcValidationError("empty input: missing header") from None
-    except csv.Error as exc:
-        raise OhlcParseError(str(exc), line=1) from None
-    if [h.strip().lower() for h in header] != ["date", "sigma"]:
-        raise OhlcParseError("expected header 'date,sigma'", line=1)
+    _, records = _records(text, (["date", "sigma"],), "expected header 'date,sigma'")
     dates: list[dt.date] = []
     values: list[float] = []
     cells: list[str] = []
     lines: list[int] = []
-
-    def check_sigma() -> None:
-        sigma = np.array(values, dtype=float)
-        with np.errstate(invalid="ignore"):  # NaN is caught by isfinite
-            bad = ~np.isfinite(sigma) | (sigma < 0)
-        if bad.any():
-            i = int(bad.argmax())
-            raise OhlcParseError(f"sigma must be finite and >= 0, got {cells[i].strip()!r}", lines[i])
-
-    last_line = reader.line_num  # a quoted cell may span lines: count physical ones
     try:
-        for row in reader:
-            line_no, last_line = last_line + 1, reader.line_num
-            if len(row) != 2:
-                if _blank(row):
-                    continue
-                check_sigma()
-                raise OhlcParseError(f"expected 2 fields, got {len(row)}", line_no)
-            try:
-                date = dt.date.fromisoformat(row[0].strip())
-                sigma = float(row[1])
-            except ValueError as exc:
-                if _blank(row):
-                    continue
-                check_sigma()
-                raise OhlcParseError(str(exc), line_no) from None
-            dates.append(date)
-            values.append(sigma)
-            cells.append(row[1])
-            lines.append(line_no)
-    except csv.Error as exc:  # e.g. a stray quote that swallows the rest of the file
-        check_sigma()
-        raise OhlcParseError(str(exc), last_line + 1) from None
-    check_sigma()
-    if not dates:
-        raise OhlcValidationError("no volatility rows")
-    return VolSeries(dates=tuple(dates), values=np.array(values, dtype=float), window=0)
+        try:
+            for line_no, row in records:
+                try:
+                    date = dt.date.fromisoformat(row[0].strip())
+                    sigma = float(row[1])
+                except ValueError as exc:
+                    raise OhlcParseError(str(exc), line_no) from None
+                dates.append(date)
+                values.append(sigma)
+                cells.append(row[1])
+                lines.append(line_no)
+        except OhlcParseError:
+            _check_sigma(values)  # an earlier bad sigma wins
+            raise
+        if not dates:
+            raise OhlcValidationError("no volatility rows")
+        return VolSeries(dates=tuple(dates), values=np.array(values, dtype=float), window=0)
+    except OhlcValidationError as exc:
+        if exc.index is None:
+            raise
+        cell, line = cells[exc.index].strip(), lines[exc.index]
+        raise OhlcParseError(f"sigma must be finite and >= 0, got {cell!r}", line) from None
 
 
 def historical_volatility(
@@ -481,13 +470,14 @@ def historical_volatility(
 
 
 def _window_qualifies(
-    closes: np.ndarray, i: int, j: int, band_tol: float, touch_count: int, touch_frac: float
+    closes: np.ndarray, i: int, j: int, touch_count: int, touch_frac: float
 ) -> tuple[Optional[RangeBound], int]:
     """Band of closes[i..j] if the window qualifies as range-bound, else None; and ``keep``.
 
-    ``keep`` is the offset from ``i`` of the later of the first min and the
-    first max close, so every window ``closes[i..e]`` with
-    ``i + keep <= e <= j`` has the same band floats.
+    The band horizon owns the band test (see ``detect_ranges``). ``keep`` is
+    the offset from ``i`` of the later of the first min and the first max
+    close, so every window ``closes[i..e]`` with ``i + keep <= e <= j`` has
+    the same band floats.
     """
     segment = closes[i : j + 1]
     top = int(segment.argmax())
@@ -498,8 +488,6 @@ def _window_qualifies(
     width = hi - lo
     if width <= 0:
         return None, keep  # flat closes have no band
-    if width / lo > band_tol:
-        return None, keep
     margin = touch_frac * width
     top_touches = int(np.count_nonzero(segment >= hi - margin))
     bottom_touches = int(np.count_nonzero(segment <= lo + margin))
@@ -598,7 +586,7 @@ def detect_ranges(
         shortest = i + min_len - 1
         j = horizons[i] - 1
         while j >= shortest:
-            band, keep = _window_qualifies(closes, i, j, band_tol, touch_count, touch_frac)
+            band, keep = _window_qualifies(closes, i, j, touch_count, touch_frac)
             if band is not None:
                 windows.append(RangeWindow(start=i, end=j, band=band))
                 break

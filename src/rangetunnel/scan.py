@@ -18,7 +18,7 @@ from typing import Optional
 
 from .barrier import barrier_geometry, transmission_exact
 from .market import PriceSeries, VolFallEvent, VolSeries, detect_ranges, detect_vol_fall, historical_volatility
-from .types import BarrierGeometry, MarketParams, RangeBound, TransmissionResult
+from .types import BarrierGeometry, MarketParams, RangeBound, TransmissionResult, _require_finite
 
 REPORT_COLUMNS = [
     "symbol",
@@ -98,15 +98,17 @@ def scan(
 
     Args:
         series: validated price history.
-        r: annualized risk-free rate (> 0).
+        r: annualized risk-free rate (finite, > 0).
         cfg: detection/estimation configuration.
         vol: optional externally computed volatility series; when absent the
             rolling estimator runs on ``series`` if it is long enough.
 
     Returns:
-        Events ordered by window end. A NO_BARRIER geometry is reported like
-        any other, never dropped.
+        Events ordered by window end, as ``detect_ranges`` returns the
+        windows. A NO_BARRIER geometry is reported like any other, never
+        dropped.
     """
+    _require_finite("r", r)
     if r <= 0:
         raise ValueError(f"r must be > 0, got {r}")
     if cfg is None:
@@ -143,7 +145,6 @@ def scan(
                 vol_fall_ratio=fall.ratio if fall else None,
             )
         )
-    events.sort(key=lambda e: (e.symbol, e.window_end))
     return events
 
 

@@ -111,6 +111,11 @@ class TestTc:
             ["wavefunction", "--r", "0.03", "--sigma", "0.3", "--strike", "2", "--samples", "2"],
             "--samples must be >= 10",
         ),
+        # checked before the input is read, so a missing file is not reached
+        (["scan", "--input", "missing.csv", "--r", "0"], "r must be > 0, got 0.0"),
+        (["scan", "--input", "missing.csv", "--r", "nan"], "r must be finite, got nan"),
+        (["scan", "--input", "missing.csv", "--r", "inf"], "r must be finite, got inf"),
+        (["scan", "--input", "missing.csv", "--r", "0.03", "--sigma", "-1"], "sigma must be > 0, got -1.0"),
     ],
 )
 def test_bad_model_flags_are_usage_errors(capsys, argv, message):
@@ -330,6 +335,43 @@ class TestScan:
         code, out, err = run_cli(capsys, "scan", "--input", str(src), "--r", "0.03", "--sigma", sigma)
         assert (code, out) == (1, "")
         assert err.startswith(f"error: sigma={float(sigma):.6g} is out of range: sigma^4 ")
+
+    @pytest.mark.parametrize("flags", [["--r", "0"], ["--r", "nan"], ["--r", "inf"], ["--r", "0.03", "--sigma", "-1"]])
+    @pytest.mark.parametrize(
+        "csv_text", [band_series_csv(123.3, 127.2), band_series_csv(100.0, 200.0)], ids=["window", "no-window"]
+    )
+    def test_bad_model_flags_are_usage_errors_on_any_input(self, capsys, tmp_path, flags, csv_text):
+        # one file has a range window and the other none; neither is scored
+        src = tmp_path / "X.csv"
+        src.write_text(csv_text, encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["scan", "--input", str(src), *flags])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: rangetunnel scan [-h]")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["scan", "--input", "LNKD.csv", "--r", "0.03", "--vol", "missing.csv"],
+                "error: cannot read missing.csv: ",
+            ),
+            (
+                ["scan", "--input", "LNKD.csv", "--r", "0.03", "--sigma", "0.47", "--out", "no/report.csv"],
+                "error: cannot write no/report.csv: ",
+            ),
+            (
+                ["wavefunction", "--r", "0.03", "--sigma", "0.47", "--strike", "2.4", "--out", "no/w.tsv"],
+                "error: cannot write no/w.tsv: ",
+            ),
+        ],
+    )
+    def test_unreadable_or_unwritable_path_exits_one(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "LNKD.csv").write_text(band_series_csv(123.3, 127.2), encoding="utf-8")
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith(message)
 
     def test_missing_file_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "scan", "--input", str(tmp_path / "nope.csv"), "--r", "0.03")

@@ -1,6 +1,8 @@
 """OHLC parsing, volatility estimation, range and volatility-fall detection."""
 
+import csv
 import datetime as dt
+import io
 import math
 from unittest import mock
 
@@ -605,6 +607,154 @@ def test_vol_column_pass_matches_row_loop(text):
     assert _outcome(parse_vol_csv, text) == _outcome(market._parse_vol_rows, text)
 
 
+# The row loops against references that each run their own csv.reader loop,
+# with the header, line, blank-row, field-count and csv.Error handling and the
+# sigma check written out inline, so a change to the shared record reader
+# shows as a difference in class, message, line or bits.
+def _blank(row):
+    return not any(cell.strip() for cell in row)
+
+
+def reference_ohlc_rows(text, symbol):
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise OhlcValidationError("empty input: missing header") from None
+    except csv.Error as exc:
+        raise OhlcParseError(str(exc), line=1) from None
+    header = [h.strip().lower() for h in header]
+    if header != market._HEADER and header != market._HEADER + ["volume"]:
+        raise OhlcParseError(
+            f"expected header 'date,open,high,low,close[,volume]', got {','.join(header)}",
+            line=1,
+        )
+    n_fields = len(header)
+    has_volume = n_fields == 6
+    dates, prices, volumes, lines = [], [], [], []
+
+    def malformed(message, line_no):
+        if dates:
+            market._check_bars(dates, *zip(*prices), volumes if has_volume else None)
+        return OhlcParseError(message, line_no)
+
+    last_line = reader.line_num
+    try:
+        try:
+            for row in reader:
+                line_no, last_line = last_line + 1, reader.line_num
+                if len(row) != n_fields:
+                    if _blank(row):
+                        continue
+                    raise malformed(f"expected {n_fields} fields, got {len(row)}", line_no)
+                try:
+                    date = dt.date.fromisoformat(row[0].strip())
+                except ValueError as exc:
+                    if _blank(row):
+                        continue
+                    raise malformed(f"bad date {row[0]!r}: {exc}", line_no) from None
+                try:
+                    bar = (float(row[1]), float(row[2]), float(row[3]), float(row[4]))
+                except ValueError:
+                    raise malformed(f"non-numeric price in {row[1:5]}", line_no) from None
+                if has_volume:
+                    cell = row[5]
+                    try:
+                        volumes.append(float(cell) if cell.strip() else None)
+                    except ValueError:
+                        raise malformed(f"non-numeric volume {cell!r}", line_no) from None
+                dates.append(date)
+                prices.append(bar)
+                lines.append(line_no)
+        except csv.Error as exc:
+            raise malformed(str(exc), last_line + 1) from None
+        if not dates:
+            raise OhlcValidationError("no bars: input has a header but no data rows")
+        opens, highs, lows, closes = zip(*prices)
+        return PriceSeries(
+            symbol, tuple(dates), opens, highs, lows, closes, tuple(volumes) if has_volume else None
+        )
+    except OhlcValidationError as exc:
+        if exc.index is None:
+            raise
+        raise OhlcValidationError(f"row {lines[exc.index]}: {exc.reason}") from None
+
+
+def reference_vol_rows(text):
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise OhlcValidationError("empty input: missing header") from None
+    except csv.Error as exc:
+        raise OhlcParseError(str(exc), line=1) from None
+    if [h.strip().lower() for h in header] != ["date", "sigma"]:
+        raise OhlcParseError("expected header 'date,sigma'", line=1)
+    dates, values, cells, lines = [], [], [], []
+
+    def check_sigma():
+        sigma = np.array(values, dtype=float)
+        with np.errstate(invalid="ignore"):
+            bad = ~np.isfinite(sigma) | (sigma < 0)
+        if bad.any():
+            i = int(bad.argmax())
+            raise OhlcParseError(f"sigma must be finite and >= 0, got {cells[i].strip()!r}", lines[i])
+
+    last_line = reader.line_num
+    try:
+        for row in reader:
+            line_no, last_line = last_line + 1, reader.line_num
+            if len(row) != 2:
+                if _blank(row):
+                    continue
+                check_sigma()
+                raise OhlcParseError(f"expected 2 fields, got {len(row)}", line_no)
+            try:
+                date = dt.date.fromisoformat(row[0].strip())
+                sigma = float(row[1])
+            except ValueError as exc:
+                if _blank(row):
+                    continue
+                check_sigma()
+                raise OhlcParseError(str(exc), line_no) from None
+            dates.append(date)
+            values.append(sigma)
+            cells.append(row[1])
+            lines.append(line_no)
+    except csv.Error as exc:
+        check_sigma()
+        raise OhlcParseError(str(exc), last_line + 1) from None
+    check_sigma()
+    if not dates:
+        raise OhlcValidationError("no volatility rows")
+    return VolSeries(dates=tuple(dates), values=np.array(values, dtype=float), window=0)
+
+
+@settings(max_examples=400)
+@given(mutated(price_series().map(serialize_ohlc_csv)))
+@example("date,open,high,low,close\n2013-01-02,1,1,1,1,2013-01-03\n1,1,1,1\n")
+@example(_HV + f"2013-02-07,{_OK},{'0' * (_LIMIT + 1)}\n")
+@example(_H + "2013-02-07,124.0\r,127.2,123.3,126.1\n")
+# a bar that breaks a bar rule before a malformed line, and before a stray quote
+@example(_H + f"2013-02-07,{_OK}\n2013-02-08,124.0,127.2,123.3,-1\n2013-02-09,{_OK},7\n")
+@example(_H + f"2013-02-07,124.0,127.2,128.0,126.1\n2013-02-08,\"{_OK}\n2013-02-09,{_OK}\n")
+def test_ohlc_row_loop_matches_reference(text):
+    ohlc_rows = market._parse_ohlc_rows
+    assert _outcome(lambda t: ohlc_rows(t, ""), text) == _outcome(lambda t: reference_ohlc_rows(t, ""), text)
+
+
+@settings(max_examples=400)
+@given(mutated(vol_texts()))
+@example("date,sigma\n2013-01-02,0.4,2013-01-03\n0.3\n")
+@example(f"date,sigma\n2013-01-02,{'0' * (_LIMIT + 1)}\n")
+@example("date,sigma\n2013-01-02,0.4\r,\n")
+# a bad sigma before a malformed line, and before a stray quote
+@example("date,sigma\n2013-01-02,0.4\n2013-01-03,nan\n2013-01-04,0.3,7\n")
+@example('date,sigma\n2013-01-02,-1\n2013-01-03,"0.3\n2013-01-04,0.4\n')
+def test_vol_row_loop_matches_reference(text):
+    assert _outcome(market._parse_vol_rows, text) == _outcome(reference_vol_rows, text)
+
+
 def _no_row_loop(*args):
     raise AssertionError("a plain text fell back to the row loop")
 
@@ -670,6 +820,41 @@ class TestPriceSeries:
     def test_column_lengths_must_match(self):
         with pytest.raises(ValueError, match="one value per date"):
             PriceSeries("X", (dt.date(2013, 2, 7),), (1.0,), (1.0,), (1.0,), (1.0,), volume=())
+
+
+_DAY = dt.date(2013, 2, 7)
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (
+            lambda: PriceSeries("X", (), (), (), (), ()),
+            OhlcValidationError,
+            "price series must contain at least one bar",
+        ),
+        (
+            lambda: VolSeries(dates=(_DAY,), values=np.array([0.4, 0.3]), window=0),
+            ValueError,
+            "dates and values must have the same length",
+        ),
+        (
+            lambda: VolSeries(dates=(_DAY, _DAY), values=np.array([0.4, math.nan]), window=0),
+            OhlcValidationError,
+            "bar 1: sigma must be finite and >= 0, got nan",
+        ),
+        (
+            lambda: detect_ranges(band_series("B", 100.0, 102.0), band_tol=0),
+            ValueError,
+            "band_tol must be > 0, got 0",
+        ),
+    ],
+)
+def test_input_rules_reject(build, error, message):
+    with pytest.raises(error) as excinfo:
+        build()
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
 
 
 class TestVolCsv:

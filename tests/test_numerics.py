@@ -185,6 +185,19 @@ def reference_bracket(params, band):
     return math.log((1.0 + u) / math.sqrt(x)) - u
 
 
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"abs_tol": 0.0}, "tolerances must be > 0"),
+        ({"rel_tol": 0.0}, "tolerances must be > 0"),
+        ({"max_depth": 0}, "max_depth must be >= 1"),
+    ],
+)
+def test_quadrature_config_rejects(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        QuadratureConfig(**kwargs)
+
+
 class TestAdaptiveSimpson:
     def test_polynomial_exact(self):
         cfg = QuadratureConfig()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rangetunnel.market import VolSeries
+from rangetunnel.market import VolSeries, detect_ranges
 from rangetunnel.scan import REPORT_COLUMNS, ScanConfig, _pick_sigma, report_csv, report_json, scan
 from rangetunnel.types import Regime
 
@@ -50,6 +50,22 @@ class TestScan:
         events = scan(series, r=0.03, cfg=ScanConfig(band_tol=10.0, touch_count=1))
         assert events
         assert all(e.sigma > 0 for e in events)
+
+    def test_events_follow_windows_left_to_right(self):
+        series = gbm_series(sigma_true=0.3, n=300, seed=1)
+        events = scan(series, r=0.03)
+        windows = detect_ranges(series)
+        assert len(events) == len(windows) > 1
+        assert [(e.window_start, e.window_end) for e in events] == [
+            (series.dates[w.start], series.dates[w.end]) for w in windows
+        ]
+        ends = [e.window_end for e in events]
+        assert all(a < b for a, b in zip(ends, ends[1:]))
+
+    @pytest.mark.parametrize("r", [0.0, -0.03, float("nan"), float("inf")])
+    def test_invalid_rate_rejected_without_windows(self, r):
+        with pytest.raises(ValueError, match="^r must be "):
+            scan(trending_series(), r=r, cfg=ScanConfig(sigma_override=0.5))
 
     def test_missing_sigma_raises(self):
         series = band_series("SHORT", support=100.0, resistance=102.0)
