@@ -1,7 +1,9 @@
 """Command-line interface: tc, tables, scan, wavefunction, validate.
 
-Exit codes: 0 success, 1 runtime/data failure, 2 usage error. All numeric
-output uses 6 significant digits so identical flags give identical bytes.
+Exit codes: 0 success, 1 runtime/data failure, 2 usage error. Every data or
+runtime fault, from any subcommand, leaves through ``main`` as one
+``error: <message>`` line on stderr with exit 1. All numeric output uses 6
+significant digits so identical flags give identical bytes.
 """
 
 from __future__ import annotations
@@ -13,14 +15,17 @@ import json
 import sys
 from collections.abc import Callable, Iterator
 from pathlib import Path
+from typing import TypeVar
 
 from .barrier import barrier_geometry, transmission_exact, transmission_thin_wall
-from .market import OhlcParseError, OhlcValidationError, parse_ohlc_csv, parse_vol_csv
+from .market import parse_ohlc_csv, parse_vol_csv
 from .scan import ScanConfig, _fmt, report_csv, report_json, scan
 from .tables import render_table, reproduce_table
 from .types import MarketParams, RangeBound, Regime
 from .validate import DEFAULT_SEED, run_all
 from .wavefunction import sample_wavefunction
+
+T = TypeVar("T")
 
 
 @contextlib.contextmanager
@@ -91,30 +96,33 @@ def _cmd_tables(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     return 0 if result.ok else 1
 
 
+def _read(path: str | Path, parse: Callable[[str], T]) -> T:
+    """Parse a file's text; a fault names the file and leaves as a ValueError."""
+    try:  # utf-8-sig: a spreadsheet export may start with a BOM
+        return parse(Path(path).read_text(encoding="utf-8-sig"))
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:  # a parse fault, or bytes that are not UTF-8
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _emit(body: str, out: str | None) -> None:
+    """Write ``body`` to stdout, or to the file ``out``."""
+    if out is None:
+        sys.stdout.write(body)
+        return
+    try:
+        Path(out).write_text(body, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc}") from None
+
+
 def _cmd_scan(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     with _usage_errors(parser):  # whatever the files hold; a placeholder sigma checks r alone
         MarketParams(r=args.r, sigma=1.0 if args.sigma is None else args.sigma)
     path = Path(args.input)
-    try:
-        text = path.read_text(encoding="utf-8-sig")  # a spreadsheet export may start with a BOM
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return 1
-    try:
-        series = parse_ohlc_csv(text, symbol=path.stem)
-    except (OhlcParseError, OhlcValidationError) as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return 1
-    vol = None
-    if args.vol is not None:
-        try:
-            vol = parse_vol_csv(Path(args.vol).read_text(encoding="utf-8-sig"))
-        except OSError as exc:
-            print(f"error: cannot read {args.vol}: {exc}", file=sys.stderr)
-            return 1
-        except (OhlcParseError, OhlcValidationError) as exc:
-            print(f"error: {args.vol}: {exc}", file=sys.stderr)
-            return 1
+    series = _read(path, functools.partial(parse_ohlc_csv, symbol=path.stem))
+    vol = None if args.vol is None else _read(args.vol, parse_vol_csv)
     cfg = ScanConfig(
         min_len=args.min_len,
         band_tol=args.band_tol,
@@ -124,11 +132,7 @@ def _cmd_scan(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         fall_ratio=args.fall_ratio,
         sigma_override=args.sigma,
     )
-    try:
-        events = scan(series, r=args.r, cfg=cfg, vol=vol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    events = scan(series, r=args.r, cfg=cfg, vol=vol)
     for event in events:
         fall = "" if event.vol_fall_ratio is None else f"  vol_fall={_fmt(event.vol_fall_ratio)}"
         print(
@@ -137,17 +141,9 @@ def _cmd_scan(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             f"K={_fmt(event.band.width)}  d={_fmt(event.geometry.width_d)}  "
             f"T={_fmt(event.transmission.t_exact)}  regime={event.geometry.regime.value}{fall}"
         )
-    report = report_json(events) if args.json else report_csv(events)
-    if args.out is not None:
-        try:
-            Path(args.out).write_text(report, encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 1
-    else:
-        if events:
-            print()
-        sys.stdout.write(report)
+    if events and args.out is None:
+        print()
+    _emit(report_json(events) if args.json else report_csv(events), args.out)
     return 0
 
 
@@ -157,22 +153,10 @@ def _cmd_wavefunction(parser: argparse.ArgumentParser, args: argparse.Namespace)
     with _usage_errors(parser):
         params = MarketParams(r=args.r, sigma=args.sigma)
         band = _strike_band(parser, args.strike)
-    try:
-        rows = sample_wavefunction(params, band, args.samples)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    rows = sample_wavefunction(params, band, args.samples)
     lines = ["S\tV\tpsi_abs2\tregion"]
     lines += [f"{_fmt(s)}\t{_fmt(v)}\t{_fmt(p2)}\t{region}" for s, v, p2, region in rows]
-    body = "\n".join(lines) + "\n"
-    if args.out is not None:
-        try:
-            Path(args.out).write_text(body, encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(body)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -252,7 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.run(args)
+    try:
+        return args.run(args)
+    except ValueError as exc:  # a data or runtime fault: one line, exit 1
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ order, each in one place. The parsers take text; the CLI decodes files as
 ``utf-8-sig``, so a UTF-8 byte-order mark is accepted.
 
 Volatility is the annualized rolling sample standard deviation of
-close-to-close log returns (window 21 bars, 252 periods/year by default); an
+close-to-close log returns (window 21 bars by default, 252 periods/year); an
 externally computed series can be supplied instead as ``date,sigma``, read
 the same way; its VolSeries checks the sigma rule and the date order. The two
 row loops share one record reader over ``csv.reader``.
@@ -180,15 +180,13 @@ class PriceSeries:
 class VolSeries:
     """Rolling annualized volatility estimates aligned to the source bars.
 
-    ``dates[i]`` is the date of the bar that closes the i-th return window;
-    for estimator output the length equals ``len(bars) - window``. Externally
-    supplied series use window = 0. Dates are strictly increasing; values are
-    finite and >= 0.
+    For estimator output ``dates[i]`` is the date of the bar that closes the
+    i-th return window; an externally supplied series carries its own dates.
+    Dates are strictly increasing; values are finite and >= 0.
     """
 
     dates: tuple[dt.date, ...]
     values: np.ndarray = field(compare=False)
-    window: int
 
     def __post_init__(self) -> None:
         if len(self.dates) != len(self.values):
@@ -404,7 +402,6 @@ def parse_vol_csv(text: str) -> VolSeries:
             return VolSeries(
                 dates=tuple(map(dt.date.fromisoformat, map(str.strip, cells[0::2]))),
                 values=np.array(tuple(map(float, cells[1::2])), dtype=float),
-                window=0,
             )
         except ValueError:
             pass  # the row loop finds the first fault in file order and names its line
@@ -413,7 +410,7 @@ def parse_vol_csv(text: str) -> VolSeries:
 
 def _parse_vol_rows(text: str) -> VolSeries:
     """Parse ``date,sigma`` CSV text row by row; see ``parse_vol_csv``."""
-    _, records = _records(text, (["date", "sigma"],), "expected header 'date,sigma'")
+    _, records = _records(text, (["date", "sigma"],), "expected header 'date,sigma', got {got}")
     dates: list[dt.date] = []
     values: list[float] = []
     cells: list[str] = []
@@ -435,7 +432,7 @@ def _parse_vol_rows(text: str) -> VolSeries:
             raise
         if not dates:
             raise OhlcValidationError("no volatility rows")
-        return VolSeries(dates=tuple(dates), values=np.array(values, dtype=float), window=0)
+        return VolSeries(dates=tuple(dates), values=np.array(values, dtype=float))
     except OhlcValidationError as exc:
         if exc.index is None:
             raise
@@ -443,15 +440,15 @@ def _parse_vol_rows(text: str) -> VolSeries:
         raise OhlcParseError(f"sigma must be finite and >= 0, got {cell!r}", line) from None
 
 
-def historical_volatility(
-    series: PriceSeries, window: int = 21, periods_per_year: int = 252
-) -> VolSeries:
+PERIODS_PER_YEAR = 252  # trading days: the sqrt-time annualization of each estimate
+
+
+def historical_volatility(series: PriceSeries, window: int = 21) -> VolSeries:
     """Annualized rolling sample std of log close-to-close returns.
 
     Args:
         series: price history, longer than ``window``.
         window: number of returns per estimate (>= 2).
-        periods_per_year: annualization count (sqrt scaling).
 
     Returns:
         VolSeries of length ``len(series) - window``; estimate i is stamped
@@ -465,8 +462,8 @@ def historical_volatility(
     closes = series.closes()
     returns = np.diff(np.log(closes))
     values = sliding_window_view(returns, window).std(axis=1, ddof=1)
-    values *= math.sqrt(periods_per_year)
-    return VolSeries(dates=series.dates[window:], values=values, window=window)
+    values *= math.sqrt(PERIODS_PER_YEAR)
+    return VolSeries(dates=series.dates[window:], values=values)
 
 
 def _window_qualifies(

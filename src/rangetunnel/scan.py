@@ -18,7 +18,7 @@ from typing import Optional
 
 from .barrier import barrier_geometry, transmission_exact
 from .market import PriceSeries, VolFallEvent, VolSeries, detect_ranges, detect_vol_fall, historical_volatility
-from .types import BarrierGeometry, MarketParams, RangeBound, TransmissionResult, _require_finite
+from .types import BarrierGeometry, MarketParams, RangeBound, TransmissionResult, _require_rate
 
 REPORT_COLUMNS = [
     "symbol",
@@ -108,9 +108,7 @@ def scan(
         windows. A NO_BARRIER geometry is reported like any other, never
         dropped.
     """
-    _require_finite("r", r)
-    if r <= 0:
-        raise ValueError(f"r must be > 0, got {r}")
+    _require_rate(r)
     if cfg is None:
         cfg = ScanConfig()
     windows = detect_ranges(

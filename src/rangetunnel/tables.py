@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .barrier import barrier_geometry, barrier_integral_closed, exit_price, transmission_exact
-from .types import MarketParams, RangeBound, Regime
+from .barrier import exit_price, transmission_exact
+from .types import MarketParams, RangeBound
 
 
 @dataclass(frozen=True)
@@ -107,11 +107,8 @@ def _transmission(params: MarketParams, band: RangeBound, prefactor_variant: str
         return transmission_exact(params, band).t_exact
     if prefactor_variant == "denominator":
         # negative-control variant: (sigma^2 + r) moved under the radical's denominator
-        geo = barrier_geometry(params, band)
-        if geo.regime is Regime.NO_BARRIER:
-            return 1.0
         pf = math.sqrt(params.r / (params.sigma**4 * (params.sigma**2 + params.r)))
-        return math.exp(-2.0 * pf * barrier_integral_closed(params, band))
+        return math.exp(-2.0 * pf * transmission_exact(params, band).bracket)
     raise ValueError(f"unknown prefactor variant {prefactor_variant!r}")
 
 

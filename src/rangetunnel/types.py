@@ -24,6 +24,13 @@ def _require_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _require_rate(r: float) -> None:
+    """The rate rule: r finite, then r > 0."""
+    _require_finite("r", r)
+    if r <= 0:
+        raise ValueError(f"r must be > 0, got {r}")
+
+
 @dataclass(frozen=True)
 class MarketParams:
     """Annualized risk-free rate and volatility, the two observables driving the model.
@@ -35,10 +42,8 @@ class MarketParams:
     sigma: float
 
     def __post_init__(self) -> None:
-        _require_finite("r", self.r)
+        _require_rate(self.r)
         _require_finite("sigma", self.sigma)
-        if self.r <= 0:
-            raise ValueError(f"r must be > 0, got {self.r}")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
 

@@ -38,6 +38,8 @@ from .wavefunction import w_from_psi
 # whose draws keep both checks comfortably inside tolerance.
 DEFAULT_SEED = 4
 SEGMENT_LADDER = (1, 4, 16, 64, 256, 1024, 4096)
+SEGMENT_POINTS = 20  # parameter points run down the ladder
+TRANSFORM_PAIRS = 5  # (r, sigma) pairs mapped through the transform
 SWEEP_QUADRATURE = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12, max_depth=60)
 # Sweep points integrated together. The integrator's level arrays grow with
 # the batch, so the sweep goes in blocks: a block of 64 points peaks at about
@@ -135,9 +137,9 @@ def check_quadrature_sweep(seed: int = DEFAULT_SEED, points: int = 1000) -> Chec
     )
 
 
-def check_segmented_convergence(seed: int = DEFAULT_SEED, points: int = 20) -> CheckResult:
+def check_segmented_convergence(seed: int = DEFAULT_SEED) -> CheckResult:
     """Segment-sum error strictly decreasing along the ladder, final <= 1e-6."""
-    for params, band in _pairs(*_draw_points(np.random.default_rng(seed), points)):
+    for params, band in _pairs(*_draw_points(np.random.default_rng(seed), SEGMENT_POINTS)):
         exact = transmission_exact(params, band).t_exact
         errs = [abs(transmission_segmented(params, band, n) - exact) for n in SEGMENT_LADDER]
         if errs[-1] > 1e-6:
@@ -157,11 +159,11 @@ def check_segmented_convergence(seed: int = DEFAULT_SEED, points: int = 20) -> C
     return CheckResult(
         "segmented-convergence",
         True,
-        f"{points} points, ladder {SEGMENT_LADDER}",
+        f"{SEGMENT_POINTS} points, ladder {SEGMENT_LADDER}",
     )
 
 
-def check_transform_residual(seed: int = DEFAULT_SEED, pairs: int = 5) -> CheckResult:
+def check_transform_residual(seed: int = DEFAULT_SEED) -> CheckResult:
     """Power solutions of the band equation map to pricing-ODE solutions.
 
     psi = S^alpha with alpha(alpha - 1) = P^2 solves the zero-eigenvalue band
@@ -172,7 +174,7 @@ def check_transform_residual(seed: int = DEFAULT_SEED, pairs: int = 5) -> CheckR
     grid = np.linspace(0.5, 10.0, 10_000)
     worst = 0.0
     worst_pair = ""
-    for _ in range(pairs):
+    for _ in range(TRANSFORM_PAIRS):
         r = rng.uniform(0.005, 0.1)
         sigma = rng.uniform(0.1, 1.0)
         params = MarketParams(r=r, sigma=sigma)
@@ -188,7 +190,7 @@ def check_transform_residual(seed: int = DEFAULT_SEED, pairs: int = 5) -> CheckR
     return CheckResult(
         "transform-residual",
         passed,
-        f"{pairs} pairs, max rel residual {worst:.3e}" + ("" if passed else f" at {worst_pair}"),
+        f"{TRANSFORM_PAIRS} pairs, max rel residual {worst:.3e}" + ("" if passed else f" at {worst_pair}"),
     )
 
 

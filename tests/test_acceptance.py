@@ -201,7 +201,7 @@ def test_c09_scanner_golden_path():
     for before, after in ((0.63, 0.39), (0.40, 0.15), (0.43, 0.25), (0.95, 0.55)):
         values = np.array([before] * 10 + [after] * 10)
         dates = tuple(dt.date(2013, 1, 1) + dt.timedelta(days=i) for i in range(20))
-        vol = VolSeries(dates=dates, values=values, window=0)
+        vol = VolSeries(dates=dates, values=values)
         ok &= len(detect_vol_fall(vol)) > 0
     assert report(9, "scanner golden path and volatility-fall flags", ok)
 

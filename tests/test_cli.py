@@ -161,6 +161,19 @@ def test_underflowing_flags_end_without_traceback(capsys, argv, code, expected):
     assert expected in (out if code == 0 else err)
 
 
+@pytest.mark.parametrize(
+    "argv,target",
+    [(["validate", "--quad-points", "5"], "run_all"), (["tables", "--which", "1"], "reproduce_table")],
+)
+def test_fault_in_any_handler_exits_one(capsys, monkeypatch, argv, target):
+    def fault(*args, **kwargs):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(cli, target, fault)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: injected fault\n")
+
+
 _EXTREMES = ("1e-300", "1e-160", "1e-77", "1e-10", "0.3", "1e10", "1e77", "1e300")
 
 
@@ -364,14 +377,42 @@ class TestScan:
                 ["wavefunction", "--r", "0.03", "--sigma", "0.47", "--strike", "2.4", "--out", "no/w.tsv"],
                 "error: cannot write no/w.tsv: ",
             ),
+            (
+                ["scan", "--input", "LNKD.csv", "--r", "0.03", "--vol", "./missing.csv"],
+                "error: cannot read ./missing.csv: ",  # the --vol path as given
+            ),
+            (
+                ["scan", "--input", "LNKD.csv", "--r", "0.03", "--vol", "bad_vol.csv"],
+                "error: bad_vol.csv: line 2: Invalid isoformat string: 'someday'\n",
+            ),
+            (
+                ["scan", "--input", "missing.csv", "--r", "0.03"],
+                "error: cannot read missing.csv: ",
+            ),
+            (
+                ["scan", "--input", "./missing.csv", "--r", "0.03"],
+                "error: cannot read missing.csv: ",  # the --input path as pathlib prints it
+            ),
+            (
+                ["scan", "--input", "./BAD.csv", "--r", "0.03"],
+                "error: BAD.csv: line 2: bad date 'someday': Invalid isoformat string: 'someday'\n",
+            ),
+            (
+                ["scan", "--input", "LATIN1.csv", "--r", "0.03"],
+                "error: LATIN1.csv: 'utf-8' codec can't decode byte 0xe9 in position 25: ",
+            ),
         ],
     )
     def test_unreadable_or_unwritable_path_exits_one(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "LNKD.csv").write_text(band_series_csv(123.3, 127.2), encoding="utf-8")
+        (tmp_path / "bad_vol.csv").write_text("date,sigma\nsomeday,0.4\n", encoding="utf-8")
+        (tmp_path / "BAD.csv").write_text("date,open,high,low,close\nsomeday,1,1,1,1\n", encoding="utf-8")
+        (tmp_path / "LATIN1.csv").write_bytes(b"date,open,high,low,close\n\xe9\n")  # not UTF-8
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
         assert err.startswith(message)
+        assert err.count("\n") == 1  # one line, no traceback
 
     def test_missing_file_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "scan", "--input", str(tmp_path / "nope.csv"), "--r", "0.03")

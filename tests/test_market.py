@@ -335,7 +335,7 @@ INGEST_ERRORS = {
     ),
     "vol-empty": (parse_vol_csv, "", OhlcValidationError, "empty input: missing header"),
     "vol-bad-header": (
-        parse_vol_csv, "date,vol\n2013-01-02,0.63\n", OhlcParseError, "line 1: expected header 'date,sigma'"
+        parse_vol_csv, "date,vol\n2013-01-02,0.63\n", OhlcParseError, "line 1: expected header 'date,sigma', got date,vol"
     ),
     "vol-no-rows": (parse_vol_csv, "date,sigma\n\n", OhlcValidationError, "no volatility rows"),
     "vol-field-count": (
@@ -688,8 +688,9 @@ def reference_vol_rows(text):
         raise OhlcValidationError("empty input: missing header") from None
     except csv.Error as exc:
         raise OhlcParseError(str(exc), line=1) from None
-    if [h.strip().lower() for h in header] != ["date", "sigma"]:
-        raise OhlcParseError("expected header 'date,sigma'", line=1)
+    header = [h.strip().lower() for h in header]
+    if header != ["date", "sigma"]:
+        raise OhlcParseError(f"expected header 'date,sigma', got {','.join(header)}", line=1)
     dates, values, cells, lines = [], [], [], []
 
     def check_sigma():
@@ -727,7 +728,7 @@ def reference_vol_rows(text):
     check_sigma()
     if not dates:
         raise OhlcValidationError("no volatility rows")
-    return VolSeries(dates=tuple(dates), values=np.array(values, dtype=float), window=0)
+    return VolSeries(dates=tuple(dates), values=np.array(values, dtype=float))
 
 
 @settings(max_examples=400)
@@ -834,12 +835,12 @@ _DAY = dt.date(2013, 2, 7)
             "price series must contain at least one bar",
         ),
         (
-            lambda: VolSeries(dates=(_DAY,), values=np.array([0.4, 0.3]), window=0),
+            lambda: VolSeries(dates=(_DAY,), values=np.array([0.4, 0.3])),
             ValueError,
             "dates and values must have the same length",
         ),
         (
-            lambda: VolSeries(dates=(_DAY, _DAY), values=np.array([0.4, math.nan]), window=0),
+            lambda: VolSeries(dates=(_DAY, _DAY), values=np.array([0.4, math.nan])),
             OhlcValidationError,
             "bar 1: sigma must be finite and >= 0, got nan",
         ),
@@ -883,13 +884,13 @@ class TestVolCsv:
     def test_vol_series_checks_date_order(self):
         dates = (dt.date(2013, 1, 3), dt.date(2013, 1, 2))
         with pytest.raises(OhlcValidationError, match="strictly increasing"):
-            VolSeries(dates=dates, values=np.array([0.4, 0.3]), window=0)
+            VolSeries(dates=dates, values=np.array([0.4, 0.3]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_vol_series_rejects_non_finite(self, bad):
         dates = (dt.date(2013, 1, 2), dt.date(2013, 1, 3))
         with pytest.raises(ValueError, match="finite"):
-            VolSeries(dates=dates, values=np.array([0.4, bad]), window=0)
+            VolSeries(dates=dates, values=np.array([0.4, bad]))
 
 
 class TestHistoricalVolatility:
@@ -907,7 +908,7 @@ class TestHistoricalVolatility:
         c0, c1 = 100.0, 102.0
         x = math.log(c1 / c0)
         series = flat_series("ALT", [c0 if i % 2 == 0 else c1 for i in range(60)])
-        vol = historical_volatility(series, window=21, periods_per_year=252)
+        vol = historical_volatility(series, window=21)
         expected = x * math.sqrt((22.0 / 21.0) * 252.0)
         assert np.allclose(vol.values, expected, rtol=1e-12)
 
@@ -1228,7 +1229,7 @@ class TestDetectVolFall:
     )
     def test_matches_loop(self, values, lookback, fall_ratio):
         dates = tuple(dt.date(2013, 1, 1) + dt.timedelta(days=i) for i in range(len(values)))
-        vol = VolSeries(dates=dates, values=np.array(values), window=0)
+        vol = VolSeries(dates=dates, values=np.array(values))
         if len(values) <= lookback:
             with pytest.raises(ValueError, match="too short"):
                 detect_vol_fall(vol, lookback, fall_ratio)
@@ -1238,7 +1239,7 @@ class TestDetectVolFall:
     def test_zero_sigmas_and_exact_ratio(self):
         values = [0.0, 1.0, 0.0, 0.7, 0.0, 0.49]
         dates = tuple(dt.date(2013, 1, 1) + dt.timedelta(days=i) for i in range(len(values)))
-        vol = VolSeries(dates=dates, values=np.array(values), window=0)
+        vol = VolSeries(dates=dates, values=np.array(values))
         events = detect_vol_fall(vol, lookback=1, fall_ratio=0.7)
         assert [(e.sigma_before, e.sigma_after) for e in events] == [(1.0, 0.0), (0.7, 0.0)]
         events = detect_vol_fall(vol, lookback=2, fall_ratio=0.7)
@@ -1250,7 +1251,7 @@ class TestDetectVolFall:
     def step_vol(before, after, n_before=10, n_after=10):
         values = [before] * n_before + [after] * n_after
         dates = tuple(dt.date(2013, 1, 1) + dt.timedelta(days=i) for i in range(len(values)))
-        return VolSeries(dates=dates, values=np.array(values), window=0)
+        return VolSeries(dates=dates, values=np.array(values))
 
     @pytest.mark.parametrize(
         "before,after",

@@ -81,7 +81,7 @@ class TestScan:
         series = band_series("F", support=123.3, resistance=127.2, n=20)
         dates = series.dates[:20]
         values = np.array([0.63] * 10 + [0.39] * 10)
-        vol = VolSeries(dates=dates, values=values, window=0)
+        vol = VolSeries(dates=dates, values=values)
         events = scan(series, r=0.03, cfg=ScanConfig(sigma_override=0.47), vol=vol)
         assert len(events) == 1
         event = events[0]
@@ -108,7 +108,7 @@ class TestPickSigma:
     )
     def test_bisect_matches_linear_scan(self, offsets, bounds):
         dates = tuple(self.DAY0 + dt.timedelta(days=o) for o in sorted(offsets))
-        vol = VolSeries(dates=dates, values=0.1 + 0.01 * np.arange(len(dates)), window=0)
+        vol = VolSeries(dates=dates, values=0.1 + 0.01 * np.arange(len(dates)))
         start, end = (self.DAY0 + dt.timedelta(days=b) for b in bounds)
         expected = linear_pick(vol, start, end)
         if expected is not None:
