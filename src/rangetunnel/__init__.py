@@ -38,7 +38,6 @@ from .market import (
 from .numerics import (
     QuadratureConfig,
     QuadratureConvergenceError,
-    ResidualReport,
     adaptive_simpson,
     merton_ode_residual,
     quad_barrier_integral,
@@ -51,7 +50,6 @@ from .types import (
     MarketParams,
     RangeBound,
     Regime,
-    TransmissionResult,
     WaveAmplitudes,
 )
 from .validate import run_all
@@ -70,10 +68,8 @@ __all__ = [
     "RangeBound",
     "RangeWindow",
     "Regime",
-    "ResidualReport",
     "ScanConfig",
     "ScanEvent",
-    "TransmissionResult",
     "VolFallEvent",
     "VolSeries",
     "WaveAmplitudes",

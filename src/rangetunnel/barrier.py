@@ -33,7 +33,7 @@ import sys
 
 import numpy as np
 
-from .types import BarrierGeometry, MarketParams, RangeBound, Regime, TransmissionResult
+from .types import BarrierGeometry, MarketParams, RangeBound, Regime
 
 # lambda * K^2 values within this distance of 1 are treated as the zero-width
 # boundary; closer than this, 1 - lambda*K^2 loses all significant digits.
@@ -197,16 +197,18 @@ def transmission_segmented(params: MarketParams, band: RangeBound, n: int) -> fl
     return math.exp(-2.0 * wkb_prefactor(params) * total)
 
 
-def transmission_exact(params: MarketParams, band: RangeBound) -> TransmissionResult:
+def transmission_exact(params: MarketParams, band: RangeBound) -> float:
     """Exact transmission through the wall, T = exp(-2 * P * bracket).
 
     The bracket is the closed-form barrier integral; the NO_BARRIER regime
-    yields T = 1 with a zero bracket. The thin-wall and segmented
-    approximations are separate calls.
+    yields T = 1. T lies in [0, 1]: P >= 0 and the bracket is > 0 in the
+    TUNNELING regime, and a wall whose exponent exceeds the double range
+    underflows T to 0.0. The prefactor is formed in either regime, so a
+    sigma whose sigma^4 leaves the double range raises ValueError even where
+    T = 1. The thin-wall and segmented approximations are separate calls.
     """
     geo = barrier_geometry(params, band)
     pf = wkb_prefactor(params)
     if geo.regime is Regime.NO_BARRIER:
-        return TransmissionResult(t_exact=1.0, bracket=0.0, prefactor=pf)
-    bracket = barrier_integral_closed(params, band)
-    return TransmissionResult(t_exact=math.exp(-2.0 * pf * bracket), bracket=bracket, prefactor=pf)
+        return 1.0
+    return math.exp(-2.0 * pf * barrier_integral_closed(params, band))

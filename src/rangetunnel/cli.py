@@ -59,7 +59,7 @@ def _cmd_tc(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         band = _band_from_args(parser, args)
         params = MarketParams(r=args.r, sigma=args.sigma)
         geo = barrier_geometry(params, band)  # lambda or S1 may underflow or overflow
-        result = transmission_exact(params, band)  # so may sigma^4 in the prefactor
+        t_exact = transmission_exact(params, band)  # so may sigma^4 in the prefactor
         thin = transmission_thin_wall(params, band)
     report = {
         "K": band.width,
@@ -67,7 +67,7 @@ def _cmd_tc(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         "S1": geo.s_exit,
         "d": geo.width_d,
         "regime": geo.regime.value,
-        "T_exact": result.t_exact,
+        "T_exact": t_exact,
         "T_thin_wall": thin,
         "thin_wall_eval_point": "entry",
     }
@@ -133,17 +133,21 @@ def _cmd_scan(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         sigma_override=args.sigma,
     )
     events = scan(series, r=args.r, cfg=cfg, vol=vol)
+    report = report_json(events) if args.json else report_csv(events)
+    if args.out is not None:  # written first, so an unwritable --out leaves stdout empty
+        _emit(report, args.out)
     for event in events:
         fall = "" if event.vol_fall_ratio is None else f"  vol_fall={_fmt(event.vol_fall_ratio)}"
         print(
             f"{event.symbol}  {event.window_start}..{event.window_end}  "
             f"band {_fmt(event.band.support)}-{_fmt(event.band.resistance)}  "
             f"K={_fmt(event.band.width)}  d={_fmt(event.geometry.width_d)}  "
-            f"T={_fmt(event.transmission.t_exact)}  regime={event.geometry.regime.value}{fall}"
+            f"T={_fmt(event.transmission)}  regime={event.geometry.regime.value}{fall}"
         )
-    if events and args.out is None:
-        print()
-    _emit(report_json(events) if args.json else report_csv(events), args.out)
+    if args.out is None:
+        if events:
+            print()
+        _emit(report, None)
     return 0
 
 

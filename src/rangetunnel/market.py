@@ -466,8 +466,12 @@ def historical_volatility(series: PriceSeries, window: int = 21) -> VolSeries:
     return VolSeries(dates=series.dates[window:], values=values)
 
 
+# a close within this share of the band width of an edge touches that edge
+TOUCH_FRAC = 0.25
+
+
 def _window_qualifies(
-    closes: np.ndarray, i: int, j: int, touch_count: int, touch_frac: float
+    closes: np.ndarray, i: int, j: int, touch_count: int
 ) -> tuple[Optional[RangeBound], int]:
     """Band of closes[i..j] if the window qualifies as range-bound, else None; and ``keep``.
 
@@ -485,7 +489,7 @@ def _window_qualifies(
     width = hi - lo
     if width <= 0:
         return None, keep  # flat closes have no band
-    margin = touch_frac * width
+    margin = TOUCH_FRAC * width
     top_touches = int(np.count_nonzero(segment >= hi - margin))
     bottom_touches = int(np.count_nonzero(segment <= lo + margin))
     if top_touches < touch_count or bottom_touches < touch_count:
@@ -529,13 +533,12 @@ def detect_ranges(
     min_len: int = 15,
     band_tol: float = 0.05,
     touch_count: int = 2,
-    touch_frac: float = 0.25,
 ) -> list[RangeWindow]:
     """Find non-overlapping range-bound windows, greedy-longest, left to right.
 
     A window of closes qualifies when it spans at least ``min_len`` bars, its
     band is no wider than ``band_tol`` of the band bottom, and the closes come
-    within ``touch_frac`` of the band width of both edges at least
+    within ``TOUCH_FRAC`` of the band width of both edges at least
     ``touch_count`` times each. Trending stretches produce no windows. For
     each start ``i`` the longest qualifying window is taken and the scan
     resumes after it; a start with none moves on by one bar.
@@ -565,8 +568,9 @@ def detect_ranges(
     hundred bars, and flat closes with one spike cost at most two calls a
     start. The worst case is a stretch where most bars make a new first
     extreme while the touch rule keeps failing, such as closes rising
-    strictly inside the band with ``touch_frac`` 0: each end is still tried,
-    and such a stretch costs cubic time in its own length.
+    strictly inside the band with ``touch_count`` above a quarter of the
+    stretch's length: each end is still tried, and such a stretch costs
+    cubic time in its own length.
     """
     if min_len < 5:
         raise ValueError(f"min_len must be >= 5, got {min_len}")
@@ -583,7 +587,7 @@ def detect_ranges(
         shortest = i + min_len - 1
         j = horizons[i] - 1
         while j >= shortest:
-            band, keep = _window_qualifies(closes, i, j, touch_count, touch_frac)
+            band, keep = _window_qualifies(closes, i, j, touch_count)
             if band is not None:
                 windows.append(RangeWindow(start=i, end=j, band=band))
                 break

@@ -45,18 +45,6 @@ class QuadratureConvergenceError(RuntimeError):
         self.best_estimate = best_estimate
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """Finite-difference residual summary over an evaluation grid."""
-
-    max_abs_residual: float
-    max_rel_residual: float
-
-    def __post_init__(self) -> None:
-        if self.max_abs_residual < 0 or self.max_rel_residual < 0:
-            raise ValueError("residuals must be >= 0")
-
-
 # Vectorised integrand of the batched integrator: f(x, index) returns f at
 # every abscissa in x, where index[i] is the integral that x[i] belongs to.
 BatchIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -278,8 +266,8 @@ def merton_ode_residual(
     w_values: Sequence[float] | np.ndarray,
     params: MarketParams,
     grid: Sequence[float] | np.ndarray,
-) -> ResidualReport:
-    """Central-difference residual of the stationary pricing ODE.
+) -> float:
+    """Max relative central-difference residual of the stationary pricing ODE.
 
         (1/2) sigma^2 S^2 w'' + r S w' - r w = 0
 
@@ -301,10 +289,7 @@ def merton_ode_residual(
     term_drift = r * s_in * d1
     term_disc = r * w1
     residual = term_diff + term_drift - term_disc
-    return ResidualReport(
-        max_abs_residual=float(np.max(np.abs(residual))),
-        max_rel_residual=_relative_residual(residual, term_diff, term_drift, term_disc),
-    )
+    return _relative_residual(residual, term_diff, term_drift, term_disc)
 
 
 def schrodinger_form_residual(
@@ -313,8 +298,8 @@ def schrodinger_form_residual(
     lam: float,
     grid: Sequence[float] | np.ndarray,
     include_potential: bool = True,
-) -> ResidualReport:
-    """Central-difference residual of the stationary band equation.
+) -> float:
+    """Max relative central-difference residual of the stationary band equation.
 
         -(sigma^4 / (r (sigma^2 + r))) psi'' + V(S) psi = lam psi
 
@@ -336,9 +321,4 @@ def schrodinger_form_residual(
     term_pot = (1.0 / (s_in * s_in)) * p1 if include_potential else np.zeros_like(p1)
     term_eig = lam * p1
     residual = term_kin + term_pot - term_eig
-    return ResidualReport(
-        max_abs_residual=float(np.max(np.abs(residual))),
-        max_rel_residual=_relative_residual(
-            residual, np.abs(term_kin), np.abs(term_pot), np.abs(term_eig)
-        ),
-    )
+    return _relative_residual(residual, np.abs(term_kin), np.abs(term_pot), np.abs(term_eig))

@@ -14,11 +14,11 @@ import datetime as dt
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .barrier import barrier_geometry, transmission_exact
 from .market import PriceSeries, VolFallEvent, VolSeries, detect_ranges, detect_vol_fall, historical_volatility
-from .types import BarrierGeometry, MarketParams, RangeBound, TransmissionResult, _require_rate
+from .types import BarrierGeometry, MarketParams, RangeBound, _require_rate
 
 REPORT_COLUMNS = [
     "symbol",
@@ -54,6 +54,7 @@ class ScanConfig:
 class ScanEvent:
     """One detected range with its breakout probability and diagnostics.
 
+    transmission is the exact transmission coefficient T of the band's wall.
     vol_fall_ratio is the ``VolFallEvent.ratio`` of the latest volatility fall
     dated inside the window, None without one; ``detect_vol_fall`` bounds it.
     """
@@ -65,8 +66,14 @@ class ScanEvent:
     sigma: float
     r: float
     geometry: BarrierGeometry
-    transmission: TransmissionResult
+    transmission: float
     vol_fall_ratio: Optional[float] = None
+
+
+def _latest_inside(dates: Sequence[dt.date], start: dt.date, end: dt.date) -> Optional[int]:
+    """Index of the latest of the strictly increasing ``dates`` in start..end, or None."""
+    i = bisect_right(dates, end)
+    return i - 1 if i and dates[i - 1] >= start else None
 
 
 def _pick_sigma(
@@ -78,10 +85,9 @@ def _pick_sigma(
     if cfg.sigma_override is not None:
         return cfg.sigma_override
     if vol is not None:
-        # the latest estimate dated <= window_end; dates are strictly increasing
-        i = bisect_right(vol.dates, window_end)
-        if i and vol.dates[i - 1] >= window_start:
-            return float(vol.values[i - 1])
+        i = _latest_inside(vol.dates, window_start, window_end)
+        if i is not None:
+            return float(vol.values[i])
     raise ValueError(
         f"no volatility estimate inside window {window_start}..{window_end}; "
         "supply a longer history, a volatility series, or a sigma override"
@@ -119,6 +125,7 @@ def scan(
     falls: list[VolFallEvent] = []
     if vol is not None and len(vol) > cfg.fall_lookback:
         falls = detect_vol_fall(vol, cfg.fall_lookback, cfg.fall_ratio)
+    fall_dates = [f.date for f in falls]
 
     dates = series.dates
     events: list[ScanEvent] = []
@@ -129,7 +136,7 @@ def scan(
         params = MarketParams(r=r, sigma=sigma)
         geometry = barrier_geometry(params, window.band)
         transmission = transmission_exact(params, window.band)
-        fall = next((f for f in reversed(falls) if start_date <= f.date <= end_date), None)
+        fall = _latest_inside(fall_dates, start_date, end_date)
         events.append(
             ScanEvent(
                 symbol=series.symbol,
@@ -140,7 +147,7 @@ def scan(
                 r=r,
                 geometry=geometry,
                 transmission=transmission,
-                vol_fall_ratio=fall.ratio if fall else None,
+                vol_fall_ratio=None if fall is None else falls[fall].ratio,
             )
         )
     return events
@@ -163,7 +170,7 @@ def _event_row(event: ScanEvent) -> dict:
         "lambda": event.geometry.lam,
         "S1": event.geometry.s_exit,
         "d": event.geometry.width_d,
-        "T": event.transmission.t_exact,
+        "T": event.transmission,
         "vol_fall_ratio": event.vol_fall_ratio,
     }
 

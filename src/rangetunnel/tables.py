@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .barrier import exit_price, transmission_exact
+from .barrier import barrier_integral_closed, exit_price, transmission_exact
 from .types import MarketParams, RangeBound
 
 
@@ -104,11 +104,12 @@ TABLE_ROWS = {
 
 def _transmission(params: MarketParams, band: RangeBound, prefactor_variant: str) -> float:
     if prefactor_variant == "numerator":
-        return transmission_exact(params, band).t_exact
+        return transmission_exact(params, band)
     if prefactor_variant == "denominator":
-        # negative-control variant: (sigma^2 + r) moved under the radical's denominator
+        # negative-control variant: (sigma^2 + r) moved under the radical's denominator;
+        # every TABLE_ROWS band is in the TUNNELING regime, where the bracket is defined
         pf = math.sqrt(params.r / (params.sigma**4 * (params.sigma**2 + params.r)))
-        return math.exp(-2.0 * pf * transmission_exact(params, band).bracket)
+        return math.exp(-2.0 * pf * barrier_integral_closed(params, band))
     raise ValueError(f"unknown prefactor variant {prefactor_variant!r}")
 
 

@@ -105,16 +105,14 @@ class BarrierGeometry:
 
 @dataclass(frozen=True)
 class WaveAmplitudes:
-    """Amplitudes of the three-region wavefunction.
+    """Amplitudes of the three-region wavefunction for a unit incident wave.
 
-    a, b: incident / reflected amplitudes left of the wall; d_amp the decaying
-    in-wall amplitude (the growing in-wall branch is dropped); f the
-    transmitted amplitude. k is the oscillation wavenumber and q_entry the
-    in-wall decay rate frozen at the wall entry K.
+    Left of the wall the wave is exp(i k s), with no reflected part; d_amp is
+    the decaying in-wall amplitude (the growing in-wall branch is dropped) and
+    f the transmitted amplitude. k is the oscillation wavenumber and q_entry
+    the in-wall decay rate frozen at the wall entry K.
     """
 
-    a: complex
-    b: complex
     d_amp: float
     f: complex
     k: float
@@ -123,26 +121,6 @@ class WaveAmplitudes:
     def __post_init__(self) -> None:
         if self.k <= 0:
             raise ValueError(f"k must be > 0, got {self.k}")
-        if abs(self.f) > abs(self.a) * (1.0 + 1e-12):
-            raise ValueError("transmitted amplitude must not exceed incident amplitude")
+        if abs(self.f) > 1.0 + 1e-12:
+            raise ValueError("transmitted amplitude must not exceed the unit incident amplitude")
 
-
-@dataclass(frozen=True)
-class TransmissionResult:
-    """Exact transmission coefficient with its two factors.
-
-    t_exact = exp(-2 * prefactor * bracket); bracket is the evaluated barrier
-    integral and prefactor the WKB multiplier sqrt((r / sigma^4)(sigma^2 + r)).
-    """
-
-    t_exact: float
-    bracket: float
-    prefactor: float
-
-    def __post_init__(self) -> None:
-        # mathematically in (0, 1]; exp underflows to 0.0 for walls whose
-        # exponent exceeds the double range, which is still a valid result
-        if not 0.0 <= self.t_exact <= 1.0:
-            raise ValueError(f"t_exact must lie in [0, 1], got {self.t_exact}")
-        if self.bracket < 0:
-            raise ValueError(f"bracket must be >= 0, got {self.bracket}")

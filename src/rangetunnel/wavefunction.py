@@ -2,10 +2,11 @@
 
 Region I (0 <= s < K) oscillates with wavenumber k, region II (K <= s < S1)
 decays exponentially inside the wall, region III (s >= S1) oscillates again
-with the reduced transmitted amplitude. The in-wall decay rate is frozen at
-the wall entry so that the region-II modulus runs from |A| at K down to |F| at
-S1, consistent with |F|/|A| = exp(-q(K) d). Evaluating q pointwise instead
-would make the modulus rise again toward the exit, breaking that identity.
+with the reduced transmitted amplitude. The incident wave has unit amplitude
+and no reflected part. The in-wall decay rate is frozen at the wall entry so
+that the region-II modulus runs from 1 at K down to |F| at S1, consistent with
+|F| = exp(-q(K) d). Evaluating q pointwise instead would make the modulus rise
+again toward the exit, breaking that identity.
 
 The ``w_from_psi`` map sends a solution of the zero-eigenvalue band equation
 to an option value satisfying the stationary pricing ODE via
@@ -24,21 +25,15 @@ from .barrier import barrier_geometry, decay_q, wavenumber_k
 from .types import MarketParams, RangeBound, Regime, WaveAmplitudes
 
 
-def thin_wall_amplitudes(
-    params: MarketParams,
-    band: RangeBound,
-    a: complex = 1.0 + 0.0j,
-    b: complex = 0.0 + 0.0j,
-) -> WaveAmplitudes:
-    """Build region amplitudes from the incident amplitude ``a``.
+def thin_wall_amplitudes(params: MarketParams, band: RangeBound) -> WaveAmplitudes:
+    """Build region amplitudes for a unit incident wave with no reflection.
 
-    The transmitted amplitude follows the thin-wall rule f = a * exp(-q(K) d);
-    the in-wall amplitude anchors the region-II modulus to |a| at the wall
+    The transmitted amplitude follows the thin-wall rule f = exp(-q(K) d);
+    the in-wall amplitude anchors the region-II modulus to 1 at the wall
     entry, where the decay rate q_entry is frozen. The growing in-wall branch
-    is dropped. The transmission ratio |f|/|a| does not depend on the
-    reflected amplitude ``b``. Raises ValueError outside the tunneling
-    regime, when K is so close to the support that V(K) overflows, and when
-    the in-wall amplitude exp(q(K) K) overflows.
+    is dropped. Raises ValueError outside the tunneling regime, when K is so
+    close to the support that V(K) overflows, and when the in-wall amplitude
+    exp(q(K) K) overflows.
     """
     geo = barrier_geometry(params, band)
     if geo.regime is Regime.NO_BARRIER:
@@ -48,16 +43,14 @@ def thin_wall_amplitudes(
     if q_entry == math.inf:
         raise ValueError(f"K={k_width:.6g} is too close to the support: V(K) overflows")
     try:
-        d_amp = abs(a) * math.exp(q_entry * k_width)
+        d_amp = math.exp(q_entry * k_width)
     except OverflowError:
         raise ValueError(
             f"q(K)*K = {q_entry * k_width:.6g} is out of range: the in-wall amplitude overflows"
         ) from None
     return WaveAmplitudes(
-        a=complex(a),
-        b=complex(b),
         d_amp=d_amp,
-        f=complex(a) * math.exp(-q_entry * geo.width_d),
+        f=complex(math.exp(-q_entry * geo.width_d)),
         k=wavenumber_k(params),
         q_entry=q_entry,
     )
@@ -72,14 +65,13 @@ def wavefunction_eval(
     """Evaluate the piecewise wavefunction at s, returning (value, region tag).
 
     Tags are "I", "II", "III" for the band, the wall, and the far side. The
-    support itself (s = 0) is allowed and returns the region-I limit a + b.
+    support itself (s = 0) is allowed and returns the unit incident wave's 1.
     """
     if s < 0:
         raise ValueError(f"need s >= 0, got {s}")
     geo = barrier_geometry(params, band)
     if s < band.width:
-        value = amps.a * cmath.exp(1j * amps.k * s) + amps.b * cmath.exp(-1j * amps.k * s)
-        return value, "I"
+        return cmath.exp(1j * amps.k * s), "I"
     if s < geo.s_exit:
         return complex(amps.d_amp * math.exp(-amps.q_entry * s)), "II"
     return amps.f * cmath.exp(1j * amps.k * s), "III"

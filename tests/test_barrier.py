@@ -11,7 +11,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rangetunnel import barrier
 from rangetunnel.barrier import (
@@ -108,7 +108,7 @@ class TestGeometry:
         band = RangeBound.from_width(exit_price(params))
         geo = barrier_geometry(params, band)
         assert geo.width_d == 0.0
-        assert transmission_exact(params, band).t_exact == 1.0
+        assert transmission_exact(params, band) == 1.0
 
     def test_no_barrier(self):
         geo = barrier_geometry(MarketParams(r=0.2, sigma=0.2), RangeBound.from_width(2.0))
@@ -247,7 +247,7 @@ class TestClosedBracket:
         expected = math.log(2.0) - 0.5 * math.log(lam) - math.log(width) - 1.0
         bracket = barrier_integral_closed(params, RangeBound.from_width(width))
         assert bracket == pytest.approx(expected, rel=1e-15)
-        assert transmission_exact(params, RangeBound.from_width(width)).t_exact < 1e-200
+        assert transmission_exact(params, RangeBound.from_width(width)) < 1e-200
 
     def test_smallest_normal_lambda_k2_keeps_the_direct_form(self):
         params = MarketParams(r=0.03, sigma=0.3)
@@ -272,14 +272,15 @@ class TestClosedBracket:
 
 
 class TestTransmissionExact:
-    def test_result_fields_consistent(self):
-        params = MarketParams(r=0.03, sigma=0.53)
-        band = RangeBound.from_width(2.40)
-        result = transmission_exact(params, band)
-        assert result.t_exact == pytest.approx(
-            math.exp(-2 * result.prefactor * result.bracket), rel=1e-12
-        )
-        assert result.prefactor == pytest.approx(wkb_prefactor(params), rel=1e-15)
+    @given(params_st, width_st)
+    def test_result_fields_consistent(self, params, width):
+        # T is exp(-2 P bracket) to the last bit in TUNNELING, and exactly 1 otherwise
+        band = RangeBound.from_width(width)
+        t = transmission_exact(params, band)
+        if barrier_geometry(params, band).regime is Regime.NO_BARRIER:
+            assert t == 1.0
+        else:
+            assert t == math.exp(-2 * wkb_prefactor(params) * barrier_integral_closed(params, band))
 
     def test_computes_no_approximation(self, monkeypatch):
         def unused(*args):
@@ -287,26 +288,25 @@ class TestTransmissionExact:
 
         monkeypatch.setattr(barrier, "transmission_thin_wall", unused)
         monkeypatch.setattr(barrier, "transmission_segmented", unused)
-        assert transmission_exact(MarketParams(r=0.03, sigma=0.53), RangeBound.from_width(2.40)).t_exact > 0
+        assert transmission_exact(MarketParams(r=0.03, sigma=0.53), RangeBound.from_width(2.40)) > 0
 
     def test_no_barrier_fills_ones(self):
         params, band = MarketParams(r=0.2, sigma=0.2), RangeBound.from_width(2.0)
-        result = transmission_exact(params, band)
-        assert result.t_exact == transmission_thin_wall(params, band) == 1.0
+        assert transmission_exact(params, band) == transmission_thin_wall(params, band) == 1.0
         assert transmission_segmented(params, band, 64) == 1.0
-        assert result.bracket == 0.0
 
     @given(params_st, width_st)
+    @example(MarketParams(r=0.03, sigma=1e-78), 1e-39)  # P overflows to inf: T is 0.0
     def test_bounded_probability(self, params, width):
-        result = transmission_exact(params, RangeBound.from_width(width))
-        assert 0.0 <= result.t_exact <= 1.0
-        if 2.0 * result.prefactor * result.bracket < 700.0:
-            assert result.t_exact > 0.0  # positive whenever exp cannot underflow
-        geo = barrier_geometry(params, RangeBound.from_width(width))
-        if geo.regime is Regime.NO_BARRIER:
-            assert result.t_exact == 1.0
+        band = RangeBound.from_width(width)
+        t = transmission_exact(params, band)
+        assert 0.0 <= t <= 1.0
+        if barrier_geometry(params, band).regime is Regime.NO_BARRIER:
+            assert t == 1.0
         else:
-            assert result.t_exact < 1.0
+            assert t < 1.0
+            if 2.0 * wkb_prefactor(params) * barrier_integral_closed(params, band) < 700.0:
+                assert t > 0.0  # positive whenever exp cannot underflow
 
 
 def segmented_loop(params, band, n):
@@ -349,7 +349,7 @@ class TestSegmented:
     def test_one_segment_beats_thin_wall(self):
         params = MarketParams(r=0.03, sigma=0.47)
         band = RangeBound.from_width(3.9)
-        exact = transmission_exact(params, band).t_exact
+        exact = transmission_exact(params, band)
         seg1 = transmission_segmented(params, band, 1)
         thin = transmission_thin_wall(params, band)
         assert abs(seg1 - exact) < abs(thin - exact)
@@ -357,7 +357,7 @@ class TestSegmented:
     def test_large_n_agrees_with_exact(self):
         params = MarketParams(r=0.03, sigma=0.53)
         band = RangeBound.from_width(2.40)
-        exact = transmission_exact(params, band).t_exact
+        exact = transmission_exact(params, band)
         assert transmission_segmented(params, band, 10_000) == pytest.approx(exact, abs=1e-6)
 
     def test_zero_width_all_n(self):
@@ -377,7 +377,7 @@ class TestMonotonicity:
         t_values, d_values = [], []
         for r in rates:
             params = MarketParams(r=r, sigma=0.53)
-            t_values.append(transmission_exact(params, RangeBound.from_width(2.40)).t_exact)
+            t_values.append(transmission_exact(params, RangeBound.from_width(2.40)))
             d_values.append(exit_price(params) - 2.40)
         assert all(b > a for a, b in zip(t_values, t_values[1:]))
         assert all(b < a for a, b in zip(d_values, d_values[1:]))
@@ -387,7 +387,7 @@ class TestMonotonicity:
         t_values, d_values = [], []
         for sigma in sigmas:
             params = MarketParams(r=0.05, sigma=sigma)
-            t_values.append(transmission_exact(params, RangeBound.from_width(2.40)).t_exact)
+            t_values.append(transmission_exact(params, RangeBound.from_width(2.40)))
             d_values.append(exit_price(params) - 2.40)
         assert all(b < a for a, b in zip(t_values, t_values[1:]))
         assert all(b > a for a, b in zip(d_values, d_values[1:]))

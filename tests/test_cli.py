@@ -414,6 +414,18 @@ class TestScan:
         assert err.startswith(message)
         assert err.count("\n") == 1  # one line, no traceback
 
+    def test_unwritable_out_leaves_stdout_empty(self, capsys, tmp_path):
+        # the report is written before the summary lines are printed
+        src = tmp_path / "LNKD.csv"
+        src.write_text(band_series_csv(123.3, 127.2), encoding="utf-8")
+        out_path = tmp_path / "missing_dir" / "r.csv"
+        code, out, err = run_cli(
+            capsys, "scan", "--input", str(src), "--r", "0.03",
+            "--sigma", "0.47", "--out", str(out_path),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write {out_path}: ")
+
     def test_missing_file_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "scan", "--input", str(tmp_path / "nope.csv"), "--r", "0.03")
         assert code == 1

@@ -957,7 +957,7 @@ class TestHistoricalVolatility:
         assert np.allclose(vol_base.values, vol_scaled.values, rtol=1e-9)
 
 
-def window_qualifies(closes, i, j, band_tol, touch_count, touch_frac):
+def window_qualifies(closes, i, j, band_tol, touch_count):
     """Oracle for the range test: the band of closes[i..j] if the window qualifies, else None."""
     segment = closes[i : j + 1]
     lo = float(segment.min())
@@ -967,7 +967,7 @@ def window_qualifies(closes, i, j, band_tol, touch_count, touch_frac):
         return None
     if width / lo > band_tol:
         return None
-    margin = touch_frac * width
+    margin = 0.25 * width  # a touch is a close within a quarter of the band width of an edge
     top_touches = int(np.count_nonzero(segment >= hi - margin))
     bottom_touches = int(np.count_nonzero(segment <= lo + margin))
     if top_touches < touch_count or bottom_touches < touch_count:
@@ -975,7 +975,7 @@ def window_qualifies(closes, i, j, band_tol, touch_count, touch_frac):
     return RangeBound(support=lo, resistance=hi)
 
 
-def ranges_trying_every_end(series, last_ends, min_len, band_tol, touch_count, touch_frac):
+def ranges_trying_every_end(series, last_ends, min_len, band_tol, touch_count):
     """Windows found by trying each end from ``last_ends[i]`` down, per start; and the calls."""
     closes = series.closes()
     n = len(closes)
@@ -986,7 +986,7 @@ def ranges_trying_every_end(series, last_ends, min_len, band_tol, touch_count, t
         found = None
         for j in range(last_ends[i], i + min_len - 2, -1):
             calls += 1
-            band = window_qualifies(closes, i, j, band_tol, touch_count, touch_frac)
+            band = window_qualifies(closes, i, j, band_tol, touch_count)
             if band is not None:
                 found = RangeWindow(start=i, end=j, band=band)
                 break
@@ -998,17 +998,17 @@ def ranges_trying_every_end(series, last_ends, min_len, band_tol, touch_count, t
     return windows, calls
 
 
-def brute_force_ranges(series, min_len=15, band_tol=0.05, touch_count=2, touch_frac=0.25):
+def brute_force_ranges(series, min_len=15, band_tol=0.05, touch_count=2):
     """Oracle for detect_ranges: try every end from the last bar down, per start."""
     last_ends = [len(series) - 1] * len(series)
-    windows, _ = ranges_trying_every_end(series, last_ends, min_len, band_tol, touch_count, touch_frac)
+    windows, _ = ranges_trying_every_end(series, last_ends, min_len, band_tol, touch_count)
     return windows
 
 
-def horizon_bounded_ranges(series, min_len=15, band_tol=0.05, touch_count=2, touch_frac=0.25):
+def horizon_bounded_ranges(series, min_len=15, band_tol=0.05, touch_count=2):
     """Oracle for detect_ranges and its call count: try every end below the band horizon."""
     last_ends = [r - 1 for r in market._band_horizons(series.closes(), band_tol, len(series))]
-    return ranges_trying_every_end(series, last_ends, min_len, band_tol, touch_count, touch_frac)
+    return ranges_trying_every_end(series, last_ends, min_len, band_tol, touch_count)
 
 
 def counted_detect_ranges(series, **params):
@@ -1078,13 +1078,10 @@ class TestDetectRanges:
         st.integers(min_value=5, max_value=25),
         st.floats(min_value=1e-4, max_value=0.2),
         st.integers(min_value=1, max_value=6),
-        st.floats(min_value=0.0, max_value=1.0),
     )
-    def test_matches_brute_force(self, closes, min_len, band_tol, touch_count, touch_frac):
+    def test_matches_brute_force(self, closes, min_len, band_tol, touch_count):
         series = flat_series("H", closes)
-        params = dict(
-            min_len=min_len, band_tol=band_tol, touch_count=touch_count, touch_frac=touch_frac
-        )
+        params = dict(min_len=min_len, band_tol=band_tol, touch_count=touch_count)
         assert window_tuples(detect_ranges(series, **params)) == window_tuples(
             brute_force_ranges(series, **params)
         )
@@ -1100,13 +1097,10 @@ class TestDetectRanges:
         st.integers(min_value=5, max_value=25),
         st.sampled_from([0.05, 0.025]) | st.floats(min_value=1e-4, max_value=0.2),
         st.integers(min_value=1, max_value=6),
-        st.floats(min_value=0.0, max_value=1.0),
     )
-    def test_matches_horizon_bounded_loop(self, closes, min_len, band_tol, touch_count, touch_frac):
+    def test_matches_horizon_bounded_loop(self, closes, min_len, band_tol, touch_count):
         series = flat_series("H", closes)
-        params = dict(
-            min_len=min_len, band_tol=band_tol, touch_count=touch_count, touch_frac=touch_frac
-        )
+        params = dict(min_len=min_len, band_tol=band_tol, touch_count=touch_count)
         windows, calls = counted_detect_ranges(series, **params)
         oracle_windows, oracle_calls = horizon_bounded_ranges(series, **params)
         assert window_tuples(windows) == window_tuples(oracle_windows)

@@ -7,8 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rangetunnel.market import VolSeries, detect_ranges
-from rangetunnel.scan import REPORT_COLUMNS, ScanConfig, _pick_sigma, report_csv, report_json, scan
+from rangetunnel.market import VolFallEvent, VolSeries, detect_ranges
+from rangetunnel.scan import (
+    REPORT_COLUMNS,
+    ScanConfig,
+    _latest_inside,
+    _pick_sigma,
+    report_csv,
+    report_json,
+    scan,
+)
 from rangetunnel.types import Regime
 
 from conftest import band_series, gbm_series, trending_series
@@ -22,7 +30,7 @@ class TestScan:
         event = events[0]
         assert event.band.width == pytest.approx(3.9, abs=1e-12)
         assert event.geometry.width_d == pytest.approx(0.058114, abs=1e-6)
-        assert event.transmission.t_exact == pytest.approx(0.998675, abs=1e-6)
+        assert event.transmission == pytest.approx(0.998675, abs=1e-6)
         assert event.geometry.regime is Regime.TUNNELING
         assert event.sigma == 0.47 and event.r == 0.03
 
@@ -33,7 +41,7 @@ class TestScan:
         event = events[0]
         assert event.band.width == pytest.approx(3.36, abs=1e-9)
         assert event.geometry.width_d == pytest.approx(0.921744, abs=1e-6)
-        assert event.transmission.t_exact == pytest.approx(0.933, abs=1e-3)
+        assert event.transmission == pytest.approx(0.933, abs=1e-3)
 
     def test_trending_series_empty(self):
         assert scan(trending_series(), r=0.03, cfg=ScanConfig(sigma_override=0.5)) == []
@@ -120,6 +128,22 @@ class TestPickSigma:
                 f"no volatility estimate inside window {start}..{end}; "
                 "supply a longer history, a volatility series, or a sigma override"
             )
+
+
+    @given(
+        offsets=st.sets(st.integers(0, 60), max_size=30),
+        bounds=st.tuples(st.integers(-5, 65), st.integers(-5, 65)).map(sorted),
+    )
+    def test_fall_bisect_matches_linear_scan(self, offsets, bounds):
+        falls = [
+            VolFallEvent(date=self.DAY0 + dt.timedelta(days=o), sigma_before=0.5, sigma_after=0.01 * k)
+            for k, o in enumerate(sorted(offsets))
+        ]
+        start, end = (self.DAY0 + dt.timedelta(days=b) for b in bounds)
+        # the pass scan once made per window over every fall
+        expected = next((f for f in reversed(falls) if start <= f.date <= end), None)
+        i = _latest_inside([f.date for f in falls], start, end)
+        assert (None if i is None else falls[i]) == expected
 
 
 class TestReports:

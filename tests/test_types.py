@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from rangetunnel.types import MarketParams, RangeBound, Regime, TransmissionResult
+from rangetunnel.types import MarketParams, RangeBound, Regime
 
 
 class TestMarketParams:
@@ -39,13 +39,7 @@ class TestRangeBound:
             RangeBound(support=10.0, resistance=9.0)
 
 
-class TestTransmissionResult:
-    def test_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            TransmissionResult(t_exact=1.5, bracket=0.0, prefactor=0.5)
-        with pytest.raises(ValueError):
-            TransmissionResult(t_exact=0.5, bracket=-0.1, prefactor=0.5)
-
+class TestRegime:
     def test_regime_enum_values(self):
         assert Regime.TUNNELING.value == "tunneling"
         assert Regime.NO_BARRIER.value == "no_barrier"
