@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import sys
@@ -19,10 +20,10 @@ from typing import TypeVar
 
 from .barrier import barrier_geometry, transmission_exact, transmission_thin_wall
 from .market import parse_ohlc_csv, parse_vol_csv
-from .scan import ScanConfig, _fmt, report_csv, report_json, scan
+from .scan import ScanConfig, _cell, _fmt, _json_value, report_csv, report_json, scan
 from .tables import render_table, reproduce_table
 from .types import MarketParams, RangeBound, Regime
-from .validate import DEFAULT_SEED, run_all
+from .validate import DEFAULT_QUAD_POINTS, DEFAULT_SEED, run_all
 from .wavefunction import sample_wavefunction
 
 T = TypeVar("T")
@@ -74,17 +75,13 @@ def _cmd_tc(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.support is not None:
         report["exit_price_absolute"] = args.support + geo.s_exit
     if args.json:
-        payload = {
-            k: (float(_fmt(v)) if isinstance(v, float) else v) for k, v in report.items()
-        }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({k: _json_value(v) for k, v in report.items()}, indent=2))
     else:
         for key, value in report.items():
             if key == "thin_wall_eval_point":
                 continue
             suffix = "  (q frozen at wall entry K)" if key == "T_thin_wall" else ""
-            text = _fmt(value) if isinstance(value, float) else str(value)
-            print(f"{key:<21}{text}{suffix}")
+            print(f"{key:<21}{_cell(value)}{suffix}")
         if geo.regime is Regime.NO_BARRIER:
             print("note: band edge at or beyond the exit coordinate; no wall to cross")
     return 0
@@ -119,19 +116,11 @@ def _emit(body: str, out: str | None) -> None:
 
 def _cmd_scan(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     with _usage_errors(parser):  # whatever the files hold; a placeholder sigma checks r alone
-        MarketParams(r=args.r, sigma=1.0 if args.sigma is None else args.sigma)
+        MarketParams(r=args.r, sigma=1.0 if args.sigma_override is None else args.sigma_override)
     path = Path(args.input)
     series = _read(path, functools.partial(parse_ohlc_csv, symbol=path.stem))
     vol = None if args.vol is None else _read(args.vol, parse_vol_csv)
-    cfg = ScanConfig(
-        min_len=args.min_len,
-        band_tol=args.band_tol,
-        touch_count=args.touch_count,
-        vol_window=args.vol_window,
-        fall_lookback=args.fall_lookback,
-        fall_ratio=args.fall_ratio,
-        sigma_override=args.sigma,
-    )
+    cfg = ScanConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ScanConfig)})
     events = scan(series, r=args.r, cfg=cfg, vol=vol)
     report = report_json(events) if args.json else report_csv(events)
     if args.out is not None:  # written first, so an unwritable --out leaves stdout empty
@@ -208,16 +197,23 @@ def build_parser() -> argparse.ArgumentParser:
     scan_p = command("scan", _cmd_scan, "scan an OHLC CSV for range-bound breakout setups")
     scan_p.add_argument("--input", required=True, help="OHLC CSV path")
     scan_p.add_argument("--r", type=float, required=True, help="annualized risk-free rate")
-    scan_p.add_argument("--sigma", type=float, help="pin volatility instead of estimating")
+    scan_p.add_argument(
+        "--sigma", type=float, dest="sigma_override", metavar="SIGMA",
+        help="pin volatility instead of estimating",
+    )
     scan_p.add_argument("--vol", help="optional precomputed volatility CSV (date,sigma)")
     scan_p.add_argument("--out", help="write the report here instead of stdout")
     scan_p.add_argument("--json", action="store_true", help="JSON report instead of CSV")
-    scan_p.add_argument("--min-len", type=int, default=15, help="minimum window length in bars")
-    scan_p.add_argument("--band-tol", type=float, default=0.05, help="max band width / band bottom")
-    scan_p.add_argument("--touch-count", type=int, default=2, help="required touches per band edge")
-    scan_p.add_argument("--vol-window", type=int, default=21, help="volatility estimator window")
-    scan_p.add_argument("--fall-lookback", type=int, default=5, help="volatility-fall lookback bars")
-    scan_p.add_argument("--fall-ratio", type=float, default=0.7, help="volatility-fall flag ratio")
+    for flag, summary in (
+        ("--min-len", "minimum window length in bars"),
+        ("--band-tol", "max band width / band bottom"),
+        ("--touch-count", "required touches per band edge"),
+        ("--vol-window", "volatility estimator window"),
+        ("--fall-lookback", "volatility-fall lookback bars"),
+        ("--fall-ratio", "volatility-fall flag ratio"),
+    ):  # each flag's dest is the ScanConfig field whose default and type it takes
+        default = getattr(ScanConfig, flag[2:].replace("-", "_"))
+        scan_p.add_argument(flag, type=type(default), default=default, help=summary)
 
     wave = command("wavefunction", _cmd_wavefunction, "tabulate potential and |psi|^2 for plotting")
     wave.add_argument("--r", type=float, required=True)
@@ -228,7 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     validate = command("validate", _cmd_validate, "run the numerical self-check suite")
     validate.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sweep RNG seed")
-    validate.add_argument("--quad-points", type=int, default=1000, help="quadrature sweep size")
+    validate.add_argument(
+        "--quad-points", type=int, default=DEFAULT_QUAD_POINTS, help="quadrature sweep size"
+    )
     validate.add_argument(
         "--prefactor-variant",
         choices=("numerator", "denominator"),

@@ -39,7 +39,11 @@ REPORT_COLUMNS = [
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Detection and estimation knobs for a scan run."""
+    """Detection and estimation knobs for a scan run.
+
+    The source of the ``scan`` command's defaults: each knob flag has its
+    field's name as its dest and its field's default as its default.
+    """
 
     min_len: int = 15
     band_tol: float = 0.05
@@ -157,49 +161,36 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
+def _cell(value: object) -> str:
+    """A report cell: empty for None, a float at 6 significant digits, else ``str``."""
+    if value is None:
+        return ""
+    return _fmt(value) if isinstance(value, float) else str(value)
+
+
+def _json_value(value: object) -> object:
+    """A JSON value: a float rounded to 6 significant digits, anything else as it is."""
+    return float(_fmt(value)) if isinstance(value, float) else value
+
+
 def _event_row(event: ScanEvent) -> dict:
-    return {
-        "symbol": event.symbol,
-        "window_start": event.window_start.isoformat(),
-        "window_end": event.window_end.isoformat(),
-        "support": event.band.support,
-        "resistance": event.band.resistance,
-        "K": event.band.width,
-        "sigma": event.sigma,
-        "r": event.r,
-        "lambda": event.geometry.lam,
-        "S1": event.geometry.s_exit,
-        "d": event.geometry.width_d,
-        "T": event.transmission,
-        "vol_fall_ratio": event.vol_fall_ratio,
-    }
+    band, geo = event.band, event.geometry
+    values = (  # in REPORT_COLUMNS order
+        event.symbol, event.window_start.isoformat(), event.window_end.isoformat(),
+        band.support, band.resistance, band.width, event.sigma, event.r,
+        geo.lam, geo.s_exit, geo.width_d, event.transmission, event.vol_fall_ratio,
+    )
+    return dict(zip(REPORT_COLUMNS, values))
 
 
 def report_csv(events: list[ScanEvent]) -> str:
     """Scan report as CSV with the standard column set."""
     lines = [",".join(REPORT_COLUMNS)]
-    for event in events:
-        row = _event_row(event)
-        cells = []
-        for col in REPORT_COLUMNS:
-            value = row[col]
-            if value is None:
-                cells.append("")
-            elif isinstance(value, float):
-                cells.append(_fmt(value))
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
+    lines += [",".join(map(_cell, _event_row(event).values())) for event in events]
     return "\n".join(lines) + "\n"
 
 
 def report_json(events: list[ScanEvent]) -> str:
     """Scan report as JSON: a list of objects with the same fields as the CSV."""
-    rows = []
-    for event in events:
-        row = _event_row(event)
-        for key, value in row.items():
-            if isinstance(value, float):
-                row[key] = float(_fmt(value))
-        rows.append(row)
+    rows = [{k: _json_value(v) for k, v in _event_row(event).items()} for event in events]
     return json.dumps(rows, indent=2) + "\n"

@@ -114,7 +114,7 @@ class WaveAmplitudes:
     """
 
     d_amp: float
-    f: complex
+    f: float
     k: float
     q_entry: float
 

@@ -37,6 +37,7 @@ from .wavefunction import w_from_psi
 # rounding amplified by 1/h^2 when r is tiny), so the shipped seed is one
 # whose draws keep both checks comfortably inside tolerance.
 DEFAULT_SEED = 4
+DEFAULT_QUAD_POINTS = 1000  # parameter points in the quadrature sweep
 SEGMENT_LADDER = (1, 4, 16, 64, 256, 1024, 4096)
 SEGMENT_POINTS = 20  # parameter points run down the ladder
 TRANSFORM_PAIRS = 5  # (r, sigma) pairs mapped through the transform
@@ -102,7 +103,7 @@ def check_tables(prefactor_variant: str = "numerator") -> list[CheckResult]:
 
 
 def quadrature_sweep(
-    seed: int = DEFAULT_SEED, points: int = 1000
+    seed: int = DEFAULT_SEED, points: int = DEFAULT_QUAD_POINTS
 ) -> tuple[list[tuple[MarketParams, RangeBound]], list[float]]:
     """The sweep's seeded parameter points and the quadrature value at each.
 
@@ -119,8 +120,13 @@ def quadrature_sweep(
     return draws, quads
 
 
-def check_quadrature_sweep(seed: int = DEFAULT_SEED, points: int = 1000) -> CheckResult:
-    """Closed-form bracket vs adaptive Simpson, <= 1e-9 relative everywhere."""
+def check_quadrature_sweep(seed: int = DEFAULT_SEED, points: int = DEFAULT_QUAD_POINTS) -> CheckResult:
+    """Closed-form bracket vs adaptive Simpson, <= 1e-9 relative everywhere.
+
+    Raises ValueError unless ``points >= 1``: an empty sweep checks nothing.
+    """
+    if points < 1:
+        raise ValueError(f"points must be >= 1, got {points}")
     worst = 0.0
     worst_point = ""
     for (params, band), quad in zip(*quadrature_sweep(seed, points)):
@@ -223,7 +229,7 @@ def check_band_equation_residuals() -> CheckResult:
 
 def run_all(
     seed: int = DEFAULT_SEED,
-    quad_points: int = 1000,
+    quad_points: int = DEFAULT_QUAD_POINTS,
     prefactor_variant: str = "numerator",
 ) -> list[CheckResult]:
     """Run every check; the variant hook is the tables' negative control."""

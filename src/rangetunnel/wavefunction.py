@@ -50,7 +50,7 @@ def thin_wall_amplitudes(params: MarketParams, band: RangeBound) -> WaveAmplitud
         ) from None
     return WaveAmplitudes(
         d_amp=d_amp,
-        f=complex(math.exp(-q_entry * geo.width_d)),
+        f=math.exp(-q_entry * geo.width_d),
         k=wavenumber_k(params),
         q_entry=q_entry,
     )

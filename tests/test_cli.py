@@ -1,5 +1,6 @@
 """Command-line surface: flags, exit codes, output formats, determinism."""
 
+import dataclasses
 import datetime as dt
 import itertools
 import json
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from rangetunnel import cli
+from rangetunnel.scan import ScanConfig
 
 from conftest import band_series_csv
 
@@ -429,6 +431,56 @@ class TestScan:
     def test_missing_file_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "scan", "--input", str(tmp_path / "nope.csv"), "--r", "0.03")
         assert code == 1
+
+    # flag, its ScanConfig field, a value other than the default, that value parsed
+    KNOBS = [
+        ("--min-len", "min_len", "16", 16),
+        ("--band-tol", "band_tol", "0.06", 0.06),
+        ("--touch-count", "touch_count", "3", 3),
+        ("--vol-window", "vol_window", "10", 10),
+        ("--fall-lookback", "fall_lookback", "4", 4),
+        ("--fall-ratio", "fall_ratio", "0.8", 0.8),
+        ("--sigma", "sigma_override", "0.47", 0.47),
+    ]
+
+    def test_each_flag_reaches_its_config_field(self, capsys, tmp_path, monkeypatch):
+        src = tmp_path / "LNKD.csv"
+        src.write_text(band_series_csv(123.3, 127.2), encoding="utf-8")
+        seen = []
+
+        def fake_scan(series, r, cfg, vol):
+            seen.append(cfg)
+            return []
+
+        monkeypatch.setattr(cli, "scan", fake_scan)
+        base = ("scan", "--input", str(src), "--r", "0.03")
+        assert run_cli(capsys, *base)[0] == 0
+        assert seen == [ScanConfig()]  # no knob flag: the config's own defaults
+        assert {name for _, name, _, _ in self.KNOBS} == {f.name for f in dataclasses.fields(ScanConfig)}
+        for flag, name, text, value in self.KNOBS:
+            assert run_cli(capsys, *base, flag, text)[0] == 0
+            assert seen[-1] == dataclasses.replace(ScanConfig(), **{name: value}), flag
+            assert type(getattr(seen[-1], name)) is type(value), flag
+
+    def test_tc_and_scan_report_the_same_band_numbers(self, capsys, tmp_path):
+        src = tmp_path / "LNKD.csv"
+        src.write_text(band_series_csv(123.3, 127.2), encoding="utf-8")
+        model = ("--r", "0.03", "--sigma", "0.47")
+        _, tc_out, _ = run_cli(
+            capsys, "tc", *model, "--support", "123.3", "--resistance", "127.2", "--json"
+        )
+        _, scan_out, _ = run_cli(capsys, "scan", "--input", str(src), *model, "--json")
+        tc = json.loads(tc_out)
+        (row,) = json.loads(scan_out.split("\n\n", 1)[1])
+        assert [tc[key] for key in ("K", "lambda", "S1", "d", "T_exact")] == [
+            row[key] for key in ("K", "lambda", "S1", "d", "T")
+        ]
+
+    def test_help_keeps_the_sigma_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["scan", "--help"])
+        assert excinfo.value.code == 0
+        assert "  --sigma SIGMA " in capsys.readouterr().out
 
     def test_trending_fixture_zero_events(self, capsys, tmp_path):
         lines = ["date,open,high,low,close"]

@@ -1,13 +1,20 @@
 """Scan assembly and report serialization."""
 
 import datetime as dt
+import inspect
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rangetunnel.market import VolFallEvent, VolSeries, detect_ranges
+from rangetunnel.market import (
+    VolFallEvent,
+    VolSeries,
+    detect_ranges,
+    detect_vol_fall,
+    historical_volatility,
+)
 from rangetunnel.scan import (
     REPORT_COLUMNS,
     ScanConfig,
@@ -20,6 +27,20 @@ from rangetunnel.scan import (
 from rangetunnel.types import Regime
 
 from conftest import band_series, gbm_series, trending_series
+
+
+def test_config_defaults_are_the_detection_defaults():
+    def default(function, name):
+        return inspect.signature(function).parameters[name].default
+
+    assert ScanConfig() == ScanConfig(
+        min_len=default(detect_ranges, "min_len"),
+        band_tol=default(detect_ranges, "band_tol"),
+        touch_count=default(detect_ranges, "touch_count"),
+        vol_window=default(historical_volatility, "window"),
+        fall_lookback=default(detect_vol_fall, "lookback"),
+        fall_ratio=default(detect_vol_fall, "fall_ratio"),
+    )
 
 
 class TestScan:

@@ -13,6 +13,7 @@ from rangetunnel.validate import (
     check_quadrature_sweep,
     check_segmented_convergence,
     quadrature_sweep,
+    run_all,
 )
 
 
@@ -134,3 +135,11 @@ def test_sweep_lines_are_pinned(seed):
 )
 def test_short_sweep_lines_are_pinned(seed, points, detail):
     assert check_quadrature_sweep(seed, points).detail == detail
+
+
+@pytest.mark.parametrize("points", [0, -5])
+def test_empty_sweep_is_an_error(points):
+    with pytest.raises(ValueError, match=f"^points must be >= 1, got {points}$"):
+        check_quadrature_sweep(4, points)
+    with pytest.raises(ValueError, match="^points must be >= 1"):
+        run_all(quad_points=points)
