@@ -141,8 +141,11 @@ def barrier_integral_closed(params: MarketParams, band: RangeBound) -> float:
     it there leaves the scan reports and the validate sweep bit-for-bit
     reproducible across versions.
     """
-    lam = lambda_of(params)
-    k_width = band.width
+    return _integral_closed(lambda_of(params), band.width)
+
+
+def _integral_closed(lam: float, k_width: float) -> float:
+    """``barrier_integral_closed`` of the floats lambda = r / sigma and K."""
     lam_k2 = lam * k_width * k_width
     if lam_k2 >= 1.0:
         raise ValueError(
@@ -207,8 +210,13 @@ def transmission_exact(params: MarketParams, band: RangeBound) -> float:
     sigma whose sigma^4 leaves the double range raises ValueError even where
     T = 1. The thin-wall and segmented approximations are separate calls.
     """
+    return _geometry_and_transmission(params, band)[1]
+
+
+def _geometry_and_transmission(params: MarketParams, band: RangeBound) -> tuple[BarrierGeometry, float]:
+    """``barrier_geometry`` and ``transmission_exact`` of the band, the geometry formed once."""
     geo = barrier_geometry(params, band)
     pf = wkb_prefactor(params)
     if geo.regime is Regime.NO_BARRIER:
-        return 1.0
-    return math.exp(-2.0 * pf * barrier_integral_closed(params, band))
+        return geo, 1.0
+    return geo, math.exp(-2.0 * pf * _integral_closed(geo.lam, band.width))

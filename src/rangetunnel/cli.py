@@ -18,11 +18,11 @@ from collections.abc import Callable, Iterator
 from pathlib import Path
 from typing import TypeVar
 
-from .barrier import barrier_geometry, transmission_exact, transmission_thin_wall
+from .barrier import _geometry_and_transmission, transmission_thin_wall
 from .market import parse_ohlc_csv, parse_vol_csv
 from .scan import ScanConfig, _cell, _fmt, _json_value, report_csv, report_json, scan
 from .tables import render_table, reproduce_table
-from .types import MarketParams, RangeBound, Regime
+from .types import MarketParams, RangeBound, Regime, _require_rate
 from .validate import DEFAULT_QUAD_POINTS, DEFAULT_SEED, run_all
 from .wavefunction import sample_wavefunction
 
@@ -59,8 +59,8 @@ def _cmd_tc(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     with _usage_errors(parser):
         band = _band_from_args(parser, args)
         params = MarketParams(r=args.r, sigma=args.sigma)
-        geo = barrier_geometry(params, band)  # lambda or S1 may underflow or overflow
-        t_exact = transmission_exact(params, band)  # so may sigma^4 in the prefactor
+        # lambda or S1 may underflow or overflow, and so may sigma^4 in the prefactor
+        geo, t_exact = _geometry_and_transmission(params, band)
         thin = transmission_thin_wall(params, band)
     report = {
         "K": band.width,
@@ -115,12 +115,12 @@ def _emit(body: str, out: str | None) -> None:
 
 
 def _cmd_scan(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    with _usage_errors(parser):  # whatever the files hold; a placeholder sigma checks r alone
-        MarketParams(r=args.r, sigma=1.0 if args.sigma_override is None else args.sigma_override)
+    with _usage_errors(parser):  # before any read, so whatever the files hold
+        _require_rate(args.r)
+        cfg = ScanConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ScanConfig)})
     path = Path(args.input)
     series = _read(path, functools.partial(parse_ohlc_csv, symbol=path.stem))
     vol = None if args.vol is None else _read(args.vol, parse_vol_csv)
-    cfg = ScanConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ScanConfig)})
     events = scan(series, r=args.r, cfg=cfg, vol=vol)
     report = report_json(events) if args.json else report_csv(events)
     if args.out is not None:  # written first, so an unwritable --out leaves stdout empty

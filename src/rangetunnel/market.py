@@ -443,6 +443,12 @@ def _parse_vol_rows(text: str) -> VolSeries:
 PERIODS_PER_YEAR = 252  # trading days: the sqrt-time annualization of each estimate
 
 
+def _check_vol_window(window: int) -> None:
+    """The rule of the volatility window: at least two returns per estimate."""
+    if window < 2:
+        raise ValueError(f"window must be >= 2, got {window}")
+
+
 def historical_volatility(series: PriceSeries, window: int = 21) -> VolSeries:
     """Annualized rolling sample std of log close-to-close returns.
 
@@ -454,8 +460,7 @@ def historical_volatility(series: PriceSeries, window: int = 21) -> VolSeries:
         VolSeries of length ``len(series) - window``; estimate i is stamped
         with the date of the bar closing its window.
     """
-    if window < 2:
-        raise ValueError(f"window must be >= 2, got {window}")
+    _check_vol_window(window)
     n = len(series)
     if n <= window:
         raise ValueError(f"need more than {window} bars, got {n}")
@@ -528,6 +533,14 @@ def _band_horizons(closes: np.ndarray, band_tol: float, starts: int) -> list[int
     return end.tolist()
 
 
+def _check_range_knobs(min_len: int, band_tol: float) -> None:
+    """The rules of the range-detection knobs."""
+    if min_len < 5:
+        raise ValueError(f"min_len must be >= 5, got {min_len}")
+    if band_tol <= 0:
+        raise ValueError(f"band_tol must be > 0, got {band_tol}")
+
+
 def detect_ranges(
     series: PriceSeries,
     min_len: int = 15,
@@ -572,10 +585,7 @@ def detect_ranges(
     stretch's length: each end is still tried, and such a stretch costs
     cubic time in its own length.
     """
-    if min_len < 5:
-        raise ValueError(f"min_len must be >= 5, got {min_len}")
-    if band_tol <= 0:
-        raise ValueError(f"band_tol must be > 0, got {band_tol}")
+    _check_range_knobs(min_len, band_tol)
     closes = series.closes()
     n = len(closes)
     if n < min_len:
@@ -596,6 +606,14 @@ def detect_ranges(
     return windows
 
 
+def _check_fall_knobs(lookback: int, fall_ratio: float) -> None:
+    """The rules of the volatility-fall knobs."""
+    if lookback < 1:
+        raise ValueError(f"lookback must be >= 1, got {lookback}")
+    if not 0.0 < fall_ratio < 1.0:
+        raise ValueError(f"fall_ratio must be in (0, 1), got {fall_ratio}")
+
+
 def detect_vol_fall(
     vol: VolSeries, lookback: int = 5, fall_ratio: float = 0.7
 ) -> list[VolFallEvent]:
@@ -604,10 +622,7 @@ def detect_vol_fall(
     Every qualifying index is reported (a single step produces one event per
     bar while it remains inside the lookback).
     """
-    if lookback < 1:
-        raise ValueError(f"lookback must be >= 1, got {lookback}")
-    if not 0.0 < fall_ratio < 1.0:
-        raise ValueError(f"fall_ratio must be in (0, 1), got {fall_ratio}")
+    _check_fall_knobs(lookback, fall_ratio)
     if len(vol) <= lookback:
         raise ValueError(f"volatility series too short: {len(vol)} <= lookback {lookback}")
     values = np.asarray(vol.values, dtype=float)

@@ -4,7 +4,7 @@ This module deliberately shares no computation with ``barrier``: the wall
 integral is evaluated by adaptive Simpson quadrature from scratch, and the two
 differential-equation residuals are plain central differences. The
 integrator bisects level by level over arrays of intervals from many
-integrals at once, so the ``validate`` sweep integrates a block of points per
+integrals at once, so the ``validate`` sweep integrates many points per
 numpy pass; each result has the bits of the classic depth-first recursion,
 which the tests keep as their reference. Golden tests
 compare these against the closed forms; keeping the implementations disjoint
@@ -169,33 +169,19 @@ def adaptive_simpson(
     return float(adaptive_simpson_batch(batch, np.array([a]), np.array([b]), cfg)[0])
 
 
-def quad_barrier_integrals(
-    lam: np.ndarray, k_width: np.ndarray, cfg: QuadratureConfig | None = None
-) -> np.ndarray:
-    """``quad_barrier_integral`` at every point (lam[j], k_width[j]), integrated together.
+# Points whose substituted [mid, S1] parts are integrated together. Those parts
+# keep many intervals live per level, so the level arrays grow with the batch:
+# the 1000 points of the validate sweep peak at about 2.2 MB of arrays in
+# blocks of 64 and at about 38 MB all at once, which also runs slower. Their
+# [K, mid] parts keep few intervals live and peak at about 2.6 MB in one batch,
+# where per-level numpy overhead would dominate blocks of 64.
+_OUTER_BLOCK = 64
 
-    ``lam`` holds each point's r / sigma and ``k_width`` its band width K, as
-    float arrays of one length. Each value has the bits of the one-point
-    call: that call passes one-element arrays, and numpy's +, -, *, / and
-    sqrt round every element as correctly as Python's scalar float ones. The
-    s parts of all points form one batch and the t parts another, so memory
-    grows with the number of points: callers with many points pass them in
-    blocks. On depth exhaustion the error comes from the first failing s
-    part, if any, then from the first failing t part.
-    """
-    if cfg is None:
-        cfg = QuadratureConfig()
-    if np.any(lam * k_width * k_width > 1.0):
-        raise ValueError("no wall to integrate over: lambda*K^2 > 1")
-    s1 = np.sqrt(1.0 / lam)
-    # a zero-width wall (S1 <= K) gets two empty parts: mid = K and t_end = 0
-    mid = np.maximum(k_width, 0.5 * s1)
-    t_end = np.sqrt(np.maximum(s1 - mid, 0.0))
 
-    def integrand(s: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return np.sqrt(1.0 / (s * s) - lam[j])  # >= sqrt(3 lambda) on [K, mid]
+def _substituted(lam: np.ndarray, s1: np.ndarray) -> BatchIntegrand:
+    """Integrand of the [mid, S1] parts after s = S1 - t^2, for points with these lam and S1."""
 
-    def substituted(t: np.ndarray, j: np.ndarray) -> np.ndarray:
+    def f(t: np.ndarray, j: np.ndarray) -> np.ndarray:
         # 2.0 * t2 * np.sqrt(lam[j] * (2.0 * s1_j - t2)) / (s1_j - t2), in place
         t2 = t * t
         s1_j = s1[j]
@@ -209,9 +195,44 @@ def quad_barrier_integrals(
         value /= s1_j
         return value
 
-    inner = adaptive_simpson_batch(integrand, k_width, mid, cfg)
-    outer = adaptive_simpson_batch(substituted, np.zeros_like(t_end), t_end, cfg)
-    return inner + outer
+    return f
+
+
+def quad_barrier_integrals(
+    lam: np.ndarray, k_width: np.ndarray, cfg: QuadratureConfig | None = None
+) -> np.ndarray:
+    """``quad_barrier_integral`` at every point (lam[j], k_width[j]), integrated together.
+
+    ``lam`` holds each point's r / sigma and ``k_width`` its band width K, as
+    float arrays of one length. Each value has the bits of the one-point
+    call: that call passes one-element arrays, and numpy's +, -, *, / and
+    sqrt round every element as correctly as Python's scalar float ones, and
+    no interval's arithmetic depends on the others in its batch. The s parts
+    of all points form one batch; the t parts go in batches of
+    ``_OUTER_BLOCK`` consecutive points, which bounds the memory. On depth
+    exhaustion the error comes from the first failing s part, if any, then
+    from the first failing t part.
+    """
+    if cfg is None:
+        cfg = QuadratureConfig()
+    if np.any(lam * k_width * k_width > 1.0):
+        raise ValueError("no wall to integrate over: lambda*K^2 > 1")
+    s1 = np.sqrt(1.0 / lam)
+    # a zero-width wall (S1 <= K) gets two empty parts: mid = K and t_end = 0
+    mid = np.maximum(k_width, 0.5 * s1)
+    t_end = np.sqrt(np.maximum(s1 - mid, 0.0))
+
+    def integrand(s: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return np.sqrt(1.0 / (s * s) - lam[j])  # >= sqrt(3 lambda) on [K, mid]
+
+    result = adaptive_simpson_batch(integrand, k_width, mid, cfg)
+    for start in range(0, t_end.size, _OUTER_BLOCK):
+        block = slice(start, start + _OUTER_BLOCK)
+        ends = t_end[block]
+        result[block] += adaptive_simpson_batch(
+            _substituted(lam[block], s1[block]), np.zeros_like(ends), ends, cfg
+        )
+    return result
 
 
 def quad_barrier_integral(

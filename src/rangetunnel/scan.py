@@ -16,9 +16,19 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .barrier import barrier_geometry, transmission_exact
-from .market import PriceSeries, VolFallEvent, VolSeries, detect_ranges, detect_vol_fall, historical_volatility
-from .types import BarrierGeometry, MarketParams, RangeBound, _require_rate
+from .barrier import _geometry_and_transmission
+from .market import (
+    PriceSeries,
+    VolFallEvent,
+    VolSeries,
+    _check_fall_knobs,
+    _check_range_knobs,
+    _check_vol_window,
+    detect_ranges,
+    detect_vol_fall,
+    historical_volatility,
+)
+from .types import BarrierGeometry, MarketParams, RangeBound, _require_rate, _require_sigma
 
 REPORT_COLUMNS = [
     "symbol",
@@ -42,7 +52,9 @@ class ScanConfig:
     """Detection and estimation knobs for a scan run.
 
     The source of the ``scan`` command's defaults: each knob flag has its
-    field's name as its dest and its field's default as its default.
+    field's name as its dest and its field's default as its default. Every
+    knob's rule is checked on construction, by the check that the function
+    using the knob calls, so a bad knob fails before any data is read.
     """
 
     min_len: int = 15
@@ -52,6 +64,13 @@ class ScanConfig:
     fall_lookback: int = 5
     fall_ratio: float = 0.7
     sigma_override: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        _check_range_knobs(self.min_len, self.band_tol)
+        _check_vol_window(self.vol_window)
+        _check_fall_knobs(self.fall_lookback, self.fall_ratio)
+        if self.sigma_override is not None:
+            _require_sigma(self.sigma_override)
 
 
 @dataclass(frozen=True)
@@ -138,8 +157,7 @@ def scan(
         end_date = dates[window.end]
         sigma = _pick_sigma(vol, start_date, end_date, cfg)
         params = MarketParams(r=r, sigma=sigma)
-        geometry = barrier_geometry(params, window.band)
-        transmission = transmission_exact(params, window.band)
+        geometry, transmission = _geometry_and_transmission(params, window.band)
         fall = _latest_inside(fall_dates, start_date, end_date)
         events.append(
             ScanEvent(

@@ -31,6 +31,13 @@ def _require_rate(r: float) -> None:
         raise ValueError(f"r must be > 0, got {r}")
 
 
+def _require_sigma(sigma: float) -> None:
+    """The volatility rule: sigma finite, then sigma > 0."""
+    _require_finite("sigma", sigma)
+    if sigma <= 0:
+        raise ValueError(f"sigma must be > 0, got {sigma}")
+
+
 @dataclass(frozen=True)
 class MarketParams:
     """Annualized risk-free rate and volatility, the two observables driving the model.
@@ -43,9 +50,7 @@ class MarketParams:
 
     def __post_init__(self) -> None:
         _require_rate(self.r)
-        _require_finite("sigma", self.sigma)
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        _require_sigma(self.sigma)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barrier import (
-    barrier_integral_closed,
+    _integral_closed,
     lambda_of,
     transmission_exact,
     transmission_segmented,
@@ -42,10 +42,6 @@ SEGMENT_LADDER = (1, 4, 16, 64, 256, 1024, 4096)
 SEGMENT_POINTS = 20  # parameter points run down the ladder
 TRANSFORM_PAIRS = 5  # (r, sigma) pairs mapped through the transform
 SWEEP_QUADRATURE = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12, max_depth=60)
-# Sweep points integrated together. The integrator's level arrays grow with
-# the batch, so the sweep goes in blocks: a block of 64 points peaks at about
-# 2.7 MB of arrays, all 1000 points at once at about 38 MB, for no gain in speed.
-QUAD_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -104,37 +100,35 @@ def check_tables(prefactor_variant: str = "numerator") -> list[CheckResult]:
 
 def quadrature_sweep(
     seed: int = DEFAULT_SEED, points: int = DEFAULT_QUAD_POINTS
-) -> tuple[list[tuple[MarketParams, RangeBound]], list[float]]:
-    """The sweep's seeded parameter points and the quadrature value at each.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The sweep's seeded points and the quadrature value at each.
 
-    The points are drawn and integrated QUAD_BLOCK at a time; each value has
-    the bits of ``quad_barrier_integral`` at its point.
+    Returns the arrays r, sigma, band width K and quadrature value, one
+    element per point. Each value has the bits of ``quad_barrier_integral``
+    at its point.
     """
-    rng = np.random.default_rng(seed)
-    draws: list[tuple[MarketParams, RangeBound]] = []
-    quads: list[float] = []
-    for start in range(0, points, QUAD_BLOCK):
-        r, sigma, width = _draw_points(rng, min(QUAD_BLOCK, points - start))
-        quads.extend(quad_barrier_integrals(r / sigma, width, SWEEP_QUADRATURE).tolist())
-        draws.extend(_pairs(r, sigma, width))
-    return draws, quads
+    r, sigma, width = _draw_points(np.random.default_rng(seed), points)
+    return r, sigma, width, quad_barrier_integrals(r / sigma, width, SWEEP_QUADRATURE)
 
 
 def check_quadrature_sweep(seed: int = DEFAULT_SEED, points: int = DEFAULT_QUAD_POINTS) -> CheckResult:
     """Closed-form bracket vs adaptive Simpson, <= 1e-9 relative everywhere.
 
-    Raises ValueError unless ``points >= 1``: an empty sweep checks nothing.
+    The closed form is taken of the floats lambda = r / sigma and K, the
+    same floats ``barrier_integral_closed`` forms from each point's
+    ``MarketParams`` and ``RangeBound``. Raises ValueError unless
+    ``points >= 1``: an empty sweep checks nothing.
     """
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
     worst = 0.0
     worst_point = ""
-    for (params, band), quad in zip(*quadrature_sweep(seed, points)):
-        closed = barrier_integral_closed(params, band)
+    for r, sigma, k_width, quad in zip(*(a.tolist() for a in quadrature_sweep(seed, points))):
+        closed = _integral_closed(r / sigma, k_width)
         rel = abs(quad - closed) / closed
         if rel > worst:
             worst = rel
-            worst_point = f"r={params.r:.6g} sigma={params.sigma:.6g} K={band.width:.6g}"
+            worst_point = f"r={r:.6g} sigma={sigma:.6g} K={k_width:.6g}"
     passed = worst <= 1e-9
     return CheckResult(
         "quadrature-vs-closed-form",

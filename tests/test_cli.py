@@ -118,6 +118,17 @@ class TestTc:
         (["scan", "--input", "missing.csv", "--r", "nan"], "r must be finite, got nan"),
         (["scan", "--input", "missing.csv", "--r", "inf"], "r must be finite, got inf"),
         (["scan", "--input", "missing.csv", "--r", "0.03", "--sigma", "-1"], "sigma must be > 0, got -1.0"),
+        # so are the detection knobs, whether or not the file would reach them
+        *(
+            (["scan", "--input", "missing.csv", "--r", "0.03", flag, value], message)
+            for flag, value, message in [
+                ("--min-len", "3", "min_len must be >= 5, got 3"),
+                ("--band-tol", "0", "band_tol must be > 0, got 0.0"),
+                ("--vol-window", "1", "window must be >= 2, got 1"),
+                ("--fall-lookback", "0", "lookback must be >= 1, got 0"),
+                ("--fall-ratio", "5", "fall_ratio must be in (0, 1), got 5.0"),
+            ]
+        ),
     ],
 )
 def test_bad_model_flags_are_usage_errors(capsys, argv, message):
@@ -324,6 +335,26 @@ class TestScan:
         code, out, err = run_cli(capsys, *args, "--band-tol", band_tol)
         assert (code, err) == (0, "")
         assert out == run_cli(capsys, *args, "--band-tol", "1")[1]
+
+    @pytest.mark.parametrize(
+        "knob",
+        [("--fall-ratio", "5"), ("--fall-lookback", "0"), ("--min-len", "3"), ("--vol-window", "1")],
+    )
+    @pytest.mark.parametrize("source", [("--sigma", "0.47"), ("--vol", "vol.csv")])
+    def test_bad_knob_is_a_usage_error_on_a_file_that_never_uses_it(
+        self, capsys, tmp_path, monkeypatch, knob, source
+    ):
+        # the 20-bar band has too few volatility estimates to look for a fall, and a
+        # --vol file or a pinned sigma means no rolling window is formed
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "LNKD.csv").write_text(band_series_csv(123.3, 127.2), encoding="utf-8")
+        (tmp_path / "vol.csv").write_text(
+            "date,sigma\n" + "".join(f"2013-01-{d:02d},0.4\n" for d in range(1, 21)), encoding="utf-8"
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["scan", "--input", "LNKD.csv", "--r", "0.03", *source, *knob])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_byte_order_mark_is_accepted(self, capsys, tmp_path):
         # some spreadsheet exports start a UTF-8 file with the bytes EF BB BF

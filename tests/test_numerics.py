@@ -14,11 +14,12 @@ from rangetunnel.numerics import (
     adaptive_simpson_batch,
     merton_ode_residual,
     quad_barrier_integral,
+    quad_barrier_integrals,
     schrodinger_form_residual,
 )
 from rangetunnel.barrier import barrier_integral_closed, exit_price, lambda_of, wkb_prefactor
 from rangetunnel.types import MarketParams, RangeBound
-from rangetunnel.validate import SWEEP_QUADRATURE, quadrature_sweep
+from rangetunnel.validate import SWEEP_QUADRATURE, _draw_points, quadrature_sweep
 from rangetunnel.wavefunction import w_from_psi
 
 # the tolerances of the validate sweep and of acceptance c05
@@ -30,13 +31,16 @@ def count_evals(monkeypatch, cap=math.inf):
 
     Every integral in the package goes through that integrator, one array of
     abscissas per call of its integrand, so the counter adds each array's
-    size. Past ``cap`` evaluations it raises, so a runaway integration fails
-    at once instead of hanging the suite.
+    size; it also counts the integrator's calls. Past ``cap`` evaluations it
+    raises, so a runaway integration fails at once instead of hanging the
+    suite.
     """
-    counter = {"evals": 0}
+    counter = {"evals": 0, "calls": 0}
     real = numerics.adaptive_simpson_batch
 
     def counting(f, a, b, cfg):
+        counter["calls"] += 1
+
         def counted(x, index):
             counter["evals"] += x.size
             if counter["evals"] > cap:
@@ -318,12 +322,34 @@ class TestBarrierQuadrature:
         quadrature_sweep(4, points)
         assert counter["evals"] / points < 2000
 
+    def test_sweep_batch_calls_and_evaluations(self, monkeypatch):
+        # all [K, mid] parts in one batch call, the [mid, S1] parts in 16 blocks
+        # of at most 64 points
+        counter = count_evals(monkeypatch)
+        quadrature_sweep(4, 1000)
+        assert counter == {"calls": 17, "evals": 1_064_287}
+
     def test_sweep_values_equal_one_point_calls(self):
         # 100 points span a full block and a partial one
-        draws, quads = quadrature_sweep(4, 100)
+        r, sigma, width, quads = quadrature_sweep(4, 100)
+        draws = [
+            (MarketParams(r=a, sigma=b), RangeBound.from_width(k))
+            for a, b, k in zip(r.tolist(), sigma.tolist(), width.tolist())
+        ]
         cfg = SWEEP_QUADRATURE
-        assert quads == [quad_barrier_integral(params, band, cfg) for params, band in draws]
-        assert quads == [recursive_quad_barrier_integral(params, band, cfg) for params, band in draws]
+        values = quads.tolist()
+        assert values == [quad_barrier_integral(params, band, cfg) for params, band in draws]
+        assert values == [recursive_quad_barrier_integral(params, band, cfg) for params, band in draws]
+
+    def test_block_edges_have_one_point_bits(self):
+        # the first and last points of the [mid, S1] blocks, and the one-point tail
+        r, sigma, width = _draw_points(np.random.default_rng(4), 1000)
+        quads = quad_barrier_integrals(r / sigma, width, SWEEP_QUADRATURE)
+        for j in (0, 63, 64, 65, 128, 999):
+            params = MarketParams(r=float(r[j]), sigma=float(sigma[j]))
+            band = RangeBound.from_width(float(width[j]))
+            assert float(quads[j]) == quad_barrier_integral(params, band, SWEEP_QUADRATURE), j
+            assert float(quads[j]) == recursive_quad_barrier_integral(params, band, SWEEP_QUADRATURE), j
 
     def test_integrand_never_evaluated_at_exit(self):
         params = MarketParams(r=0.03, sigma=0.47)

@@ -1,13 +1,17 @@
 """Scan assembly and report serialization."""
 
+import contextlib
 import datetime as dt
+import importlib
 import inspect
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rangetunnel import barrier, cli
 from rangetunnel.market import (
     VolFallEvent,
     VolSeries,
@@ -28,6 +32,8 @@ from rangetunnel.types import Regime
 
 from conftest import band_series, gbm_series, trending_series
 
+scan_module = importlib.import_module("rangetunnel.scan")  # the package binds the name to the function
+
 
 def test_config_defaults_are_the_detection_defaults():
     def default(function, name):
@@ -41,6 +47,62 @@ def test_config_defaults_are_the_detection_defaults():
         fall_lookback=default(detect_vol_fall, "lookback"),
         fall_ratio=default(detect_vol_fall, "fall_ratio"),
     )
+
+
+# a knob value that breaks its rule, and the call of the function that owns the rule
+BAD_KNOBS = [
+    ({"min_len": 4}, lambda series, vol: detect_ranges(series, min_len=4)),
+    ({"band_tol": 0.0}, lambda series, vol: detect_ranges(series, band_tol=0.0)),
+    ({"vol_window": 1}, lambda series, vol: historical_volatility(series, 1)),
+    ({"fall_lookback": 0}, lambda series, vol: detect_vol_fall(vol, lookback=0)),
+    ({"fall_ratio": 5.0}, lambda series, vol: detect_vol_fall(vol, fall_ratio=5.0)),
+    ({"fall_ratio": 0.0}, lambda series, vol: detect_vol_fall(vol, fall_ratio=0.0)),
+]
+
+
+@pytest.mark.parametrize("knob,call", BAD_KNOBS)
+def test_config_checks_each_knob_rule_of_its_function(knob, call):
+    series = band_series("LNKD", support=123.3, resistance=127.2, n=40)
+    vol = historical_volatility(series, 5)
+    with pytest.raises(ValueError) as owner:
+        call(series, vol)
+    with pytest.raises(ValueError) as config:
+        ScanConfig(**knob)
+    assert str(config.value) == str(owner.value)
+
+
+@pytest.mark.parametrize(
+    "sigma,message", [(0.0, "sigma must be > 0, got 0.0"), (float("nan"), "sigma must be finite")]
+)
+def test_config_checks_the_sigma_override(sigma, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        ScanConfig(sigma_override=sigma)
+
+
+def geometry_calls(run):
+    """``run()`` and the ``barrier_geometry`` calls it made, through every module binding it."""
+    real = barrier.barrier_geometry
+    spy = mock.Mock(wraps=real)
+    with contextlib.ExitStack() as stack:
+        for module in (barrier, scan_module, cli):
+            if getattr(module, "barrier_geometry", None) is real:
+                stack.enter_context(mock.patch.object(module, "barrier_geometry", spy))
+        result = run()
+    return result, spy.call_count
+
+
+def test_each_scored_window_forms_its_geometry_once():
+    events, calls = geometry_calls(lambda: scan(gbm_series(n=1000, seed=3), r=0.03))
+    assert len(events) == 11
+    assert calls == len(events)
+
+
+def test_tc_forms_the_geometry_of_t_once(capsys):
+    # one call for the geometry and the exact T, one inside the thin-wall estimate
+    argv = ["tc", "--r", "0.03", "--sigma", "0.47", "--strike", "2.4"]
+    code, calls = geometry_calls(lambda: cli.main(argv))
+    assert (code, calls) == (0, 2)
+    assert "T_exact" in capsys.readouterr().out
 
 
 class TestScan:

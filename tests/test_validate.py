@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from rangetunnel import validate
 from rangetunnel.numerics import quad_barrier_integral
+from rangetunnel.types import MarketParams, RangeBound
 from rangetunnel.validate import (
     SWEEP_QUADRATURE,
     _draw_params,
@@ -57,16 +59,28 @@ def test_draw_params_equals_scalar_draws():
 
 
 def test_sweep_draws_are_the_scalar_draws():
-    draws, _ = quadrature_sweep(4, 130)
+    r, sigma, width, _ = quadrature_sweep(4, 130)
     rng = np.random.default_rng(4)
-    assert [(p.r, p.sigma, b.width) for p, b in draws] == [scalar_draw(rng) for _ in range(130)]
+    assert points_of((r, sigma, width)) == [scalar_draw(rng) for _ in range(130)]
 
 
 def test_sweep_ending_in_one_point_block_equals_one_point_calls():
     # 65 points: one full block of 64 and a block of one
-    draws, quads = quadrature_sweep(4, 65)
+    *point_arrays, quads = quadrature_sweep(4, 65)
     assert len(quads) == 65
-    assert quads == [quad_barrier_integral(p, b, SWEEP_QUADRATURE) for p, b in draws]
+    assert quads.tolist() == [
+        quad_barrier_integral(MarketParams(r=r, sigma=sigma), RangeBound.from_width(k), SWEEP_QUADRATURE)
+        for r, sigma, k in points_of(point_arrays)
+    ]
+
+
+def test_perturbed_closed_form_fails_and_names_its_point(monkeypatch):
+    # negative control: a closed form 1e-8 off in relative terms must fail the 1e-9 gate
+    real = validate._integral_closed
+    monkeypatch.setattr(validate, "_integral_closed", lambda lam, k: real(lam, k) * (1 + 1e-8))
+    result = check_quadrature_sweep(4)
+    assert not result.passed
+    assert result.detail == "1000 points, max rel err 1.000e-08 at r=0.0426311 sigma=0.894706 K=4.54793"
 
 
 # check_quadrature_sweep(seed).detail and check_segmented_convergence(seed).detail,
