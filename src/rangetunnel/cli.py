@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 runtime/data failure, 2 usage error. Every data or
 runtime fault, from any subcommand, leaves through ``main`` as one
-``error: <message>`` line on stderr with exit 1. All numeric output uses 6
-significant digits so identical flags give identical bytes.
+``error: <message>`` line on stderr with exit 1. A stdout whose reader has
+gone (``... | head``, a closed pipe) ends the run with exit 1 and nothing on
+stderr. All numeric output uses 6 significant digits so identical flags give
+identical bytes.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+import os
 import sys
 from collections.abc import Callable, Iterator
 from pathlib import Path
@@ -239,9 +242,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # here, so a closed pipe raises where it is caught
+        return code
     except ValueError as exc:  # a data or runtime fault: one line, exit 1
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # the reader is gone: nobody is left to tell
+        # the interpreter flushes stdout again at exit; send that to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

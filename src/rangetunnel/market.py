@@ -533,12 +533,15 @@ def _band_horizons(closes: np.ndarray, band_tol: float, starts: int) -> list[int
     return end.tolist()
 
 
-def _check_range_knobs(min_len: int, band_tol: float) -> None:
+def _check_range_knobs(min_len: int, band_tol: float, touch_count: int) -> None:
     """The rules of the range-detection knobs."""
     if min_len < 5:
         raise ValueError(f"min_len must be >= 5, got {min_len}")
     if band_tol <= 0:
         raise ValueError(f"band_tol must be > 0, got {band_tol}")
+    # below 1 would silently mean 1: every window touches each edge at its own extremes
+    if touch_count < 1:
+        raise ValueError(f"touch_count must be >= 1, got {touch_count}")
 
 
 def detect_ranges(
@@ -585,7 +588,7 @@ def detect_ranges(
     stretch's length: each end is still tried, and such a stretch costs
     cubic time in its own length.
     """
-    _check_range_knobs(min_len, band_tol)
+    _check_range_knobs(min_len, band_tol, touch_count)
     closes = series.closes()
     n = len(closes)
     if n < min_len:

@@ -6,7 +6,10 @@ differential-equation residuals are plain central differences. The
 integrator bisects level by level over arrays of intervals from many
 integrals at once, so the ``validate`` sweep integrates many points per
 numpy pass; each result has the bits of the classic depth-first recursion,
-which the tests keep as their reference. Golden tests
+which the tests keep as their reference. Its integrand is called as
+``f(x, index)`` with abscissas ``x`` of shape (k, m), one column per interval,
+and ``index`` of shape (m,), the integral of each column, which broadcasts
+against ``x``. Golden tests
 compare these against the closed forms; keeping the implementations disjoint
 is what makes the comparison meaningful, so nothing here may call
 ``barrier_integral_closed``.
@@ -46,8 +49,19 @@ class QuadratureConvergenceError(RuntimeError):
 
 
 # Vectorised integrand of the batched integrator: f(x, index) returns f at
-# every abscissa in x, where index[i] is the integral that x[i] belongs to.
+# every abscissa in x, an array of shape (k, m) whose column i belongs to
+# integral index[i]; index has shape (m,) and broadcasts against x, so an
+# integrand gathers each integral's parameters once per column, not per
+# abscissa.
 BatchIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _twice(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """The 1-D row even[0], odd[0], even[1], odd[1], ..., written as two strided slices."""
+    out = np.empty(2 * even.size, dtype=even.dtype)
+    out[0::2] = even
+    out[1::2] = odd
+    return out
 
 
 def _interleave_halves(
@@ -95,15 +109,14 @@ def adaptive_simpson_batch(
         return result
     ids = live
     a, b = a[live], b[live]
-    mid = 0.5 * (a + b)
-    fa, fb, fmid = f(np.concatenate((a, b, mid)), np.concatenate((ids, ids, ids))).reshape(3, -1)
+    # rows x0, mid, x2 of each live interval, and f at them
+    x = np.array((a, 0.5 * (a + b), b))
+    fx = f(x, ids)
+    fa, fmid, fb = fx
     simpson = (b - a) / 6.0 * (fa + 4.0 * fmid + fb)
     scaled = cfg.rel_tol * np.abs(simpson)
     # max(abs_tol, scaled) as Python's max picks it, so a NaN estimate gets abs_tol
     tol = np.where(scaled > cfg.abs_tol, scaled, cfg.abs_tol)
-    # rows x0, mid, x2 of each live interval, and f at them
-    x = np.array((a, mid, b))
-    fx = np.array((fa, fmid, fb))
     levels = []  # per level: each interval's own estimate, and the indices of those split
     for depth in range(cfg.max_depth, -1, -1):
         # row 0 of each (2, m) array holds the left halves, row 1 the right
@@ -113,7 +126,7 @@ def adaptive_simpson_batch(
         mids = x[:2] + x[1:]
         mids *= 0.5
         left_mid, right_mid = mids
-        f_mids = f(mids.ravel(), np.concatenate((ids, ids))).reshape(2, -1)
+        f_mids = f(mids, ids)
         f_lm, f_rm = f_mids
         halves = x[1:] - x[:2]
         halves /= 6.0
@@ -136,14 +149,16 @@ def adaptive_simpson_batch(
                 best_estimate=float(estimate[i]),
             )
         # the halves of each split interval, left then right, keep tree order;
-        # the next level's rows and Simpson estimates go into interleaved slices
-        x = _interleave_halves(x[:, split], left_mid[split], right_mid[split])
-        fx = _interleave_halves(fx[:, split], f_lm[split], f_rm[split])
-        simpson = np.empty(x.shape[1])
-        simpson[0::2] = left[split]
-        simpson[1::2] = right[split]
-        tol = (tol[split] / 2.0).repeat(2)
-        ids = ids[split].repeat(2)
+        # the next level's rows and Simpson estimates go into interleaved
+        # slices. take, not x[:, split]: numpy gathers a slice mixed with an
+        # index array by its general path, several times slower.
+        x = _interleave_halves(x.take(split, axis=1), left_mid.take(split), right_mid.take(split))
+        fx = _interleave_halves(fx.take(split, axis=1), f_lm.take(split), f_rm.take(split))
+        simpson = _twice(left.take(split), right.take(split))
+        tol = tol.take(split) / 2.0
+        tol = _twice(tol, tol)
+        ids = ids.take(split)
+        ids = _twice(ids, ids)
     value = levels[-1][0]
     for estimate, split in reversed(levels[:-1]):
         estimate[split] = value[0::2] + value[1::2]
@@ -164,7 +179,7 @@ def adaptive_simpson(
     """
 
     def batch(x: np.ndarray, _: np.ndarray) -> np.ndarray:
-        return np.array([f(v) for v in x.tolist()], dtype=float)
+        return np.array([f(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
 
     return float(adaptive_simpson_batch(batch, np.array([a]), np.array([b]), cfg)[0])
 
@@ -181,18 +196,18 @@ _OUTER_BLOCK = 64
 def _substituted(lam: np.ndarray, s1: np.ndarray) -> BatchIntegrand:
     """Integrand of the [mid, S1] parts after s = S1 - t^2, for points with these lam and S1."""
 
+    two_s1 = 2.0 * s1  # exact, so each value keeps the bits of 2.0 * s1[j] formed per call
+
     def f(t: np.ndarray, j: np.ndarray) -> np.ndarray:
-        # 2.0 * t2 * np.sqrt(lam[j] * (2.0 * s1_j - t2)) / (s1_j - t2), in place
+        # 2.0 * t2 * np.sqrt(lam[j] * (2.0 * s1[j] - t2)) / (s1[j] - t2), in place
         t2 = t * t
-        s1_j = s1[j]
-        root = 2.0 * s1_j
-        root -= t2
+        root = two_s1[j] - t2
         root *= lam[j]
         np.sqrt(root, out=root)
         value = 2.0 * t2
         value *= root
-        s1_j -= t2
-        value /= s1_j
+        np.subtract(s1[j], t2, out=t2)
+        value /= t2
         return value
 
     return f

@@ -66,7 +66,7 @@ class ScanConfig:
     sigma_override: Optional[float] = None
 
     def __post_init__(self) -> None:
-        _check_range_knobs(self.min_len, self.band_tol)
+        _check_range_knobs(self.min_len, self.band_tol, self.touch_count)
         _check_vol_window(self.vol_window)
         _check_fall_knobs(self.fall_lookback, self.fall_ratio)
         if self.sigma_override is not None:

@@ -4,10 +4,14 @@ import dataclasses
 import datetime as dt
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rangetunnel
 from rangetunnel import cli
 from rangetunnel.scan import ScanConfig
 
@@ -127,6 +131,8 @@ class TestTc:
                 ("--vol-window", "1", "window must be >= 2, got 1"),
                 ("--fall-lookback", "0", "lookback must be >= 1, got 0"),
                 ("--fall-ratio", "5", "fall_ratio must be in (0, 1), got 5.0"),
+                ("--touch-count", "0", "touch_count must be >= 1, got 0"),
+                ("--touch-count", "-3", "touch_count must be >= 1, got -3"),
             ]
         ),
     ],
@@ -185,6 +191,41 @@ def test_fault_in_any_handler_exits_one(capsys, monkeypatch, argv, target):
     monkeypatch.setattr(cli, target, fault)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (1, "", "error: injected fault\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tc", "--r", "0.03", "--sigma", "0.47", "--strike", "3.9"],
+        ["tables", "--which", "1"],
+        ["validate", "--quad-points", "1"],
+        ["scan", "--input", "LNKD.csv", "--r", "0.03", "--sigma", "0.47"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_closed_stdout_exits_one_quietly(tmp_path, argv, unbuffered):
+    # the reader of stdout is gone before the first write: unbuffered, the first
+    # print fails; buffered, only the final flush does
+    (tmp_path / "LNKD.csv").write_text(band_series_csv(123.3, 127.2), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(rangetunnel.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "rangetunnel.cli", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            cwd=tmp_path,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 _EXTREMES = ("1e-300", "1e-160", "1e-77", "1e-10", "0.3", "1e10", "1e77", "1e300")

@@ -148,6 +148,7 @@ def run_batch(batch, cfg):
     """adaptive_simpson_batch over the integrals, each with its own vectorised f."""
 
     def f(x, index):
+        index = np.broadcast_to(index, x.shape)
         out = np.empty_like(x)
         for j in np.unique(index):
             at = index == j
@@ -328,6 +329,24 @@ class TestBarrierQuadrature:
         counter = count_evals(monkeypatch)
         quadrature_sweep(4, 1000)
         assert counter == {"calls": 17, "evals": 1_064_287}
+
+    def test_integrand_gets_columns_and_one_index_per_column(self, monkeypatch):
+        # x is (k, m) and index (m,), so each integrand gathers a point's
+        # parameters once per interval, not once per abscissa
+        shapes = []
+        real = numerics.adaptive_simpson_batch
+
+        def recording(f, a, b, cfg):
+            def spied(x, index):
+                shapes.append((x.shape, index.shape))
+                return f(x, index)
+
+            return real(spied, a, b, cfg)
+
+        monkeypatch.setattr(numerics, "adaptive_simpson_batch", recording)
+        quadrature_sweep(4, 100)
+        assert shapes
+        assert all(len(x) == 2 and index == x[1:] for x, index in shapes), set(shapes)
 
     def test_sweep_values_equal_one_point_calls(self):
         # 100 points span a full block and a partial one

@@ -57,6 +57,8 @@ BAD_KNOBS = [
     ({"fall_lookback": 0}, lambda series, vol: detect_vol_fall(vol, lookback=0)),
     ({"fall_ratio": 5.0}, lambda series, vol: detect_vol_fall(vol, fall_ratio=5.0)),
     ({"fall_ratio": 0.0}, lambda series, vol: detect_vol_fall(vol, fall_ratio=0.0)),
+    ({"touch_count": 0}, lambda series, vol: detect_ranges(series, touch_count=0)),
+    ({"touch_count": -3}, lambda series, vol: detect_ranges(series, touch_count=-3)),
 ]
 
 
