@@ -9,9 +9,14 @@ numpy pass; each result has the bits of the classic depth-first recursion,
 which the tests keep as their reference. Its integrand is called as
 ``f(x, index)`` with abscissas ``x`` of shape (k, m), one column per interval,
 and ``index`` of shape (m,), the integral of each column, which broadcasts
-against ``x``. Golden tests
-compare these against the closed forms; keeping the implementations disjoint
-is what makes the comparison meaningful, so nothing here may call
+against ``x``. The integrator's level arrays live in flat buffers that one
+``quad_barrier_integrals`` call allocates, grows geometrically and reuses at
+every level of each of its batches; nothing outlives the call. Fresh arrays
+at every level made glibc hand the freed top of its heap back to the OS and
+fault it in again: about 9 400 minor page faults per ``validate`` run,
+against about 600 with the buffers. Golden tests compare these against the
+closed forms; keeping the implementations disjoint is what makes the
+comparison meaningful, so nothing here may call
 ``barrier_integral_closed``.
 """
 
@@ -56,24 +61,43 @@ class QuadratureConvergenceError(RuntimeError):
 BatchIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _twice(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """The 1-D row even[0], odd[0], even[1], odd[1], ..., written as two strided slices."""
-    out = np.empty(2 * even.size, dtype=even.dtype)
+class _Buffers:
+    """Named flat buffers that grow geometrically, handed out from the front.
+
+    One instance serves the batches of one caller: each level of each batch
+    views the front of the same memory instead of allocating fresh arrays, so
+    the heap neither returns pages to the OS between levels nor faults them
+    back in. A view is valid until the next ``view`` of the same name.
+    """
+
+    def __init__(self) -> None:
+        self._flat: dict[str, np.ndarray] = {}
+
+    def view(self, name: str, size: int, dtype: type = float) -> np.ndarray:
+        """The first ``size`` elements of buffer ``name``; its contents are undefined."""
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            grown = 0 if flat is None else 2 * flat.size
+            flat = self._flat[name] = np.empty(max(size, grown), dtype)
+        return flat[:size]
+
+
+def _twice(even: np.ndarray, odd: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the 1-D row even[0], odd[0], even[1], odd[1], ... into out as two strided slices."""
     out[0::2] = even
     out[1::2] = odd
     return out
 
 
 def _interleave_halves(
-    rows: np.ndarray, left_mid: np.ndarray, right_mid: np.ndarray
+    rows: np.ndarray, left_mid: np.ndarray, right_mid: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """Rows x0, mid, x2 (or f there) of both halves of the intervals in ``rows``.
+    """Write rows x0, mid, x2 (or f there) of both halves of the intervals in ``rows`` into out.
 
-    Column 2k of the result is interval k's left half (x0, left mid, mid),
-    column 2k + 1 its right half (mid, right mid, x2). Each row is written
-    straight into its interleaved slices of one preallocated array.
+    Column 2k of out is interval k's left half (x0, left mid, mid), column
+    2k + 1 its right half (mid, right mid, x2). Each row is written straight
+    into its interleaved slices.
     """
-    out = np.empty((3, 2 * rows.shape[1]))
     out[0, 0::2] = rows[0]
     out[1, 0::2] = left_mid
     out[2, 0::2] = out[0, 1::2] = rows[1]
@@ -83,7 +107,11 @@ def _interleave_halves(
 
 
 def adaptive_simpson_batch(
-    f: BatchIntegrand, a: np.ndarray, b: np.ndarray, cfg: QuadratureConfig
+    f: BatchIntegrand,
+    a: np.ndarray,
+    b: np.ndarray,
+    cfg: QuadratureConfig,
+    buffers: _Buffers | None = None,
 ) -> np.ndarray:
     """Adaptive Simpson integration of f over every interval [a[j], b[j]] at once.
 
@@ -96,6 +124,10 @@ def adaptive_simpson_batch(
     the depth-first recursion, so each result has the same bits. An
     interval with b <= a integrates to 0.0 without evaluating f.
 
+    The level arrays live in ``buffers``: fresh ones by default, or one
+    object that a caller passes to each of its batches so that they share
+    the memory. Nothing in them is read before this call writes it.
+
     Raises QuadratureConvergenceError, naming the failing interval and
     carrying its estimate, when an interval still fails at max_depth; with
     several, the first in the order of the integrals and, within one, the
@@ -107,6 +139,8 @@ def adaptive_simpson_batch(
     live = np.flatnonzero(~(b <= a))
     if live.size == 0:
         return result
+    if buffers is None:
+        buffers = _Buffers()
     ids = live
     a, b = a[live], b[live]
     # rows x0, mid, x2 of each live interval, and f at them
@@ -119,26 +153,32 @@ def adaptive_simpson_batch(
     tol = np.where(scaled > cfg.abs_tol, scaled, cfg.abs_tol)
     levels = []  # per level: each interval's own estimate, and the indices of those split
     for depth in range(cfg.max_depth, -1, -1):
-        # row 0 of each (2, m) array holds the left halves, row 1 the right
-        # ones; each half's midpoint 0.5 * (x0 + x2) and Simpson estimate
-        # (x2 - x0) / 6 * (f0 + 4 fmid + f2) are formed in place, by the same
-        # operations in the same order (IEEE + and * commute exactly)
-        mids = x[:2] + x[1:]
+        m = ids.size
+        # rows 0 and 1 of mids, halves and weights belong to the left and the
+        # right halves; each half's midpoint 0.5 * (x0 + x2) and Simpson
+        # estimate (x2 - x0) / 6 * (f0 + 4 fmid + f2) are formed in place, by
+        # the same operations in the same order (IEEE + and * commute exactly)
+        work = buffers.view("work", 7 * m).reshape(7, m)
+        mids, halves, weights, delta = work[0:2], work[2:4], work[4:6], work[6]
+        np.add(x[:2], x[1:], out=mids)
         mids *= 0.5
         left_mid, right_mid = mids
         f_mids = f(mids, ids)
         f_lm, f_rm = f_mids
-        halves = x[1:] - x[:2]
+        np.subtract(x[1:], x[:2], out=halves)
         halves /= 6.0
-        weights = 4.0 * f_mids
+        np.multiply(f_mids, 4.0, out=weights)
         weights += fx[:2]
         weights += fx[1:]
         halves *= weights
         left, right = halves
         estimate = left + right
-        delta = estimate - simpson
-        estimate += delta / 15.0
-        split = np.flatnonzero(~(np.abs(delta) <= 15.0 * tol))
+        np.subtract(estimate, simpson, out=delta)
+        # the weights are spent: their rows take delta / 15 and 15 tol
+        estimate += np.divide(delta, 15.0, out=weights[0])
+        limit = np.multiply(tol, 15.0, out=weights[1])
+        # split where not |delta| <= 15 tol, so a NaN delta splits
+        split = np.flatnonzero(~(np.abs(delta, out=delta) <= limit))
         levels.append((estimate, split))
         if not split.size:
             break
@@ -148,17 +188,22 @@ def adaptive_simpson_batch(
                 f"max_depth exhausted on [{float(x[0, i]):.12g}, {float(x[2, i]):.12g}]",
                 best_estimate=float(estimate[i]),
             )
-        # the halves of each split interval, left then right, keep tree order;
-        # the next level's rows and Simpson estimates go into interleaved
-        # slices. take, not x[:, split]: numpy gathers a slice mixed with an
-        # index array by its general path, several times slower.
-        x = _interleave_halves(x.take(split, axis=1), left_mid.take(split), right_mid.take(split))
-        fx = _interleave_halves(fx.take(split, axis=1), f_lm.take(split), f_rm.take(split))
-        simpson = _twice(left.take(split), right.take(split))
-        tol = tol.take(split) / 2.0
-        tol = _twice(tol, tol)
-        ids = ids.take(split)
-        ids = _twice(ids, ids)
+        # the halves of each split interval, left then right, keep tree order.
+        # The next level's x and fx rows, Simpson estimates and tol go into
+        # interleaved slices of one buffer, which may hold this level's x, fx,
+        # simpson and tol: every take copies before that buffer is written.
+        # take, not x[:, split]: numpy gathers a slice mixed with an index
+        # array by its general path, several times slower.
+        x_kept, fx_kept, tol_kept = x.take(split, axis=1), fx.take(split, axis=1), tol.take(split)
+        n = 2 * split.size
+        rows = buffers.view("rows", 8 * n).reshape(8, n)
+        x = _interleave_halves(x_kept, left_mid.take(split), right_mid.take(split), rows[0:3])
+        fx = _interleave_halves(fx_kept, f_lm.take(split), f_rm.take(split), rows[3:6])
+        simpson = _twice(left.take(split), right.take(split), rows[6])
+        tol_kept /= 2.0
+        tol = _twice(tol_kept, tol_kept, rows[7])
+        kept = ids.take(split)
+        ids = _twice(kept, kept, buffers.view("ids", n, np.intp))
     value = levels[-1][0]
     for estimate, split in reversed(levels[:-1]):
         estimate[split] = value[0::2] + value[1::2]
@@ -185,11 +230,12 @@ def adaptive_simpson(
 
 
 # Points whose substituted [mid, S1] parts are integrated together. Those parts
-# keep many intervals live per level, so the level arrays grow with the batch:
-# the 1000 points of the validate sweep peak at about 2.2 MB of arrays in
-# blocks of 64 and at about 38 MB all at once, which also runs slower. Their
-# [K, mid] parts keep few intervals live and peak at about 2.6 MB in one batch,
-# where per-level numpy overhead would dominate blocks of 64.
+# keep many intervals live per level, and the shared level buffers grow to the
+# largest level of any batch: the 1000 points of the validate sweep peak at
+# about 3.5 MB traced in blocks of 64, and at about 58 MB all at once, which
+# also runs slower. Their [K, mid] parts keep few intervals live and go in one
+# batch, where per-level numpy overhead would dominate blocks of 64; that
+# batch sets most of the 3.5 MB.
 _OUTER_BLOCK = 64
 
 
@@ -224,7 +270,8 @@ def quad_barrier_integrals(
     sqrt round every element as correctly as Python's scalar float ones, and
     no interval's arithmetic depends on the others in its batch. The s parts
     of all points form one batch; the t parts go in batches of
-    ``_OUTER_BLOCK`` consecutive points, which bounds the memory. On depth
+    ``_OUTER_BLOCK`` consecutive points, which bounds the memory. Every batch
+    reuses one set of level buffers, allocated once per call. On depth
     exhaustion the error comes from the first failing s part, if any, then
     from the first failing t part.
     """
@@ -240,12 +287,13 @@ def quad_barrier_integrals(
     def integrand(s: np.ndarray, j: np.ndarray) -> np.ndarray:
         return np.sqrt(1.0 / (s * s) - lam[j])  # >= sqrt(3 lambda) on [K, mid]
 
-    result = adaptive_simpson_batch(integrand, k_width, mid, cfg)
+    buffers = _Buffers()
+    result = adaptive_simpson_batch(integrand, k_width, mid, cfg, buffers)
     for start in range(0, t_end.size, _OUTER_BLOCK):
         block = slice(start, start + _OUTER_BLOCK)
         ends = t_end[block]
         result[block] += adaptive_simpson_batch(
-            _substituted(lam[block], s1[block]), np.zeros_like(ends), ends, cfg
+            _substituted(lam[block], s1[block]), np.zeros_like(ends), ends, cfg, buffers
         )
     return result
 
@@ -280,22 +328,27 @@ def _check_grid(grid: np.ndarray) -> float:
     """Validate a uniform, strictly increasing, positive grid; return spacing."""
     if grid.ndim != 1 or grid.size < 5:
         raise ValueError("grid needs at least 5 points")
-    if grid[0] <= 0 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing and positive")
     steps = np.diff(grid)
+    if grid[0] <= 0 or np.any(steps <= 0):
+        raise ValueError("grid must be strictly increasing and positive")
     h = float(steps[0])
-    if not np.allclose(steps, h, rtol=1e-9, atol=0.0):
+    # every step within 1e-9 relative of the first; a NaN step fails
+    if not np.all(np.abs(steps - h) <= 1e-9 * abs(h)):
         raise ValueError("grid must be uniformly spaced")
     return h
 
 
-def _relative_residual(residual: np.ndarray, *term_magnitudes: np.ndarray) -> float:
-    """Residual relative to the largest constituent term, pointwise."""
-    scale = np.maximum.reduce([np.abs(t) for t in term_magnitudes])
-    mask = scale > 0
-    if not np.any(mask):
-        return 0.0
-    return float(np.max(np.abs(residual[mask]) / scale[mask]))
+def _relative_residual(residual: np.ndarray, *terms: np.ndarray) -> float:
+    """|residual| relative to the largest |term| at each point, maximised over points.
+
+    Points where every term is 0 or some term is NaN are left out; with none
+    left the result is 0.0. A NaN residual at a kept point gives NaN.
+    """
+    scale = np.abs(terms[0])
+    for term in terms[1:]:
+        np.maximum(scale, np.abs(term), out=scale)
+    ratio = np.divide(np.abs(residual), scale, out=np.zeros(scale.shape), where=scale > 0)
+    return float(np.max(ratio, initial=0.0))
 
 
 def merton_ode_residual(
@@ -357,4 +410,4 @@ def schrodinger_form_residual(
     term_pot = (1.0 / (s_in * s_in)) * p1 if include_potential else np.zeros_like(p1)
     term_eig = lam * p1
     residual = term_kin + term_pot - term_eig
-    return _relative_residual(residual, np.abs(term_kin), np.abs(term_pot), np.abs(term_eig))
+    return _relative_residual(residual, term_kin, term_pot, term_eig)

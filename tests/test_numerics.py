@@ -1,6 +1,7 @@
 """Independent oracles: adaptive quadrature and finite-difference residuals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,12 +34,12 @@ def count_evals(monkeypatch, cap=math.inf):
     abscissas per call of its integrand, so the counter adds each array's
     size; it also counts the integrator's calls. Past ``cap`` evaluations it
     raises, so a runaway integration fails at once instead of hanging the
-    suite.
+    suite. The spy forwards every other argument as it comes.
     """
     counter = {"evals": 0, "calls": 0}
     real = numerics.adaptive_simpson_batch
 
-    def counting(f, a, b, cfg):
+    def counting(f, *args, **kwargs):
         counter["calls"] += 1
 
         def counted(x, index):
@@ -47,7 +48,7 @@ def count_evals(monkeypatch, cap=math.inf):
                 raise AssertionError(f"more than {cap} integrand evaluations")
             return f(x, index)
 
-        return real(counted, a, b, cfg)
+        return real(counted, *args, **kwargs)
 
     monkeypatch.setattr(numerics, "adaptive_simpson_batch", counting)
     return counter
@@ -144,7 +145,7 @@ quadrature_configs = st.builds(
 )
 
 
-def run_batch(batch, cfg):
+def run_batch(batch, cfg, buffers=None):
     """adaptive_simpson_batch over the integrals, each with its own vectorised f."""
 
     def f(x, index):
@@ -157,7 +158,7 @@ def run_batch(batch, cfg):
 
     a = np.array([item[0] for item in batch])
     b = np.array([item[1] for item in batch])
-    return adaptive_simpson_batch(f, a, b, cfg)
+    return adaptive_simpson_batch(f, a, b, cfg, buffers)
 
 
 def assert_same_outcome(run, reference):
@@ -246,8 +247,14 @@ class TestAdaptiveSimpson:
     @settings(max_examples=200, deadline=None)
     @given(batch=st.lists(integrals(), min_size=1, max_size=6), cfg=quadrature_configs)
     def test_batch_equals_recursion(self, batch, cfg):
+        # the buffers of an earlier batch, reused, must carry nothing into this one
+        buffers = numerics._Buffers()
+        try:
+            run_batch(batch[::-1] + batch, cfg, buffers)
+        except QuadratureConvergenceError:
+            pass
         assert_same_outcome(
-            lambda: run_batch(batch, cfg).tolist(),
+            lambda: run_batch(batch, cfg, buffers).tolist(),
             lambda: [recursive_simpson(f, a, b, cfg) for a, b, f, _ in batch],
         )
 
@@ -336,12 +343,12 @@ class TestBarrierQuadrature:
         shapes = []
         real = numerics.adaptive_simpson_batch
 
-        def recording(f, a, b, cfg):
+        def recording(f, *args, **kwargs):
             def spied(x, index):
                 shapes.append((x.shape, index.shape))
                 return f(x, index)
 
-            return real(spied, a, b, cfg)
+            return real(spied, *args, **kwargs)
 
         monkeypatch.setattr(numerics, "adaptive_simpson_batch", recording)
         quadrature_sweep(4, 100)
@@ -370,6 +377,32 @@ class TestBarrierQuadrature:
             assert float(quads[j]) == quad_barrier_integral(params, band, SWEEP_QUADRATURE), j
             assert float(quads[j]) == recursive_quad_barrier_integral(params, band, SWEEP_QUADRATURE), j
 
+    def test_reused_buffers_carry_no_state(self):
+        # every batch and level reuses one call's buffers: a point's value must
+        # not depend on its block, its place in it, or the points integrated
+        # before it, in this call or in an earlier one
+        r, sigma, width = _draw_points(np.random.default_rng(4), 1000)
+        lam = r / sigma
+        fresh = quad_barrier_integrals(lam[:65], width[:65], SWEEP_QUADRATURE).tobytes()
+        quads = quad_barrier_integrals(lam, width, SWEEP_QUADRATURE)
+        reversed_order = np.arange(999, -1, -1)
+        shifted = np.roll(np.arange(1000), 32)  # every point changes block or place
+        for order in (reversed_order, shifted, np.random.default_rng(0).permutation(1000)):
+            moved = quad_barrier_integrals(lam[order], width[order], SWEEP_QUADRATURE)
+            assert moved.tobytes() == quads[order].tobytes()
+        assert quad_barrier_integrals(lam[:65], width[:65], SWEEP_QUADRATURE).tobytes() == fresh
+
+    def test_sweep_memory_peak(self):
+        # blocks of 64 points bound the level buffers: the default sweep peaks
+        # at about 3.5 MB, and all 1000 points in one batch at about 60 MB
+        tracemalloc.start()
+        try:
+            quadrature_sweep(4, 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6_000_000
+
     def test_integrand_never_evaluated_at_exit(self):
         params = MarketParams(r=0.03, sigma=0.47)
         band = RangeBound.from_width(3.9)
@@ -385,6 +418,62 @@ class TestBarrierQuadrature:
         delta = 1e-12 * (s1 - band.width)
         adaptive_simpson(spying_integrand, band.width, s1 - delta, cfg)
         assert max(seen) < s1
+
+
+def stacked_relative_residual(residual, *term_magnitudes):
+    """Reference: the scale stacked for np.maximum.reduce, then residual and scale masked apart."""
+    scale = np.maximum.reduce([np.abs(t) for t in term_magnitudes])
+    mask = scale > 0
+    if not np.any(mask):
+        return 0.0
+    return float(np.max(np.abs(residual[mask]) / scale[mask]))
+
+
+residual_values = st.sampled_from([0.0, -0.0, math.nan]) | st.floats(width=64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_relative_residual_equals_stacked_reference(data):
+    # complex arrays stand for the band equation's terms, which the reference
+    # got as magnitudes
+    n = data.draw(st.integers(1, 12))
+    complex_terms = data.draw(st.booleans())
+
+    def draw_array():
+        values = np.array(data.draw(st.lists(residual_values, min_size=n, max_size=n)))
+        if complex_terms:
+            values = values.astype(complex)
+            values.imag = data.draw(st.lists(residual_values, min_size=n, max_size=n))
+        return values
+
+    residual = draw_array()
+    terms = [draw_array() for _ in range(data.draw(st.integers(1, 3)))]
+    with np.errstate(all="ignore"):
+        got = numerics._relative_residual(residual, *terms)
+        expected = stacked_relative_residual(residual, *(np.abs(t) for t in terms))
+    assert got == expected or (math.isnan(got) and math.isnan(expected)), (got, expected)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        np.linspace(0.5, 10.0, 10_000),
+        np.linspace(1.0, 2.0, 5) + np.array([0.0, 0.0, 1e-10, 0.0, 0.0]),
+        np.linspace(1.0, 2.0, 5) + np.array([0.0, 0.0, 1e-8, 0.0, 0.0]),
+        np.array([1.0, 2.0, 3.0, np.nan, 5.0]),
+        np.array([1.0, 2.0, 3.0, 4.0, np.inf]),
+    ],
+)
+def test_grid_spacing_rule_is_allclose(grid):
+    steps = np.diff(grid)
+    with np.errstate(invalid="ignore"):
+        uniform = np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
+    if uniform:
+        assert numerics._check_grid(grid) == steps[0]
+    else:
+        with pytest.raises(ValueError):
+            numerics._check_grid(grid)
 
 
 class TestMertonResidual:
