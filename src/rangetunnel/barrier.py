@@ -193,11 +193,34 @@ def transmission_segmented(params: MarketParams, band: RangeBound, n: int) -> fl
     geo = barrier_geometry(params, band)
     if geo.regime is Regime.NO_BARRIER:
         return 1.0
-    step = geo.width_d / n
-    mid = band.width + (np.arange(n) + 0.5) * step
-    gap = 1.0 / (mid * mid) - geo.lam
-    total = float(np.cumsum(np.sqrt(np.maximum(gap, 0.0)) * step)[-1])
-    return math.exp(-2.0 * wkb_prefactor(params) * total)
+    walls = np.array([[band.width], [geo.width_d], [geo.lam]])
+    return _segmented_walls(*walls, [wkb_prefactor(params)], n)[0]
+
+
+def _segmented_walls(
+    k_width: np.ndarray, width_d: np.ndarray, lam: np.ndarray, prefactor: list[float], n: int
+) -> list[float]:
+    """``transmission_segmented`` of TUNNELING walls, all at one n, in one array pass.
+
+    Element j of each argument belongs to wall j: band edge K, penetration
+    distance d, eigenvalue lambda and prefactor P. Row j of the (walls, n)
+    midpoint array holds the ops of a one-wall call elementwise, the row-wise
+    ``np.cumsum`` adds left to right, and ``math.exp`` is taken per wall, so
+    every T has the bits of its one-wall call. The steps run in place on one
+    array: at 20 walls and n = 4096 each fresh temporary would be a new
+    655 kB mapping whose pages fault in.
+    """
+    step = (width_d / n)[:, None]
+    terms = np.multiply(np.arange(n) + 0.5, step)
+    terms += k_width[:, None]  # the midpoints
+    terms *= terms
+    np.divide(1.0, terms, out=terms)
+    terms -= lam[:, None]  # the gaps V - lambda
+    np.maximum(terms, 0.0, out=terms)
+    np.sqrt(terms, out=terms)
+    terms *= step
+    totals = np.cumsum(terms, axis=1, out=terms)[:, -1]
+    return [math.exp(-2.0 * p * total) for p, total in zip(prefactor, totals.tolist())]
 
 
 def transmission_exact(params: MarketParams, band: RangeBound) -> float:

@@ -26,7 +26,7 @@ from rangetunnel.numerics import QuadratureConfig, merton_ode_residual, quad_bar
 from rangetunnel.scan import ScanConfig, scan
 from rangetunnel.tables import reproduce_table
 from rangetunnel.types import MarketParams, RangeBound, Regime
-from rangetunnel.validate import SEGMENT_LADDER, _draw_params
+from rangetunnel.validate import SEGMENT_LADDER, TRANSFORM_GRID_POINTS, TRANSFORM_PAIRS, _draw_params
 from rangetunnel.wavefunction import w_from_psi
 
 import datetime as dt
@@ -140,9 +140,9 @@ def test_c06_segmented_convergence():
 
 def test_c07_transform_correctness():
     rng = np.random.default_rng(4)
-    grid = np.linspace(0.5, 10.0, 10_000)
+    grid = np.linspace(0.5, 10.0, TRANSFORM_GRID_POINTS)
     ok = True
-    for _ in range(5):
+    for _ in range(TRANSFORM_PAIRS):
         r = rng.uniform(0.005, 0.1)
         sigma = rng.uniform(0.1, 1.0)
         params = MarketParams(r=r, sigma=sigma)

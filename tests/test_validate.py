@@ -1,19 +1,25 @@
 """The validate sweep's seeded draws and its pinned check lines."""
 
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
 
 from rangetunnel import validate
+from rangetunnel.barrier import transmission_segmented
 from rangetunnel.numerics import quad_barrier_integral
 from rangetunnel.types import MarketParams, RangeBound
 from rangetunnel.validate import (
+    SEGMENT_LADDER,
+    SEGMENT_POINTS,
     SWEEP_QUADRATURE,
     _draw_params,
     _draw_points,
+    _pairs,
     check_quadrature_sweep,
     check_segmented_convergence,
+    check_transform_residual,
     quadrature_sweep,
     run_all,
 )
@@ -157,3 +163,53 @@ def test_empty_sweep_is_an_error(points):
         check_quadrature_sweep(4, points)
     with pytest.raises(ValueError, match="^points must be >= 1"):
         run_all(quad_points=points)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_ladder_runs_one_pass_per_rung_with_the_bits_of_one_point_calls(seed, monkeypatch):
+    real = validate._segmented_walls
+    passes = []
+
+    def spy(*args):
+        transmissions = real(*args)
+        passes.append((args[-1], transmissions))
+        return transmissions
+
+    monkeypatch.setattr(validate, "_segmented_walls", spy)
+    check_segmented_convergence(seed)
+    assert [n for n, _ in passes] == list(SEGMENT_LADDER)
+    pairs = _pairs(*_draw_points(np.random.default_rng(seed), SEGMENT_POINTS))
+    for n, transmissions in passes:
+        assert transmissions == [transmission_segmented(params, band, n) for params, band in pairs]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_transform_residual_passes_at_every_seed(seed):
+    result = check_transform_residual(seed)
+    assert result.passed, result.detail
+
+
+def w_from_psi_exponent_off(delta):
+    """``w_from_psi`` with its exponent -r / sigma^2 scaled by 1 + delta."""
+
+    def w_from_psi(psi, s, params):
+        exponent = -params.r / params.sigma**2 * (1.0 + delta)
+        grid = np.asarray(s, dtype=float)
+        return psi * np.fromiter(map(math.pow, grid.tolist(), repeat(exponent)), float, grid.size)
+
+    return w_from_psi
+
+
+def test_transform_exponent_off_by_1e_6_fails(monkeypatch):
+    # negative control: the residual of an exponent error does not shrink with the grid
+    monkeypatch.setattr(validate, "w_from_psi", w_from_psi_exponent_off(1e-6))
+    result = check_transform_residual(4)
+    assert not result.passed
+    assert result.detail == "5 pairs, max rel residual 3.775e-06 at r=0.0977432 sigma=0.172752"
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_transform_exponent_off_by_1e_5_fails_at_every_seed(seed, monkeypatch):
+    # delta (1/2 + r/sigma^2) >= 5e-6 at every pair, five times the gate
+    monkeypatch.setattr(validate, "w_from_psi", w_from_psi_exponent_off(1e-5))
+    assert not check_transform_residual(seed).passed

@@ -7,6 +7,7 @@ import pytest
 
 from rangetunnel.barrier import decay_q, exit_price, wkb_prefactor
 from rangetunnel.types import MarketParams, RangeBound
+from rangetunnel.validate import TRANSFORM_GRID_POINTS, TRANSFORM_PAIRS
 from rangetunnel.wavefunction import (
     sample_wavefunction,
     thin_wall_amplitudes,
@@ -120,8 +121,8 @@ class TestTransform:
         # the inputs of validate.check_transform_residual, against the
         # point-by-point form psi * s ** (-r / sigma^2) on numpy scalars
         rng = np.random.default_rng(seed)
-        grid = np.linspace(0.5, 10.0, 10_000)
-        for _ in range(5):
+        grid = np.linspace(0.5, 10.0, TRANSFORM_GRID_POINTS)
+        for _ in range(TRANSFORM_PAIRS):
             params = MarketParams(r=rng.uniform(0.005, 0.1), sigma=rng.uniform(0.1, 1.0))
             alpha = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * wkb_prefactor(params) ** 2))
             psi = grid**alpha
