@@ -53,8 +53,16 @@ def potential_v(s: float) -> float:
 
 
 def lambda_of(params: MarketParams) -> float:
-    """Eigenvalue lambda = r / sigma selected by the market observables."""
-    return params.r / params.sigma
+    """Eigenvalue lambda = r / sigma selected by the market observables.
+
+    Raises ValueError where r / sigma overflows, as a large r over a small
+    sigma can: an infinite lambda would put every band beyond the wall.
+    """
+    r, sigma = params.r, params.sigma
+    lam = r / sigma
+    if not math.isfinite(lam):
+        raise ValueError(f"r={r:.6g}, sigma={sigma:.6g} are out of range: r / sigma overflows in lambda")
+    return lam
 
 
 def exit_price(params: MarketParams) -> float:

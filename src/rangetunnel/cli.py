@@ -21,7 +21,7 @@ from collections.abc import Callable, Iterator
 from pathlib import Path
 from typing import TypeVar
 
-from .barrier import _geometry_and_transmission, transmission_thin_wall
+from .barrier import _geometry_and_transmission, lambda_of, transmission_thin_wall
 from .market import parse_ohlc_csv, parse_vol_csv
 from .scan import ScanConfig, _cell, _fmt, _json_value, report_csv, report_json, scan
 from .tables import render_table, reproduce_table
@@ -148,6 +148,7 @@ def _cmd_wavefunction(parser: argparse.ArgumentParser, args: argparse.Namespace)
         parser.error("--samples must be >= 10")
     with _usage_errors(parser):
         params = MarketParams(r=args.r, sigma=args.sigma)
+        lambda_of(params)  # r / sigma may overflow
         band = _strike_band(parser, args.strike)
     rows = sample_wavefunction(params, band, args.samples)
     lines = ["S\tV\tpsi_abs2\tregion"]

@@ -1,27 +1,19 @@
 """Independent numerical cross-checks for the barrier math.
 
 This module deliberately shares no computation with ``barrier``: the wall
-integral is evaluated by adaptive Simpson quadrature from scratch, and the two
-differential-equation residuals are plain central differences. The
-integrator bisects level by level over arrays of intervals from many
-integrals at once, so the ``validate`` sweep integrates many points per
-numpy pass; each result has the bits of the classic depth-first recursion,
-which the tests keep as their reference. Its integrand is called as
-``f(x, index)`` with abscissas ``x`` of shape (k, m), one column per interval,
-and ``index`` of shape (m,), the integral of each column, which broadcasts
-against ``x``. The integrator's level arrays live in flat buffers that one
-``quad_barrier_integrals`` call allocates, grows geometrically and reuses at
-every level of each of its batches; nothing outlives the call. Fresh arrays
-at every level made glibc hand the freed top of its heap back to the OS and
-fault it in again: about 9 400 minor page faults per ``validate`` run,
-against about 600 with the buffers. Golden tests compare these against the
-closed forms; keeping the implementations disjoint is what makes the
-comparison meaningful, so nothing here may call
-``barrier_integral_closed``.
+integral is evaluated by Gauss–Legendre quadrature from scratch, and the two
+differential-equation residuals are plain central differences. The rule runs
+over (integrals, nodes) arrays, so the ``validate`` sweep integrates all its
+points in a few numpy passes, and each value has the bits of its one-point
+call. Golden tests compare these against the closed forms; keeping the
+implementations disjoint is what makes the comparison meaningful, so nothing
+here may call ``barrier_integral_closed``.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -32,7 +24,11 @@ from .types import MarketParams, RangeBound
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and recursion limit for the adaptive integrator."""
+    """Tolerances and refinement limit for the integrators.
+
+    ``max_depth`` counts bisection levels for ``adaptive_simpson`` and
+    doublings of n for the barrier rule, which also stops at 1 024 nodes.
+    """
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-12
@@ -46,217 +42,146 @@ class QuadratureConfig:
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """Raised when the recursion limit is hit; carries the best estimate so far."""
+    """Raised when the refinement limit is hit; carries the best estimate so far."""
 
     def __init__(self, message: str, best_estimate: float):
         super().__init__(message)
         self.best_estimate = best_estimate
 
 
-# Vectorised integrand of the batched integrator: f(x, index) returns f at
-# every abscissa in x, an array of shape (k, m) whose column i belongs to
-# integral index[i]; index has shape (m,) and broadcasts against x, so an
-# integrand gathers each integral's parameters once per column, not per
-# abscissa.
-BatchIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-class _Buffers:
-    """Named flat buffers that grow geometrically, handed out from the front.
-
-    One instance serves the batches of one caller: each level of each batch
-    views the front of the same memory instead of allocating fresh arrays, so
-    the heap neither returns pages to the OS between levels nor faults them
-    back in. A view is valid until the next ``view`` of the same name.
-    """
-
-    def __init__(self) -> None:
-        self._flat: dict[str, np.ndarray] = {}
-
-    def view(self, name: str, size: int, dtype: type = float) -> np.ndarray:
-        """The first ``size`` elements of buffer ``name``; its contents are undefined."""
-        flat = self._flat.get(name)
-        if flat is None or flat.size < size:
-            grown = 0 if flat is None else 2 * flat.size
-            flat = self._flat[name] = np.empty(max(size, grown), dtype)
-        return flat[:size]
-
-
-def _twice(even: np.ndarray, odd: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the 1-D row even[0], odd[0], even[1], odd[1], ... into out as two strided slices."""
-    out[0::2] = even
-    out[1::2] = odd
-    return out
-
-
-def _interleave_halves(
-    rows: np.ndarray, left_mid: np.ndarray, right_mid: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Write rows x0, mid, x2 (or f there) of both halves of the intervals in ``rows`` into out.
-
-    Column 2k of out is interval k's left half (x0, left mid, mid), column
-    2k + 1 its right half (mid, right mid, x2). Each row is written straight
-    into its interleaved slices.
-    """
-    out[0, 0::2] = rows[0]
-    out[1, 0::2] = left_mid
-    out[2, 0::2] = out[0, 1::2] = rows[1]
-    out[1, 1::2] = right_mid
-    out[2, 1::2] = rows[2]
-    return out
-
-
-def adaptive_simpson_batch(
-    f: BatchIntegrand,
-    a: np.ndarray,
-    b: np.ndarray,
-    cfg: QuadratureConfig,
-    buffers: _Buffers | None = None,
-) -> np.ndarray:
-    """Adaptive Simpson integration of f over every interval [a[j], b[j]] at once.
-
-    This is the recursive bisection scheme run one level at a time over the
-    live intervals of all integrals. Each interval is accepted when
-    |S2 - S1| <= 15 tol, where tol starts at max(abs_tol, rel_tol |whole|)
-    and halves per level; an accepted interval is worth S2 + (S2 - S1) / 15,
-    a split one the sum of its left and right halves, added in that order.
-    Every value is formed by the same float operations in the same order as
-    the depth-first recursion, so each result has the same bits. An
-    interval with b <= a integrates to 0.0 without evaluating f.
-
-    The level arrays live in ``buffers``: fresh ones by default, or one
-    object that a caller passes to each of its batches so that they share
-    the memory. Nothing in them is read before this call writes it.
-
-    Raises QuadratureConvergenceError, naming the failing interval and
-    carrying its estimate, when an interval still fails at max_depth; with
-    several, the first in the order of the integrals and, within one, the
-    leftmost, which is the one the recursion would meet first.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    result = np.zeros(a.shape)
-    live = np.flatnonzero(~(b <= a))
-    if live.size == 0:
-        return result
-    if buffers is None:
-        buffers = _Buffers()
-    ids = live
-    a, b = a[live], b[live]
-    # rows x0, mid, x2 of each live interval, and f at them
-    x = np.array((a, 0.5 * (a + b), b))
-    fx = f(x, ids)
-    fa, fmid, fb = fx
-    simpson = (b - a) / 6.0 * (fa + 4.0 * fmid + fb)
-    scaled = cfg.rel_tol * np.abs(simpson)
-    # max(abs_tol, scaled) as Python's max picks it, so a NaN estimate gets abs_tol
-    tol = np.where(scaled > cfg.abs_tol, scaled, cfg.abs_tol)
-    levels = []  # per level: each interval's own estimate, and the indices of those split
-    for depth in range(cfg.max_depth, -1, -1):
-        m = ids.size
-        # rows 0 and 1 of mids, halves and weights belong to the left and the
-        # right halves; each half's midpoint 0.5 * (x0 + x2) and Simpson
-        # estimate (x2 - x0) / 6 * (f0 + 4 fmid + f2) are formed in place, by
-        # the same operations in the same order (IEEE + and * commute exactly)
-        work = buffers.view("work", 7 * m).reshape(7, m)
-        mids, halves, weights, delta = work[0:2], work[2:4], work[4:6], work[6]
-        np.add(x[:2], x[1:], out=mids)
-        mids *= 0.5
-        left_mid, right_mid = mids
-        f_mids = f(mids, ids)
-        f_lm, f_rm = f_mids
-        np.subtract(x[1:], x[:2], out=halves)
-        halves /= 6.0
-        np.multiply(f_mids, 4.0, out=weights)
-        weights += fx[:2]
-        weights += fx[1:]
-        halves *= weights
-        left, right = halves
-        estimate = left + right
-        np.subtract(estimate, simpson, out=delta)
-        # the weights are spent: their rows take delta / 15 and 15 tol
-        estimate += np.divide(delta, 15.0, out=weights[0])
-        limit = np.multiply(tol, 15.0, out=weights[1])
-        # split where not |delta| <= 15 tol, so a NaN delta splits
-        split = np.flatnonzero(~(np.abs(delta, out=delta) <= limit))
-        levels.append((estimate, split))
-        if not split.size:
-            break
-        if depth <= 0:
-            i = int(split[0])
-            raise QuadratureConvergenceError(
-                f"max_depth exhausted on [{float(x[0, i]):.12g}, {float(x[2, i]):.12g}]",
-                best_estimate=float(estimate[i]),
-            )
-        # the halves of each split interval, left then right, keep tree order.
-        # The next level's x and fx rows, Simpson estimates and tol go into
-        # interleaved slices of one buffer, which may hold this level's x, fx,
-        # simpson and tol: every take copies before that buffer is written.
-        # take, not x[:, split]: numpy gathers a slice mixed with an index
-        # array by its general path, several times slower.
-        x_kept, fx_kept, tol_kept = x.take(split, axis=1), fx.take(split, axis=1), tol.take(split)
-        n = 2 * split.size
-        rows = buffers.view("rows", 8 * n).reshape(8, n)
-        x = _interleave_halves(x_kept, left_mid.take(split), right_mid.take(split), rows[0:3])
-        fx = _interleave_halves(fx_kept, f_lm.take(split), f_rm.take(split), rows[3:6])
-        simpson = _twice(left.take(split), right.take(split), rows[6])
-        tol_kept /= 2.0
-        tol = _twice(tol_kept, tol_kept, rows[7])
-        kept = ids.take(split)
-        ids = _twice(kept, kept, buffers.view("ids", n, np.intp))
-    value = levels[-1][0]
-    for estimate, split in reversed(levels[:-1]):
-        estimate[split] = value[0::2] + value[1::2]
-        value = estimate
-    result[live] = value
-    return result
-
-
 def adaptive_simpson(
     f: Callable[[float], float], a: float, b: float, cfg: QuadratureConfig
 ) -> float:
-    """Adaptive Simpson integration of a scalar f over [a, b] by interval bisection.
+    """Adaptive Simpson integration of a scalar f over [a, b] by depth-first bisection.
 
-    f is called once per abscissa with a Python float. The integration is
-    ``adaptive_simpson_batch`` on the one interval, so the result has the
-    bits of the depth-first recursion it runs level by level. Raises
-    QuadratureConvergenceError when max_depth is exhausted anywhere.
+    f is called once per abscissa. An interval is accepted when
+    |S2 - S1| <= 15 tol, where tol starts at max(abs_tol, rel_tol |whole|)
+    and halves per level; it is then worth S2 + (S2 - S1) / 15. An empty
+    interval (b <= a) gives 0.0 without calling f. Raises
+    QuadratureConvergenceError, naming the interval and carrying its
+    estimate, when an interval still fails at max_depth.
+    """
+    if b <= a:
+        return 0.0
+    fa, fb = f(a), f(b)
+    mid = 0.5 * (a + b)
+    fmid = f(mid)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fmid + fb)
+    tol = max(cfg.abs_tol, cfg.rel_tol * abs(whole))
+
+    def recurse(x0, f0, x1, f1, x2, f2, simpson, tol, depth):
+        left_mid = 0.5 * (x0 + x1)
+        right_mid = 0.5 * (x1 + x2)
+        f_lm = f(left_mid)
+        f_rm = f(right_mid)
+        left = (x1 - x0) / 6.0 * (f0 + 4.0 * f_lm + f1)
+        right = (x2 - x1) / 6.0 * (f1 + 4.0 * f_rm + f2)
+        delta = left + right - simpson
+        if abs(delta) <= 15.0 * tol:
+            return left + right + delta / 15.0
+        if depth <= 0:
+            raise QuadratureConvergenceError(
+                f"max_depth exhausted on [{x0:.12g}, {x2:.12g}]",
+                best_estimate=left + right + delta / 15.0,
+            )
+        return recurse(x0, f0, left_mid, f_lm, x1, f1, left, tol / 2.0, depth - 1) + recurse(
+            x1, f1, right_mid, f_rm, x2, f2, right, tol / 2.0, depth - 1
+        )
+
+    return recurse(a, fa, mid, fmid, b, fb, whole, tol, cfg.max_depth)
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes and their weights of the n-point Gauss–Legendre rule on [-1, 1], n even.
+
+    Each positive node is a root of P_n, found by Newton's method from
+    cos(pi (i + 3/4) / (n + 1/2)), with P_n from the three-term recurrence
+    (k + 1) P_{k+1} = (2k + 1) x P_k - k P_{k-1}; its weight is
+    2 / ((1 - x^2) P_n'(x)^2), and the negative nodes mirror the positive
+    ones. All of it runs in Python floats, so the bits do not depend on the
+    numpy build. The arrays are cached per n and read-only.
     """
 
-    def batch(x: np.ndarray, _: np.ndarray) -> np.ndarray:
-        return np.array([f(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+    def legendre(x: float) -> tuple[float, float]:
+        """P_n(x) and P_n'(x)."""
+        p, p_prev = x, 1.0
+        for k in range(1, n):
+            p, p_prev = ((2 * k + 1) * x * p - k * p_prev) / (k + 1), p
+        return p, n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
 
-    return float(adaptive_simpson_batch(batch, np.array([a]), np.array([b]), cfg)[0])
+    roots, weights = [], []
+    for i in range(n // 2):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(100):
+            p, dp = legendre(x)
+            step = p / dp
+            x -= step
+            if abs(step) <= 1e-15:
+                break
+        dp = legendre(x)[1]
+        roots.append(x)
+        weights.append(2.0 / ((1.0 - x) * (1.0 + x) * dp * dp))
+    # roots run from the largest down: mirror them to ascend over [-1, 1]
+    nodes = np.array([-x for x in roots] + roots[::-1])
+    weights = np.array(weights + weights[::-1])
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
-# Points whose substituted [mid, S1] parts are integrated together. Those parts
-# keep many intervals live per level, and the shared level buffers grow to the
-# largest level of any batch: the 1000 points of the validate sweep peak at
-# about 3.5 MB traced in blocks of 64, and at about 58 MB all at once, which
-# also runs slower. Their [K, mid] parts keep few intervals live and go in one
-# batch, where per-level numpy overhead would dominate blocks of 64; that
-# batch sets most of the 3.5 MB.
-_OUTER_BLOCK = 64
+def _gauss_legendre(
+    f: Callable[..., np.ndarray], a: np.ndarray, b: np.ndarray, params: tuple, cfg: QuadratureConfig
+) -> np.ndarray:
+    """Integral of f over every [a[j], b[j]] by Gauss–Legendre rules of doubling order.
+
+    f(x, *columns) returns f at x, an (m, n) array whose row i holds the
+    abscissas of one integral; each of ``columns`` is an (m, 1) column of
+    that integral's element of the matching array of ``params``. The order
+    n doubles from 8 until |G_n - G_2n| <= max(abs_tol, rel_tol |G_2n|),
+    and each integral keeps the first G_2n that passes. Every value is
+    formed row by row, so it has the bits of a call on that integral alone.
+    An empty interval (b <= a) gives 0.0 without evaluating f. After
+    max_depth doublings, or at 1 024 nodes, raises QuadratureConvergenceError
+    for the first integral still failing, with its G_2n as the estimate.
+    """
+    result = np.zeros(a.shape)
+    live = np.flatnonzero(~(b <= a))  # a NaN bound is evaluated, and fails to converge
+    if not live.size:
+        return result
+
+    def rule(n: int) -> np.ndarray:
+        nodes, weights = _legendre_nodes(n)
+        lo, hi = a[live, None], b[live, None]
+        half = 0.5 * (hi - lo)
+        values = f(0.5 * (lo + hi) + half * nodes, *(p[live, None] for p in params))
+        return (values * weights).sum(axis=1) * half[:, 0]
+
+    n, last = 8, min(1024, 8 << cfg.max_depth)
+    coarse = rule(n)
+    while live.size:
+        if n == last:
+            i = live[0]
+            raise QuadratureConvergenceError(
+                f"no convergence on [{float(a[i]):.12g}, {float(b[i]):.12g}] at {n} nodes",
+                best_estimate=float(coarse[0]),
+            )
+        n *= 2
+        fine = rule(n)
+        done = np.abs(fine - coarse) <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(fine))
+        result[live[done]] = fine[done]
+        live, coarse = live[~done], fine[~done]
+    return result
 
 
-def _substituted(lam: np.ndarray, s1: np.ndarray) -> BatchIntegrand:
-    """Integrand of the [mid, S1] parts after s = S1 - t^2, for points with these lam and S1."""
+def _inner(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """sqrt(1/s^2 - lambda) ds over [K, mid] after s = e^u: sqrt(1 - lambda e^{2u}) du."""
+    return np.sqrt(1.0 - lam * np.exp(2.0 * u))
 
-    two_s1 = 2.0 * s1  # exact, so each value keeps the bits of 2.0 * s1[j] formed per call
 
-    def f(t: np.ndarray, j: np.ndarray) -> np.ndarray:
-        # 2.0 * t2 * np.sqrt(lam[j] * (2.0 * s1[j] - t2)) / (s1[j] - t2), in place
-        t2 = t * t
-        root = two_s1[j] - t2
-        root *= lam[j]
-        np.sqrt(root, out=root)
-        value = 2.0 * t2
-        value *= root
-        np.subtract(s1[j], t2, out=t2)
-        value /= t2
-        return value
-
-    return f
+def _outer(t: np.ndarray, lam: np.ndarray, s1: np.ndarray) -> np.ndarray:
+    """sqrt(1/s^2 - lambda) ds over [mid, S1] after s = S1 - t^2."""
+    t2 = t * t
+    return 2.0 * t2 * np.sqrt(lam * (2.0 * s1 - t2)) / (s1 - t2)
 
 
 def quad_barrier_integrals(
@@ -265,15 +190,12 @@ def quad_barrier_integrals(
     """``quad_barrier_integral`` at every point (lam[j], k_width[j]), integrated together.
 
     ``lam`` holds each point's r / sigma and ``k_width`` its band width K, as
-    float arrays of one length. Each value has the bits of the one-point
-    call: that call passes one-element arrays, and numpy's +, -, *, / and
-    sqrt round every element as correctly as Python's scalar float ones, and
-    no interval's arithmetic depends on the others in its batch. The s parts
-    of all points form one batch; the t parts go in batches of
-    ``_OUTER_BLOCK`` consecutive points, which bounds the memory. Every batch
-    reuses one set of level buffers, allocated once per call. On depth
-    exhaustion the error comes from the first failing s part, if any, then
-    from the first failing t part.
+    float arrays of one length. The inner parts of all points go through
+    one Gauss–Legendre rule and the outer parts through another, and each
+    value has the bits of the one-point call: that call passes one-element
+    arrays, and every row of the rule is formed alone. On non-convergence
+    the error comes from the first failing inner part, if any, then from the
+    first failing outer part.
     """
     if cfg is None:
         cfg = QuadratureConfig()
@@ -283,19 +205,8 @@ def quad_barrier_integrals(
     # a zero-width wall (S1 <= K) gets two empty parts: mid = K and t_end = 0
     mid = np.maximum(k_width, 0.5 * s1)
     t_end = np.sqrt(np.maximum(s1 - mid, 0.0))
-
-    def integrand(s: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return np.sqrt(1.0 / (s * s) - lam[j])  # >= sqrt(3 lambda) on [K, mid]
-
-    buffers = _Buffers()
-    result = adaptive_simpson_batch(integrand, k_width, mid, cfg, buffers)
-    for start in range(0, t_end.size, _OUTER_BLOCK):
-        block = slice(start, start + _OUTER_BLOCK)
-        ends = t_end[block]
-        result[block] += adaptive_simpson_batch(
-            _substituted(lam[block], s1[block]), np.zeros_like(ends), ends, cfg, buffers
-        )
-    return result
+    inner = _gauss_legendre(_inner, np.log(k_width), np.log(mid), (lam,), cfg)
+    return inner + _gauss_legendre(_outer, np.zeros_like(t_end), t_end, (lam, s1), cfg)
 
 
 def quad_barrier_integral(
@@ -305,19 +216,18 @@ def quad_barrier_integral(
 ) -> float:
     """Numerically integrate sqrt(1/S^2 - lambda) over the wall [K, S1].
 
-    The integrand has a square-root zero at S1, where its slope is infinite,
-    so plain bisection would have to grade the mesh deep into that endpoint.
-    The wall is split at mid = max(K, S1/2) instead:
+    The integrand grows like 1/S as K -> 0 and has a square-root zero at S1,
+    where its slope is infinite. The wall is split at mid = max(K, S1/2),
+    and each part is made analytic for the Gauss–Legendre rule:
 
-    - on [K, mid] the integrand in s is smooth and is used as it is;
+    - on [K, mid] the substitution s = e^u turns it into
+      sqrt(1 - lambda e^{2u}), which lies in [sqrt(3)/2, 1] however small K is;
     - on [mid, S1] the substitution s = S1 - t^2, t in [0, sqrt(S1 - mid)],
       turns it into 2 t^2 sqrt(lambda (2 S1 - t^2)) / (S1 - t^2), which is
       smooth and exactly 0 at t = 0, so S1 needs no special treatment.
 
-    The substitution is not used over the whole wall: when K << S1, forming
-    S1 - t^2 near t = sqrt(S1 - K) cancels nearly all digits of s while the
-    integrand grows like 1/s there, so the integrator would chase rounding
-    noise. Past mid, s >= S1/2 and that cancellation costs at most one bit.
+    s = e^u leaves the zero at S1 as it is, and near t = sqrt(S1 - K), S1 - t^2
+    cancels the digits of a small s; past mid, that costs at most one bit.
     Raises ValueError when lambda*K^2 > 1; a zero-width wall gives 0.0.
     """
     lam = np.array([params.r / params.sigma])

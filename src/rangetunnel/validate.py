@@ -1,7 +1,7 @@
 """Self-check suite: closed forms against independent numerics.
 
 Four families of checks run here: the golden tables, the closed-form barrier
-integral against adaptive quadrature over a seeded random parameter sweep,
+integral against Gauss–Legendre quadrature over a seeded random parameter sweep,
 convergence of the segmented transmission to the exact one, and
 finite-difference residuals of the two differential equations on analytic
 solutions. The seed fixes every random draw, so identical seeds reproduce
@@ -117,7 +117,7 @@ def quadrature_sweep(
 
 
 def check_quadrature_sweep(seed: int = DEFAULT_SEED, points: int = DEFAULT_QUAD_POINTS) -> CheckResult:
-    """Closed-form bracket vs adaptive Simpson, <= 1e-9 relative everywhere.
+    """Closed-form bracket vs Gauss–Legendre quadrature, <= 1e-9 relative everywhere.
 
     The closed form is taken of the floats lambda = r / sigma and K, the
     same floats ``barrier_integral_closed`` forms from each point's

@@ -90,8 +90,11 @@ class TestTc:
         (["wavefunction", "--r", "0", "--sigma", "0.3", "--strike", "2"], "r must be > 0"),
         (["wavefunction", "--r", "0.03", "--sigma", "0.3", "--strike", "0"], "--strike must be > 0"),
         (["wavefunction", "--r", "0.03", "--sigma", "0.3", "--strike", "-1"], "--strike must be > 0"),
-        # S1 = sqrt(sigma / r) and lambda = r / sigma underflow to 0
-        (["tc", "--r", "1e300", "--sigma", "1e-300", "--strike", "1"], "s_exit must be > 0, got 0.0"),
+        # lambda = r / sigma overflows, and S1 = sqrt(sigma / r) underflows to 0; or lambda underflows to 0
+        (
+            ["tc", "--r", "1e300", "--sigma", "1e-300", "--strike", "1"],
+            "r=1e+300, sigma=1e-300 are out of range: r / sigma overflows in lambda",
+        ),
         (["tc", "--r", "1e-300", "--sigma", "1e300", "--strike", "1"], "lam must be > 0, got 0.0"),
         # sigma / r overflows: an infinite wall printed T_thin_wall nan
         (["tc", "--r", "1e-300", "--sigma", "1e10", "--strike", "1"], "s_exit must be finite, got inf"),
@@ -135,6 +138,17 @@ class TestTc:
                 ("--touch-count", "-3", "touch_count must be >= 1, got -3"),
             ]
         ),
+        # lambda = r / sigma overflows: an infinite lambda printed regime no_barrier and
+        # T_exact 1 for a band inside the wall (K = 1e-160 < S1, lambda*K^2 = 1e-30)
+        *(
+            ([command, "--r", "1e300", "--sigma", sigma, "--strike", strike],
+             f"r=1e+300, sigma={sigma} are out of range: r / sigma overflows in lambda")
+            for command, sigma, strike in [
+                ("tc", "1e-10", "1e-160"),
+                ("wavefunction", "1e-10", "1e-160"),
+                ("wavefunction", "1e-300", "1"),
+            ]
+        ),
     ],
 )
 def test_bad_model_flags_are_usage_errors(capsys, argv, message):
@@ -158,9 +172,9 @@ def test_bad_model_flags_are_usage_errors(capsys, argv, message):
             "error: K=1e-300 is too close to the support: V(K) overflows",
         ),
         (
-            ["wavefunction", "--r", "1e300", "--sigma", "1e-300", "--strike", "1"],
+            ["wavefunction", "--r", "1e-300", "--sigma", "1e300", "--strike", "1"],
             1,
-            "error: s_exit must be > 0, got 0.0",
+            "error: lam must be > 0, got 0.0",
         ),
         (
             ["wavefunction", "--r", "1e-10", "--sigma", "1e-10", "--strike", "0.03"],
@@ -422,6 +436,14 @@ class TestScan:
         code, out, err = run_cli(capsys, "scan", "--input", str(src), "--r", "0.03", "--sigma", sigma)
         assert (code, out) == (1, "")
         assert err.startswith(f"error: sigma={float(sigma):.6g} is out of range: sigma^4 ")
+
+    def test_overflowing_lambda_exits_one(self, capsys, tmp_path):
+        # an infinite lambda wrote inf in the report's lambda column
+        src = tmp_path / "LNKD.csv"
+        src.write_text(band_series_csv(123.3, 127.2), encoding="utf-8")
+        code, out, err = run_cli(capsys, "scan", "--input", str(src), "--r", "1e300", "--sigma", "1e-10")
+        assert (code, out) == (1, "")
+        assert err == "error: r=1e+300, sigma=1e-10 are out of range: r / sigma overflows in lambda\n"
 
     @pytest.mark.parametrize("flags", [["--r", "0"], ["--r", "nan"], ["--r", "inf"], ["--r", "0.03", "--sigma", "-1"]])
     @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
-"""Independent oracles: adaptive quadrature and finite-difference residuals."""
+"""Independent oracles: quadrature and finite-difference residuals."""
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from rangetunnel.numerics import (
     QuadratureConfig,
     QuadratureConvergenceError,
     adaptive_simpson,
-    adaptive_simpson_batch,
     merton_ode_residual,
     quad_barrier_integral,
     quad_barrier_integrals,
@@ -23,159 +24,32 @@ from rangetunnel.types import MarketParams, RangeBound
 from rangetunnel.validate import SWEEP_QUADRATURE, _draw_points, quadrature_sweep
 from rangetunnel.wavefunction import w_from_psi
 
-# the tolerances of the validate sweep and of acceptance c05
-SWEEP_CFG = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12, max_depth=60)
-
 
 def count_evals(monkeypatch, cap=math.inf):
-    """Count integrand evaluations made through numerics.adaptive_simpson_batch.
+    """Count integrand evaluations made through numerics._gauss_legendre.
 
-    Every integral in the package goes through that integrator, one array of
-    abscissas per call of its integrand, so the counter adds each array's
-    size; it also counts the integrator's calls. Past ``cap`` evaluations it
-    raises, so a runaway integration fails at once instead of hanging the
-    suite. The spy forwards every other argument as it comes.
+    Every barrier integral goes through that rule, one array of abscissas per
+    call of its integrand, so the counter adds each array's size; it also
+    counts the rule's calls. Past ``cap`` evaluations it raises, so a runaway
+    integration fails at once instead of hanging the suite. The spy forwards
+    every other argument as it comes.
     """
     counter = {"evals": 0, "calls": 0}
-    real = numerics.adaptive_simpson_batch
+    real = numerics._gauss_legendre
 
     def counting(f, *args, **kwargs):
         counter["calls"] += 1
 
-        def counted(x, index):
+        def counted(x, *columns):
             counter["evals"] += x.size
             if counter["evals"] > cap:
                 raise AssertionError(f"more than {cap} integrand evaluations")
-            return f(x, index)
+            return f(x, *columns)
 
         return real(counted, *args, **kwargs)
 
-    monkeypatch.setattr(numerics, "adaptive_simpson_batch", counting)
+    monkeypatch.setattr(numerics, "_gauss_legendre", counting)
     return counter
-
-
-def recursive_simpson(f, a, b, cfg):
-    """Reference: the depth-first recursive adaptive Simpson, one scalar call per abscissa.
-
-    This was the package's integrator; the level-by-level one must give the
-    same bits, the same error message and the same best estimate.
-    """
-    if b <= a:
-        return 0.0
-    fa, fb = f(a), f(b)
-    mid = 0.5 * (a + b)
-    fmid = f(mid)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fmid + fb)
-    tol = max(cfg.abs_tol, cfg.rel_tol * abs(whole))
-
-    def recurse(x0, f0, x1, f1, x2, f2, simpson, tol, depth):
-        left_mid = 0.5 * (x0 + x1)
-        right_mid = 0.5 * (x1 + x2)
-        f_lm = f(left_mid)
-        f_rm = f(right_mid)
-        left = (x1 - x0) / 6.0 * (f0 + 4.0 * f_lm + f1)
-        right = (x2 - x1) / 6.0 * (f1 + 4.0 * f_rm + f2)
-        delta = left + right - simpson
-        if abs(delta) <= 15.0 * tol:
-            return left + right + delta / 15.0
-        if depth <= 0:
-            raise QuadratureConvergenceError(
-                f"max_depth exhausted on [{x0:.12g}, {x2:.12g}]",
-                best_estimate=left + right + delta / 15.0,
-            )
-        return recurse(x0, f0, left_mid, f_lm, x1, f1, left, tol / 2.0, depth - 1) + recurse(
-            x1, f1, right_mid, f_rm, x2, f2, right, tol / 2.0, depth - 1
-        )
-
-    return recurse(a, fa, mid, fmid, b, fb, whole, tol, cfg.max_depth)
-
-
-def recursive_quad_barrier_integral(params, band, cfg):
-    """Reference: the split-wall integral with scalar integrands and the recursion."""
-    lam = params.r / params.sigma
-    k_width = band.width
-    s1 = math.sqrt(1.0 / lam)
-    if s1 <= k_width:
-        return 0.0
-    mid = max(k_width, 0.5 * s1)
-
-    def substituted(t):
-        t2 = t * t
-        return 2.0 * t2 * math.sqrt(lam * (2.0 * s1 - t2)) / (s1 - t2)
-
-    return recursive_simpson(lambda s: math.sqrt(1.0 / (s * s) - lam), k_width, mid, cfg) + (
-        recursive_simpson(substituted, 0.0, math.sqrt(s1 - mid), cfg)
-    )
-
-
-@st.composite
-def integrals(draw):
-    """(a, b, scalar f, vectorised f) of one integral, empty for b <= a.
-
-    Polynomials are easy, sqrt|x - c| has a cusp the mesh must chase, and
-    1/(x - c) has a pole just left of a; both forms of f do the same float
-    operations.
-    """
-    a = draw(st.floats(-2.0, 2.0))
-    empty = draw(st.integers(0, 4)) == 0
-    b = a + draw(st.sampled_from([0.0, -0.5]) if empty else st.floats(1e-3, 3.0))
-    kind = draw(st.sampled_from(["poly", "sqrt", "pole"]))
-    if kind == "poly":
-        coeffs = draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=6))
-
-        def horner(x):
-            acc = 0.0
-            for c in coeffs:
-                acc = acc * x + c
-            return acc
-
-        return a, b, horner, horner
-    if kind == "sqrt":
-        c = draw(st.floats(-3.0, 3.0))
-        return a, b, lambda x: math.sqrt(abs(x - c)), lambda x: np.sqrt(np.abs(x - c))
-    c = a - draw(st.floats(1e-6, 1.0))
-    return a, b, lambda x: 1.0 / (x - c), lambda x: 1.0 / (x - c)
-
-
-quadrature_configs = st.builds(
-    QuadratureConfig,
-    abs_tol=st.floats(1e-14, 1e-6),
-    rel_tol=st.floats(1e-14, 1e-6),
-    max_depth=st.integers(1, 16) | st.just(60),
-)
-
-
-def run_batch(batch, cfg, buffers=None):
-    """adaptive_simpson_batch over the integrals, each with its own vectorised f."""
-
-    def f(x, index):
-        index = np.broadcast_to(index, x.shape)
-        out = np.empty_like(x)
-        for j in np.unique(index):
-            at = index == j
-            out[at] = batch[j][3](x[at])
-        return out
-
-    a = np.array([item[0] for item in batch])
-    b = np.array([item[1] for item in batch])
-    return adaptive_simpson_batch(f, a, b, cfg, buffers)
-
-
-def assert_same_outcome(run, reference):
-    """run() and reference() give equal values, or raise the same convergence error.
-
-    Returns whether reference() completed.
-    """
-    try:
-        expected = reference()
-    except QuadratureConvergenceError as exc:
-        with pytest.raises(QuadratureConvergenceError) as excinfo:
-            run()
-        assert str(excinfo.value) == str(exc)
-        assert excinfo.value.best_estimate == exc.best_estimate
-        return False
-    assert run() == expected
-    return True
 
 
 def reference_bracket(params, band):
@@ -223,56 +97,117 @@ class TestAdaptiveSimpson:
             adaptive_simpson(lambda x: math.sqrt(abs(x - 0.3)), 0.0, 1.0, cfg)
         assert math.isfinite(excinfo.value.best_estimate)
 
-    @settings(max_examples=300, deadline=None)
-    @given(integral=integrals(), cfg=quadrature_configs)
-    def test_scalar_equals_recursion(self, integral, cfg):
-        # one call of f per abscissa: as many calls as the recursion makes
-        a, b, f, _ = integral
-        abscissas = {"level": [], "recursive": []}
 
-        def recording(key):
-            def g(x):
-                abscissas[key].append(x)
-                return f(x)
+def integrate_rule(f, a, b, cfg=QuadratureConfig(), params=()):
+    """numerics._gauss_legendre over the intervals [a[j], b[j]], as float arrays."""
+    return numerics._gauss_legendre(f, np.array(a, dtype=float), np.array(b, dtype=float), params, cfg)
 
-            return g
 
-        completed = assert_same_outcome(
-            lambda: adaptive_simpson(recording("level"), a, b, cfg),
-            lambda: recursive_simpson(recording("recursive"), a, b, cfg),
-        )
-        if completed:
-            assert sorted(abscissas["level"]) == sorted(abscissas["recursive"])
+def barrier_imports(source):
+    """The modules that the import statements of ``source`` take from ``barrier``, relative or absolute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if "barrier" in alias.name.split(".")]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if "barrier" in module.split(".") or any(alias.name == "barrier" for alias in node.names):
+                found.append(module)
+    return found
 
-    @settings(max_examples=200, deadline=None)
-    @given(batch=st.lists(integrals(), min_size=1, max_size=6), cfg=quadrature_configs)
-    def test_batch_equals_recursion(self, batch, cfg):
-        # the buffers of an earlier batch, reused, must carry nothing into this one
-        buffers = numerics._Buffers()
-        try:
-            run_batch(batch[::-1] + batch, cfg, buffers)
-        except QuadratureConvergenceError:
-            pass
-        assert_same_outcome(
-            lambda: run_batch(batch, cfg, buffers).tolist(),
-            lambda: [recursive_simpson(f, a, b, cfg) for a, b, f, _ in batch],
-        )
 
-    def test_batch_exhaustion_names_first_failure(self):
-        # the second and third integrals fail, the third further left; the
-        # recursion, integral by integral, meets the second's failure first
-        def cusp(c):
-            return lambda x: math.sqrt(abs(x - c)), lambda x: np.sqrt(np.abs(x - c))
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from .barrier import lambda_of",
+        "from . import barrier",
+        "from . import types, barrier as b",
+        "from rangetunnel.barrier import lambda_of",
+        "from rangetunnel import barrier",
+        "import rangetunnel.barrier",
+        "import rangetunnel.barrier as b",
+        "if True: from .barrier import _integral_closed",
+    ],
+)
+def test_barrier_imports_sees_every_form(source):
+    assert barrier_imports(source)
 
-        square = (lambda x: x * x, lambda x: x * x)
-        batch = [(0.0, 1.0, *square), (0.0, 1.0, *cusp(0.7)), (0.0, 1.0, *cusp(0.3)), (1.0, 0.0, *cusp(0.5))]
-        cfg = QuadratureConfig(abs_tol=1e-4, rel_tol=1e-4, max_depth=3)
-        with pytest.raises(QuadratureConvergenceError) as expected:
-            [recursive_simpson(f, a, b, cfg) for a, b, f, _ in batch]
-        with pytest.raises(QuadratureConvergenceError) as got:
-            run_batch(batch, cfg)
-        assert str(got.value) == str(expected.value) == "max_depth exhausted on [0.625, 0.75]"
-        assert got.value.best_estimate == expected.value.best_estimate
+
+def test_oracle_imports_nothing_from_barrier():
+    # numerics is the independent judge of the closed forms: sharing code would make it agree by construction
+    source = Path(numerics.__file__).read_text(encoding="utf-8")
+    assert barrier_imports("from .types import MarketParams\nimport math") == []
+    assert barrier_imports(source) == []
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 128])
+    def test_exact_on_monomials_up_to_degree_2n_minus_1(self, n):
+        # x^k over [0, 1] is 1 / (k + 1); the rule's nodes are on [-1, 1]
+        nodes, weights = numerics._legendre_nodes(n)
+        for k in range(2 * n):
+            got = math.fsum(weights * ((nodes + 1.0) / 2.0) ** k) / 2.0
+            assert got == pytest.approx(1.0 / (k + 1), rel=2e-14, abs=1e-300), k
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256])
+    def test_nodes_symmetric_and_weights_sum_to_two(self, n):
+        nodes, weights = numerics._legendre_nodes(n)
+        assert nodes.shape == weights.shape == (n,)
+        assert np.all(np.diff(nodes) > 0) and -1.0 < nodes[0] and nodes[-1] < 1.0
+        assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+        assert math.fsum(weights) == pytest.approx(2.0, abs=4 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_nodes_and_weights_match_leggauss(self, n):
+        # leggauss's own weights are off by up to 2.3e-15 at n = 64 against a
+        # 40-digit reference, where these are within 1.1e-16
+        nodes, weights = numerics._legendre_nodes(n)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(nodes - ref_nodes)) <= 2 * np.finfo(float).eps
+        assert np.max(np.abs(weights - ref_weights)) <= 4e-15
+
+    def test_nodes_are_cached_and_read_only(self):
+        nodes, weights = numerics._legendre_nodes(16)
+        assert numerics._legendre_nodes(16)[0] is nodes
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
+
+    def test_each_interval_keeps_its_own_value(self):
+        # an easy and a hard integrand side by side, and an empty interval: the
+        # pole of 1 / (c + x^2) near 0 takes many more nodes at c = 1e-3
+        def f(x, c):
+            return 1.0 / (c + x * x)
+
+        a, b, c = [0.0, 0.0, 1.0], [1.0, 1.0, 1.0], np.array([1.0, 1e-3, 1.0])
+        cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13)
+        values = integrate_rule(f, a, b, cfg, (c,))
+        exact = [math.atan(1.0 / math.sqrt(v)) / math.sqrt(v) for v in c[:2].tolist()]
+        assert values[:2] == pytest.approx(exact, rel=1e-12)
+        assert values[2] == 0.0
+        for j in range(3):
+            assert integrate_rule(f, a[j : j + 1], b[j : j + 1], cfg, (c[j : j + 1],))[0] == values[j]
+
+    def test_empty_intervals_are_never_evaluated(self):
+        def f(x):
+            raise AssertionError("evaluated")
+
+        assert integrate_rule(f, [1.0, 2.0, 0.0], [1.0, 1.0, -0.0]).tolist() == [0.0, 0.0, 0.0]
+
+    def test_nan_bound_fails_to_converge(self):
+        cfg = QuadratureConfig(max_depth=1)
+        with pytest.raises(QuadratureConvergenceError, match=r"^no convergence on \[0, nan\] at 16 nodes$"):
+            integrate_rule(lambda x: x, [0.0], [math.nan], cfg)
+
+    @pytest.mark.parametrize("max_depth,nodes", [(1, 16), (3, 64), (60, 1024)])
+    def test_exhaustion_raises_with_best_estimate(self, max_depth, nodes):
+        # a cusp converges slowly: after max_depth doublings, or at 1 024 nodes, the rule gives up
+        cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_depth=max_depth)
+        with pytest.raises(QuadratureConvergenceError) as excinfo:
+            integrate_rule(lambda x: np.sqrt(np.abs(x - 0.3)), [0.0, 0.0], [1.0, 2.0], cfg)
+        assert str(excinfo.value) == f"no convergence on [0, 1] at {nodes} nodes"
+        assert math.isfinite(excinfo.value.best_estimate)
+        exact = 2.0 / 3.0 * (0.3**1.5 + 0.7**1.5)
+        assert excinfo.value.best_estimate == pytest.approx(exact, rel=1e-2)
 
 
 class TestBarrierQuadrature:
@@ -314,87 +249,66 @@ class TestBarrierQuadrature:
         )
         assert abs(coarse - fine) <= 10 * eps
 
-    @pytest.mark.parametrize("lam_k2", [1e-12, 1e-8, 1e-4, 1 - 1e-4])
+    @pytest.mark.parametrize("lam_k2", [1e-300, 1e-100, 1e-30, 1e-12, 1e-8, 1e-4, 1 - 1e-4])
     def test_edge_regimes_match_reference(self, monkeypatch, lam_k2):
+        # K -> 0 is what the log substitution of the inner part is for
         params = MarketParams(r=0.03, sigma=0.47)
         band = RangeBound.from_width(math.sqrt(lam_k2 / lambda_of(params)))
         count_evals(monkeypatch, cap=20_000)
-        quad = quad_barrier_integral(params, band, SWEEP_CFG)
+        quad = quad_barrier_integral(params, band, SWEEP_QUADRATURE)
         ref = reference_bracket(params, band)
         assert abs(quad - ref) / ref <= 1e-9
 
+    def test_zero_width_and_half_wall_edges_raise_no_warning(self):
+        # K at S1 and its float neighbours, where the inner part is empty, and
+        # at S1/2 and just below, where it is empty or nearly so
+        lams = 10.0 ** np.random.default_rng(0).uniform(-6.0, 6.0, 2000)
+        with np.errstate(all="raise"):
+            for lam in lams.tolist():
+                s1 = math.sqrt(1.0 / lam)
+                for k in (s1, math.nextafter(s1, 0.0), math.nextafter(s1, math.inf), 0.5 * s1,
+                          math.nextafter(0.5 * s1, 0.0)):
+                    try:
+                        value = quad_barrier_integrals(np.array([lam]), np.array([k]), SWEEP_QUADRATURE)
+                    except ValueError as exc:
+                        assert str(exc) == "no wall to integrate over: lambda*K^2 > 1"
+                        continue
+                    assert math.isfinite(value[0]) and value[0] >= 0.0, (lam, k)
+
     def test_sweep_evaluation_budget(self, monkeypatch):
-        # the endpoint-graded integrand of the old oracle took about 5000 per point
+        # the endpoint-graded integrand of an earlier oracle took about 5000 per point
         counter = count_evals(monkeypatch)
         points = 1000
         quadrature_sweep(4, points)
         assert counter["evals"] / points < 2000
 
-    def test_sweep_batch_calls_and_evaluations(self, monkeypatch):
-        # all [K, mid] parts in one batch call, the [mid, S1] parts in 16 blocks
-        # of at most 64 points
-        counter = count_evals(monkeypatch)
-        quadrature_sweep(4, 1000)
-        assert counter == {"calls": 17, "evals": 1_064_287}
-
-    def test_integrand_gets_columns_and_one_index_per_column(self, monkeypatch):
-        # x is (k, m) and index (m,), so each integrand gathers a point's
-        # parameters once per interval, not once per abscissa
-        shapes = []
-        real = numerics.adaptive_simpson_batch
-
-        def recording(f, *args, **kwargs):
-            def spied(x, index):
-                shapes.append((x.shape, index.shape))
-                return f(x, index)
-
-            return real(spied, *args, **kwargs)
-
-        monkeypatch.setattr(numerics, "adaptive_simpson_batch", recording)
-        quadrature_sweep(4, 100)
-        assert shapes
-        assert all(len(x) == 2 and index == x[1:] for x, index in shapes), set(shapes)
-
     def test_sweep_values_equal_one_point_calls(self):
-        # 100 points span a full block and a partial one
         r, sigma, width, quads = quadrature_sweep(4, 100)
         draws = [
             (MarketParams(r=a, sigma=b), RangeBound.from_width(k))
             for a, b, k in zip(r.tolist(), sigma.tolist(), width.tolist())
         ]
-        cfg = SWEEP_QUADRATURE
         values = quads.tolist()
-        assert values == [quad_barrier_integral(params, band, cfg) for params, band in draws]
-        assert values == [recursive_quad_barrier_integral(params, band, cfg) for params, band in draws]
-
-    def test_block_edges_have_one_point_bits(self):
-        # the first and last points of the [mid, S1] blocks, and the one-point tail
-        r, sigma, width = _draw_points(np.random.default_rng(4), 1000)
-        quads = quad_barrier_integrals(r / sigma, width, SWEEP_QUADRATURE)
-        for j in (0, 63, 64, 65, 128, 999):
-            params = MarketParams(r=float(r[j]), sigma=float(sigma[j]))
-            band = RangeBound.from_width(float(width[j]))
-            assert float(quads[j]) == quad_barrier_integral(params, band, SWEEP_QUADRATURE), j
-            assert float(quads[j]) == recursive_quad_barrier_integral(params, band, SWEEP_QUADRATURE), j
+        assert values == [quad_barrier_integral(params, band, SWEEP_QUADRATURE) for params, band in draws]
 
     def test_reused_buffers_carry_no_state(self):
-        # every batch and level reuses one call's buffers: a point's value must
-        # not depend on its block, its place in it, or the points integrated
-        # before it, in this call or in an earlier one
+        # every call shares the cached node arrays: a point's value must not
+        # depend on its place in the batch, on the points integrated beside
+        # it, or on an earlier call
         r, sigma, width = _draw_points(np.random.default_rng(4), 1000)
         lam = r / sigma
         fresh = quad_barrier_integrals(lam[:65], width[:65], SWEEP_QUADRATURE).tobytes()
         quads = quad_barrier_integrals(lam, width, SWEEP_QUADRATURE)
         reversed_order = np.arange(999, -1, -1)
-        shifted = np.roll(np.arange(1000), 32)  # every point changes block or place
+        shifted = np.roll(np.arange(1000), 32)
         for order in (reversed_order, shifted, np.random.default_rng(0).permutation(1000)):
             moved = quad_barrier_integrals(lam[order], width[order], SWEEP_QUADRATURE)
             assert moved.tobytes() == quads[order].tobytes()
         assert quad_barrier_integrals(lam[:65], width[:65], SWEEP_QUADRATURE).tobytes() == fresh
 
     def test_sweep_memory_peak(self):
-        # blocks of 64 points bound the level buffers: the default sweep peaks
-        # at about 3.5 MB, and all 1000 points in one batch at about 60 MB
+        # the rule holds a few (points, n) arrays at a time: the default sweep
+        # peaks at about 1 MB traced
         tracemalloc.start()
         try:
             quadrature_sweep(4, 1000)
