@@ -5,7 +5,10 @@ runtime fault, from any subcommand, leaves through ``main`` as one
 ``error: <message>`` line on stderr with exit 1. A stdout whose reader has
 gone (``... | head``, a closed pipe) ends the run with exit 1 and nothing on
 stderr. All numeric output uses 6 significant digits so identical flags give
-identical bytes.
+identical bytes. A call builds only the parser of the subcommand that
+``argv`` names; help, a missing or unknown name and leftover arguments go
+through the full tree of ``build_parser``, so every argv prints and exits as
+that tree would.
 """
 
 from __future__ import annotations
@@ -17,11 +20,17 @@ import functools
 import json
 import os
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from pathlib import Path
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
-from .barrier import _geometry_and_transmission, lambda_of, transmission_thin_wall
+from .barrier import (
+    _geometry_and_transmission,
+    barrier_geometry,
+    lambda_of,
+    transmission_thin_wall,
+    wkb_prefactor,
+)
 from .market import parse_ohlc_csv, parse_vol_csv
 from .scan import ScanConfig, _cell, _fmt, _json_value, report_csv, report_json, scan
 from .tables import render_table, reproduce_table
@@ -150,6 +159,9 @@ def _cmd_wavefunction(parser: argparse.ArgumentParser, args: argparse.Namespace)
         params = MarketParams(r=args.r, sigma=args.sigma)
         lambda_of(params)  # r / sigma may overflow
         band = _strike_band(parser, args.strike)
+        # as in tc: lambda may underflow, S1 overflow, and sigma^4 leave the double range
+        barrier_geometry(params, band)
+        wkb_prefactor(params)
     rows = sample_wavefunction(params, band, args.samples)
     lines = ["S\tV\tpsi_abs2\tregion"]
     lines += [f"{_fmt(s)}\t{_fmt(v)}\t{_fmt(p2)}\t{region}" for s, v, p2, region in rows]
@@ -172,42 +184,29 @@ def _cmd_validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     return 0 if all(check.passed for check in results) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rangetunnel",
-        description="Breakout (tunneling) probabilities for range-bound markets",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _tc_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--r", type=float, required=True, help="annualized risk-free rate")
+    parser.add_argument("--sigma", type=float, required=True, help="annualized volatility")
+    parser.add_argument("--strike", type=float, help="band width K (support at the origin)")
+    parser.add_argument("--support", type=float, help="absolute support price")
+    parser.add_argument("--resistance", type=float, help="absolute resistance price")
+    parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
-    def command(
-        name: str, handler: Callable[[argparse.ArgumentParser, argparse.Namespace], int], summary: str
-    ) -> argparse.ArgumentParser:
-        # the handler gets its own subparser, so its usage errors print that usage line
-        subparser = sub.add_parser(name, help=summary)
-        subparser.set_defaults(run=functools.partial(handler, subparser))
-        return subparser
 
-    tc = command("tc", _cmd_tc, "transmission coefficient for one parameter set")
-    tc.add_argument("--r", type=float, required=True, help="annualized risk-free rate")
-    tc.add_argument("--sigma", type=float, required=True, help="annualized volatility")
-    tc.add_argument("--strike", type=float, help="band width K (support at the origin)")
-    tc.add_argument("--support", type=float, help="absolute support price")
-    tc.add_argument("--resistance", type=float, help="absolute resistance price")
-    tc.add_argument("--json", action="store_true", help="emit JSON instead of text")
+def _tables_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--which", type=int, choices=(1, 2, 3), required=True)
 
-    tables = command("tables", _cmd_tables, "regenerate a golden reference table")
-    tables.add_argument("--which", type=int, choices=(1, 2, 3), required=True)
 
-    scan_p = command("scan", _cmd_scan, "scan an OHLC CSV for range-bound breakout setups")
-    scan_p.add_argument("--input", required=True, help="OHLC CSV path")
-    scan_p.add_argument("--r", type=float, required=True, help="annualized risk-free rate")
-    scan_p.add_argument(
+def _scan_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--input", required=True, help="OHLC CSV path")
+    parser.add_argument("--r", type=float, required=True, help="annualized risk-free rate")
+    parser.add_argument(
         "--sigma", type=float, dest="sigma_override", metavar="SIGMA",
         help="pin volatility instead of estimating",
     )
-    scan_p.add_argument("--vol", help="optional precomputed volatility CSV (date,sigma)")
-    scan_p.add_argument("--out", help="write the report here instead of stdout")
-    scan_p.add_argument("--json", action="store_true", help="JSON report instead of CSV")
+    parser.add_argument("--vol", help="optional precomputed volatility CSV (date,sigma)")
+    parser.add_argument("--out", help="write the report here instead of stdout")
+    parser.add_argument("--json", action="store_true", help="JSON report instead of CSV")
     for flag, summary in (
         ("--min-len", "minimum window length in bars"),
         ("--band-tol", "max band width / band bottom"),
@@ -217,31 +216,85 @@ def build_parser() -> argparse.ArgumentParser:
         ("--fall-ratio", "volatility-fall flag ratio"),
     ):  # each flag's dest is the ScanConfig field whose default and type it takes
         default = getattr(ScanConfig, flag[2:].replace("-", "_"))
-        scan_p.add_argument(flag, type=type(default), default=default, help=summary)
+        parser.add_argument(flag, type=type(default), default=default, help=summary)
 
-    wave = command("wavefunction", _cmd_wavefunction, "tabulate potential and |psi|^2 for plotting")
-    wave.add_argument("--r", type=float, required=True)
-    wave.add_argument("--sigma", type=float, required=True)
-    wave.add_argument("--strike", type=float, required=True)
-    wave.add_argument("--samples", type=int, default=200)
-    wave.add_argument("--out", help="TSV output path (stdout when omitted)")
 
-    validate = command("validate", _cmd_validate, "run the numerical self-check suite")
-    validate.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sweep RNG seed")
-    validate.add_argument(
+def _wavefunction_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--r", type=float, required=True)
+    parser.add_argument("--sigma", type=float, required=True)
+    parser.add_argument("--strike", type=float, required=True)
+    parser.add_argument("--samples", type=int, default=200)
+    parser.add_argument("--out", help="TSV output path (stdout when omitted)")
+
+
+def _validate_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sweep RNG seed")
+    parser.add_argument(
         "--quad-points", type=int, default=DEFAULT_QUAD_POINTS, help="quadrature sweep size"
     )
-    validate.add_argument(
+    parser.add_argument(
         "--prefactor-variant",
         choices=("numerator", "denominator"),
         default="numerator",
         help="negative control: the denominator variant fails the table checks",
     )
+
+
+class _Command(NamedTuple):
+    handler: Callable[[argparse.ArgumentParser, argparse.Namespace], int]
+    summary: str
+    add_flags: Callable[[argparse.ArgumentParser], None]
+
+
+_COMMANDS = {
+    "tc": _Command(_cmd_tc, "transmission coefficient for one parameter set", _tc_flags),
+    "tables": _Command(_cmd_tables, "regenerate a golden reference table", _tables_flags),
+    "scan": _Command(_cmd_scan, "scan an OHLC CSV for range-bound breakout setups", _scan_flags),
+    "wavefunction": _Command(
+        _cmd_wavefunction, "tabulate potential and |psi|^2 for plotting", _wavefunction_flags
+    ),
+    "validate": _Command(_cmd_validate, "run the numerical self-check suite", _validate_flags),
+}
+
+
+def _fill(parser: argparse.ArgumentParser, command: _Command) -> argparse.ArgumentParser:
+    # the handler gets its own parser, so its usage errors print that usage line
+    parser.set_defaults(run=functools.partial(command.handler, parser))
+    command.add_flags(parser)
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="rangetunnel",
+        description="Breakout (tunneling) probabilities for range-bound markets",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        _fill(sub.add_parser(name, help=command.summary), command)
+    return parser
+
+
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse ``argv`` as ``build_parser().parse_args(argv)`` does, building less.
+
+    argparse hands every argument after a subcommand's name to that
+    subcommand's parser, whose prog is ``rangetunnel <name>``. A lone parser
+    of that prog and those flags therefore gives the same namespace, output
+    and exit code, unless arguments are left over: those, help at the top
+    level, and a missing or unknown name go through the full tree.
+    """
+    if argv and argv[0] in _COMMANDS:
+        name = argv[0]
+        parser = _fill(argparse.ArgumentParser(prog=f"rangetunnel {name}"), _COMMANDS[name])
+        args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=name))
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         code = args.run(args)
         sys.stdout.flush()  # here, so a closed pipe raises where it is caught

@@ -1,5 +1,7 @@
 """Command-line surface: flags, exit codes, output formats, determinism."""
 
+import argparse
+import contextlib
 import dataclasses
 import datetime as dt
 import itertools
@@ -149,6 +151,13 @@ class TestTc:
                 ("wavefunction", "1e-300", "1"),
             ]
         ),
+        # wavefunction forms the geometry and the prefactor as tc does: lambda underflows
+        # to 0, or sigma^4 does
+        (["wavefunction", "--r", "1e-300", "--sigma", "1e300", "--strike", "1"], "lam must be > 0, got 0.0"),
+        (
+            ["wavefunction", "--r", "1e-300", "--sigma", "1e-300", "--strike", "1e-300"],
+            "sigma=1e-300 is out of range: sigma^4 underflows to 0 in the prefactor P",
+        ),
     ],
 )
 def test_bad_model_flags_are_usage_errors(capsys, argv, message):
@@ -172,19 +181,9 @@ def test_bad_model_flags_are_usage_errors(capsys, argv, message):
             "error: K=1e-300 is too close to the support: V(K) overflows",
         ),
         (
-            ["wavefunction", "--r", "1e-300", "--sigma", "1e300", "--strike", "1"],
-            1,
-            "error: lam must be > 0, got 0.0",
-        ),
-        (
             ["wavefunction", "--r", "1e-10", "--sigma", "1e-10", "--strike", "0.03"],
             1,
             "error: q(K)*K = 9.9955e+09 is out of range: the in-wall amplitude overflows",
-        ),
-        (
-            ["wavefunction", "--r", "1e-300", "--sigma", "1e-300", "--strike", "1e-300"],
-            1,
-            "error: sigma=1e-300 is out of range: sigma^4 underflows to 0 in the prefactor P",
         ),
     ],
 )
@@ -257,6 +256,119 @@ def test_extreme_flags_never_raise(capsys, command):
             code, out = exc.code, capsys.readouterr().out
         assert code in (0, 1, 2), argv
         assert "nan" not in out, argv
+
+
+def reference_main(argv):
+    """``cli.main`` on the full parser tree, the way every call once parsed."""
+    args = cli.build_parser().parse_args(argv)
+    try:
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def outcome(capsys, main, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+COMMANDS = ("tc", "tables", "scan", "wavefunction", "validate")
+TC = ["tc", "--r", "0.03", "--sigma", "0.47", "--strike", "3.9"]
+SCAN = ["scan", "--input", "LNKD.csv", "--r", "0.03", "--sigma", "0.47"]
+PARSE_CASES = [
+    # every subcommand, valid
+    TC,
+    ["tables", "--which", "2"],
+    [*SCAN, "--json"],
+    ["wavefunction", "--r", "0.03", "--sigma", "0.47", "--strike", "2.4", "--samples", "10"],
+    ["validate", "--quad-points", "5"],
+    # help at both levels
+    ["-h"],
+    ["--help"],
+    *([name, flag] for name in COMMANDS for flag in ("-h", "--help")),
+    [*TC, "--help", "extra"],
+    ["tc", "--he"],
+    # no command, an unknown one, a flag before the name
+    [],
+    ["price"],
+    ["--r", "0.03", "tc"],
+    # a missing required flag, a bad type or choice, a usage error from the handler
+    ["tc", "--r", "0.03", "--strike", "2"],
+    ["tables", "--which", "x"],
+    ["tables", "--which", "9"],
+    ["validate", "--seed", "1.5"],
+    ["tc", "--r", "0.03", "--sigma", "0.47"],
+    ["tc", "--r", "-1", "--sigma", "0.47", "--strike", "2"],
+    # a runtime fault
+    ["scan", "--input", "missing.csv", "--r", "0.03"],
+    # abbreviated, ambiguous and --flag=value spellings
+    ["scan", "--inp", "LNKD.csv", "--r", "0.03", "--sigma", "0.47"],
+    [*SCAN, "--fall", "0.5"],
+    ["tc", "--r=0.03", "--sigma=0.47", "--strike=3.9", "--json"],
+    # a leading --, a trailing -- x, and unrecognized arguments
+    ["--", *TC],
+    [*TC, "--", "x"],
+    [*TC, "extra"],
+    [*TC, "--bogus", "1"],
+    ["validate", "--quad-points", "5", "-x"],
+    ["tables", "--which", "1", "2"],
+    [*SCAN, "--input"],
+]
+
+
+@pytest.mark.parametrize("via_sys_argv", [False, True], ids=["argv", "sys.argv"])
+def test_every_argv_parses_as_the_full_tree(capsys, tmp_path, monkeypatch, via_sys_argv):
+    # same exit code, stdout and stderr as the full parser tree, whichever parser main builds
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps to the terminal width
+    (tmp_path / "LNKD.csv").write_text(band_series_csv(123.3, 127.2), encoding="utf-8")
+    for argv in PARSE_CASES:
+        if via_sys_argv:
+            monkeypatch.setattr(sys, "argv", ["rangetunnel", *argv])
+        passed = None if via_sys_argv else argv
+        got = outcome(capsys, cli.main, passed)
+        assert got == outcome(capsys, reference_main, passed), argv
+        assert got[0] in (0, 1, 2), argv
+
+
+FULL_TREE = ["rangetunnel", *(f"rangetunnel {name}" for name in COMMANDS)]
+
+
+@pytest.mark.parametrize(
+    "argv,progs",
+    [
+        (TC, ["rangetunnel tc"]),
+        (["tables", "--which", "1"], ["rangetunnel tables"]),
+        (["scan", "--input", "missing.csv", "--r", "0.03"], ["rangetunnel scan"]),
+        (["wavefunction", "--r", "0.03", "--sigma", "0.47", "--strike", "2.4"], ["rangetunnel wavefunction"]),
+        (["validate", "--quad-points", "1"], ["rangetunnel validate"]),
+        (["tc", "--r", "0.03", "--sigma", "0.47"], ["rangetunnel tc"]),  # a usage error of tc
+        # the full tree: the top-level parser and one per subcommand
+        (["-h"], FULL_TREE),
+        (["price"], FULL_TREE),
+        ([*TC, "extra"], ["rangetunnel tc", *FULL_TREE]),
+    ],
+    ids=["tc", "tables", "scan", "wavefunction", "validate", "tc-usage-error", "help", "unknown", "leftover"],
+)
+def test_a_call_builds_only_the_parser_it_runs(capsys, monkeypatch, argv, progs):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    with contextlib.suppress(SystemExit):
+        cli.main(argv)
+    assert built == progs
 
 
 class TestTables:
