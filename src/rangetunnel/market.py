@@ -1,19 +1,20 @@
 """OHLC ingestion, volatility estimation, and range/volatility-fall detection.
 
-CSV input is ``date,open,high,low,close[,volume]`` with ISO dates. A plain
-body (no quote, no carriage return, the header's field count on every line) is
-split on newlines and commas and converted a column at a time. Any other
-input, and any plain input with a fault, is read by the row loop, which always
-names the first fault in file order by its line. Either way the columns go to
-a PriceSeries, which checks the bar rules (one vectorised pass) and the date
-order, each in one place. The parsers take text; the CLI decodes files as
-``utf-8-sig``, so a UTF-8 byte-order mark is accepted.
+CSV input is ``date,open,high,low,close[,volume]`` with ISO dates. One
+reader, ``_table``, takes the cells of a plain body (no quote, no carriage
+return, the header's field count on every line) by splitting it on newlines
+and commas, and those of any other body from ``csv.reader``; the only fork is
+where the cells come from. Either way they are converted a column at a time,
+and only when a conversion fails is the first faulty row looked for, to name
+its line. The columns go to a PriceSeries, which checks the bar rules (one
+vectorised pass) and the date order, each in one place. The parsers take
+text; the CLI decodes files as ``utf-8-sig``, so a UTF-8 byte-order mark is
+accepted.
 
 Volatility is the annualized rolling sample standard deviation of
 close-to-close log returns (window 21 bars by default, 252 periods/year); an
 externally computed series can be supplied instead as ``date,sigma``, read
-the same way; its VolSeries checks the sigma rule and the date order. The two
-row loops share one record reader over ``csv.reader``.
+by the same reader; its VolSeries checks the sigma rule and the date order.
 Range-bound windows are detected on closes: the band of a window is [min
 close, max close], and a window qualifies when it is long enough, the band is
 tight relative to price, and the closes visit both edges of the band often
@@ -28,7 +29,7 @@ import io
 import math
 import operator
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Optional, Sequence
@@ -73,7 +74,7 @@ def _check_bars(
     high: Sequence[float],
     low: Sequence[float],
     close: Sequence[float],
-    volume: Optional[Sequence[Optional[float]]],
+    volume: Optional[Sequence[Optional[float]]] = None,
 ) -> None:
     """Raise OhlcValidationError, with its index, for the first bar that breaks a bar rule.
 
@@ -224,80 +225,71 @@ class RangeWindow:
 _HEADER = ["date", "open", "high", "low", "close"]
 
 
-def _plain_cells(text: str, headers: Sequence[list[str]]) -> Optional[tuple[int, list[str]]]:
-    """The field count and the body cells, row after row, of a plain CSV text; else None.
+def _dates(cells: Sequence[str]) -> tuple[dt.date, ...]:
+    return tuple(map(dt.date.fromisoformat, map(str.strip, cells)))
 
-    A text is plain when it holds no quote and no carriage return, its first
-    line is one of ``headers`` (each cell stripped and lower-cased, as the row
-    loops test it), at least one line follows, every line has the header's
-    field count and none is longer than the csv field limit. Split on newline
-    and comma, such a text holds the same cells, line for line, that
-    ``csv.reader`` returns for it. Anything else is left to the row loops.
-    """
-    if '"' in text or "\r" in text:
-        return None
-    lines = text.removesuffix("\n").split("\n")
-    names = [h.strip().lower() for h in lines[0].split(",")]
-    if names not in headers or len(lines) < 2:
-        return None
-    n = len(names)
-    # every line, not the total: a line one field long next to one a field short adds up
-    if set(map(str.count, lines, repeat(","))) != {n - 1}:
-        return None
-    if max(map(len, lines)) > csv.field_size_limit():  # no field is longer than its line
-        return None
-    cells = ",".join(lines).split(",")
-    del cells[:n]
-    return n, cells
+
+def _floats(cells: Sequence[str]) -> tuple[float, ...]:
+    return tuple(map(float, cells))
 
 
 def _volume_cell(cell: str) -> Optional[float]:
     return float(cell) if cell.strip() else None
 
 
-def parse_ohlc_csv(text: str, symbol: str = "") -> PriceSeries:
-    """Parse OHLC CSV text into a validated PriceSeries.
+def _volumes(cells: Sequence[str]) -> tuple[Optional[float], ...]:
+    return tuple(map(_volume_cell, cells))
 
-    A plain text (see ``_plain_cells``) is converted a column at a time, with
-    the conversions of the row loop, so every value keeps its bits. Any other
-    text, and any plain text that fails to convert or to validate, is parsed
-    by the row loop, the only code that names a fault.
 
-    Blank rows are skipped. Raises OhlcParseError with the offending line
-    number for malformed rows, OhlcValidationError for an empty body, a bar
-    that breaks a bar rule (named by its line) or dates out of order. The
-    first fault in file order wins: a malformed line is reported only when no
-    earlier bar breaks a bar rule, and date order is checked last.
+def _table(
+    text: str,
+    headers: Sequence[list[str]],
+    mismatch: str,
+    columns: Sequence[Callable[[Sequence[str]], tuple]],
+    row_fault: Callable[[list[str]], Optional[str]],
+) -> tuple[list[tuple], Sequence[Sequence[str]], Sequence[int], Optional[OhlcParseError]]:
+    """The body of a CSV text, converted a column at a time, and its first fault.
+
+    Returns ``(values, cells, lines, fault)``: ``cells[j]`` holds the text of
+    body column j, ``values[j]`` that column converted by ``columns[j]``,
+    ``lines[i]`` the physical line row i starts on, and ``fault`` None or the
+    OhlcParseError of the first row that is malformed (another field count
+    than the header's, or a ``csv.Error`` such as a stray quote) or that
+    fails to convert, named by ``row_fault``. Only the rows before the fault
+    are kept, so the caller can check them first.
+
+    A plain text (no quote, no carriage return, the header's field count on
+    every line, no line longer than the csv field limit) is split on newlines
+    and commas, which gives the cells ``csv.reader`` would. Any other text,
+    and a plain one with a cell that fails to convert or a blank row, is read
+    by ``csv.reader``, which skips blank rows. An empty text raises
+    OhlcValidationError. A header that ``csv.reader`` rejects, or that is not
+    in ``headers`` once stripped and lower-cased, raises OhlcParseError on
+    line 1, the latter with ``mismatch`` formatted with the header as ``got``.
     """
-    plain = _plain_cells(text, (_HEADER, _HEADER + ["volume"]))
-    if plain is not None:
-        n, cells = plain
-        try:
-            return PriceSeries(
-                symbol=symbol,
-                dates=tuple(map(dt.date.fromisoformat, map(str.strip, cells[0::n]))),
-                open=tuple(map(float, cells[1::n])),
-                high=tuple(map(float, cells[2::n])),
-                low=tuple(map(float, cells[3::n])),
-                close=tuple(map(float, cells[4::n])),
-                volume=tuple(map(_volume_cell, cells[5::n])) if n == 6 else None,
-            )
-        except ValueError:
-            pass  # the row loop finds the first fault in file order and names its line
-    return _parse_ohlc_rows(text, symbol)
 
+    def converted(cells: Sequence[Sequence[str]]) -> list[tuple]:
+        return [convert(column) for convert, column in zip(columns, cells)]
 
-def _records(
-    text: str, headers: Sequence[list[str]], mismatch: str
-) -> tuple[int, Iterator[tuple[int, list[str]]]]:
-    """The header's field count, and each non-blank record after it with its physical line.
-
-    An empty text raises OhlcValidationError. A header that ``csv.reader``
-    rejects, or that is not in ``headers`` once stripped and lower-cased,
-    raises OhlcParseError on line 1, the latter with ``mismatch`` formatted
-    with the header as ``got``. The iteration raises OhlcParseError at a
-    record of another field count, or at a ``csv.Error`` such as a stray quote.
-    """
+    if '"' not in text and "\r" not in text:
+        rows = text.removesuffix("\n").split("\n")
+        names = [h.strip().lower() for h in rows[0].split(",")]
+        n = len(names)
+        if (
+            names in headers
+            and len(rows) > 1
+            # every line, not the total: a line one field long next to one a field short adds up
+            and set(map(str.count, rows, repeat(","))) == {n - 1}
+            and max(map(len, rows)) <= csv.field_size_limit()  # no field is longer than its line
+        ):
+            flat = ",".join(rows).split(",")
+            lines = range(2, len(rows) + 1)
+            del rows  # the conversions allocate as much again: free the lines first
+            cells = [flat[n + j :: n] for j in range(n)]
+            try:
+                return converted(cells), cells, lines, None
+            except ValueError:
+                pass  # csv.reader skips a blank row, or finds the row that fails
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -308,61 +300,70 @@ def _records(
     names = [h.strip().lower() for h in header]
     if names not in headers:
         raise OhlcParseError(mismatch.format(got=",".join(names)), line=1)
-    n_fields = len(names)
+    n = len(names)
+    rows, lines, fault = [], [], None
+    last_line = reader.line_num  # a quoted cell may span lines: count physical ones
+    try:
+        for row in reader:
+            line_no, last_line = last_line + 1, reader.line_num
+            if not any(cell.strip() for cell in row):
+                continue  # a blank row
+            if len(row) != n:
+                fault = OhlcParseError(f"expected {n} fields, got {len(row)}", line_no)
+                break
+            rows.append(row)
+            lines.append(line_no)
+    except csv.Error as exc:
+        fault = OhlcParseError(str(exc), last_line + 1)
+    cells = list(zip(*rows)) or [()] * n
+    try:
+        return converted(cells), cells, lines, fault
+    except ValueError:
+        k, message = next((k, m) for k, m in enumerate(map(row_fault, rows)) if m is not None)
+    cells = list(zip(*rows[:k])) or [()] * n  # every row before the first that fails converts
+    return converted(cells), cells, lines[:k], OhlcParseError(message, lines[k])
 
-    def records() -> Iterator[tuple[int, list[str]]]:
-        last_line = reader.line_num  # a quoted cell may span lines: count physical ones
-        try:
-            for row in reader:
-                line_no, last_line = last_line + 1, reader.line_num
-                if not any(cell.strip() for cell in row):
-                    continue  # a blank row
-                if len(row) != n_fields:
-                    raise OhlcParseError(f"expected {n_fields} fields, got {len(row)}", line_no)
-                yield line_no, row
-        except csv.Error as exc:
-            raise OhlcParseError(str(exc), last_line + 1) from None
 
-    return n_fields, records()
+def _ohlc_row_fault(row: list[str]) -> Optional[str]:
+    """The message for an OHLC row that fails to convert, else None."""
+    try:
+        _dates(row[:1])
+    except ValueError as exc:
+        return f"bad date {row[0]!r}: {exc}"
+    try:
+        _floats(row[1:5])
+    except ValueError:
+        return f"non-numeric price in {row[1:5]}"
+    try:
+        _volumes(row[5:])
+    except ValueError:
+        return f"non-numeric volume {row[5]!r}"
+    return None
 
 
-def _parse_ohlc_rows(text: str, symbol: str) -> PriceSeries:
-    """Parse OHLC CSV text row by row; see ``parse_ohlc_csv``."""
-    n_fields, records = _records(
+def parse_ohlc_csv(text: str, symbol: str = "") -> PriceSeries:
+    """Parse OHLC CSV text into a validated PriceSeries.
+
+    Every text is converted a column at a time (see ``_table``). Blank rows
+    are skipped. Raises OhlcParseError with the offending line number for
+    malformed rows, OhlcValidationError for an empty body, a bar that breaks
+    a bar rule (named by its line) or dates out of order. The first fault in
+    file order wins: a malformed line is reported only when no earlier bar
+    breaks a bar rule, and date order is checked last.
+    """
+    values, _, lines, fault = _table(
         text, (_HEADER, _HEADER + ["volume"]),
         "expected header 'date,open,high,low,close[,volume]', got {got}",
+        (_dates, _floats, _floats, _floats, _floats, _volumes), _ohlc_row_fault,
     )
-    has_volume = n_fields == 6
-    dates: list[dt.date] = []
-    prices: list[tuple[float, float, float, float]] = []
-    volumes: list[Optional[float]] = []
-    lines: list[int] = []  # source line of each bar
     try:
-        try:
-            for line_no, row in records:
-                try:
-                    date = dt.date.fromisoformat(row[0].strip())
-                except ValueError as exc:
-                    raise OhlcParseError(f"bad date {row[0]!r}: {exc}", line_no) from None
-                try:
-                    bar = (float(row[1]), float(row[2]), float(row[3]), float(row[4]))
-                except ValueError:
-                    raise OhlcParseError(f"non-numeric price in {row[1:5]}", line_no) from None
-                if has_volume:
-                    try:
-                        volumes.append(_volume_cell(row[5]))
-                    except ValueError:
-                        raise OhlcParseError(f"non-numeric volume {row[5]!r}", line_no) from None
-                dates.append(date)
-                prices.append(bar)
-                lines.append(line_no)
-        except OhlcParseError:
-            if dates:  # an earlier bar that breaks a bar rule wins
-                _check_bars(dates, *zip(*prices), volumes if has_volume else None)
-            raise
-        if not dates:
+        if fault is not None:
+            if values[0]:  # an earlier bar that breaks a bar rule wins
+                _check_bars(*values)
+            raise fault
+        if not values[0]:
             raise OhlcValidationError("no bars: input has a header but no data rows")
-        return PriceSeries(symbol, tuple(dates), *zip(*prices), tuple(volumes) if has_volume else None)
+        return PriceSeries(symbol, *values)
     except OhlcValidationError as exc:
         if exc.index is None:
             raise
@@ -385,58 +386,39 @@ def serialize_ohlc_csv(series: PriceSeries) -> str:
     return out.getvalue()
 
 
+def _vol_row_fault(row: list[str]) -> Optional[str]:
+    """The message for a ``date,sigma`` row that fails to convert, else None."""
+    try:
+        _dates(row[:1])
+        _floats(row[1:])
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def parse_vol_csv(text: str) -> VolSeries:
     """Parse an externally computed volatility series in ``date,sigma`` CSV form.
 
-    Blank rows are skipped. A malformed row, or a sigma that is not finite
-    and >= 0, raises OhlcParseError with its line number; the first in file
-    order wins. Dates out of order raise OhlcValidationError. A plain text
-    (see ``_plain_cells``) is converted a column at a time; any other text,
-    and any plain text that fails, is parsed by the row loop, which names the
-    first fault.
+    Every text is converted a column at a time (see ``_table``). Blank rows
+    are skipped. A malformed row, or a sigma that is not finite and >= 0,
+    raises OhlcParseError with its line number; the first in file order
+    wins. Dates out of order raise OhlcValidationError.
     """
-    plain = _plain_cells(text, (["date", "sigma"],))
-    if plain is not None:
-        cells = plain[1]
-        try:
-            return VolSeries(
-                dates=tuple(map(dt.date.fromisoformat, map(str.strip, cells[0::2]))),
-                values=np.array(tuple(map(float, cells[1::2])), dtype=float),
-            )
-        except ValueError:
-            pass  # the row loop finds the first fault in file order and names its line
-    return _parse_vol_rows(text)
-
-
-def _parse_vol_rows(text: str) -> VolSeries:
-    """Parse ``date,sigma`` CSV text row by row; see ``parse_vol_csv``."""
-    _, records = _records(text, (["date", "sigma"],), "expected header 'date,sigma', got {got}")
-    dates: list[dt.date] = []
-    values: list[float] = []
-    cells: list[str] = []
-    lines: list[int] = []
+    (dates, sigmas), cells, lines, fault = _table(
+        text, (["date", "sigma"],), "expected header 'date,sigma', got {got}",
+        (_dates, _floats), _vol_row_fault,
+    )
     try:
-        try:
-            for line_no, row in records:
-                try:
-                    date = dt.date.fromisoformat(row[0].strip())
-                    sigma = float(row[1])
-                except ValueError as exc:
-                    raise OhlcParseError(str(exc), line_no) from None
-                dates.append(date)
-                values.append(sigma)
-                cells.append(row[1])
-                lines.append(line_no)
-        except OhlcParseError:
-            _check_sigma(values)  # an earlier bad sigma wins
-            raise
+        if fault is not None:
+            _check_sigma(sigmas)  # an earlier bad sigma wins
+            raise fault
         if not dates:
             raise OhlcValidationError("no volatility rows")
-        return VolSeries(dates=tuple(dates), values=np.array(values, dtype=float))
+        return VolSeries(dates=dates, values=np.array(sigmas, dtype=float))
     except OhlcValidationError as exc:
         if exc.index is None:
             raise
-        cell, line = cells[exc.index].strip(), lines[exc.index]
+        cell, line = cells[1][exc.index].strip(), lines[exc.index]
         raise OhlcParseError(f"sigma must be finite and >= 0, got {cell!r}", line) from None
 
 

@@ -10,7 +10,9 @@ same columns, numbers at 6 significant digits.
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
+import io
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -202,10 +204,12 @@ def _event_row(event: ScanEvent) -> dict:
 
 
 def report_csv(events: list[ScanEvent]) -> str:
-    """Scan report as CSV with the standard column set."""
-    lines = [",".join(REPORT_COLUMNS)]
-    lines += [",".join(map(_cell, _event_row(event).values())) for event in events]
-    return "\n".join(lines) + "\n"
+    """Scan report as CSV with the standard column set; a symbol with a comma or quote is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(REPORT_COLUMNS)
+    writer.writerows(map(_cell, _event_row(event).values()) for event in events)
+    return out.getvalue()
 
 
 def report_json(events: list[ScanEvent]) -> str:

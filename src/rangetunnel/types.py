@@ -58,7 +58,8 @@ class RangeBound:
     """Support/resistance band in absolute prices.
 
     The band width plays the wall-entry coordinate K once the support is moved
-    to the origin, so ``width == resistance - support`` exactly.
+    to the origin, so ``width == resistance - support`` exactly; it must be
+    finite, as must both ends.
     """
 
     support: float
@@ -71,6 +72,8 @@ class RangeBound:
             raise ValueError(
                 f"resistance ({self.resistance}) must exceed support ({self.support})"
             )
+        # finite ends can still be 3.4e308 apart: K would print as inf, and as Infinity in JSON
+        _require_finite("resistance - support", self.width)
 
     @property
     def width(self) -> float:

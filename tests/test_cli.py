@@ -158,6 +158,11 @@ class TestTc:
             ["wavefunction", "--r", "1e-300", "--sigma", "1e-300", "--strike", "1e-300"],
             "sigma=1e-300 is out of range: sigma^4 underflows to 0 in the prefactor P",
         ),
+        # both ends finite, the width not: K printed inf, and Infinity under --json
+        (
+            ["tc", "--r", "0.03", "--sigma", "0.47", "--support=-1.7e308", "--resistance", "1.7e308"],
+            "resistance - support must be finite, got inf",
+        ),
     ],
 )
 def test_bad_model_flags_are_usage_errors(capsys, argv, message):

@@ -458,8 +458,7 @@ def test_round_trip_random_series(series):
     assert parse_ohlc_csv(serialize_ohlc_csv(series), symbol=series.symbol) == series
 
 
-# The column pass of each reader against its row loop, which parses every text
-# that is not plain and names every fault, so the two must agree on any input.
+# Mutations of valid texts, on which the parsers must match the references below.
 _LIMIT = 131072  # the csv module's default field size limit
 _CELLS = (
     "nan", "inf", "-inf", "-0", "-1", "-1e-3", "1e999", "", " ", "abc", "1_0", " 2.5 ", "2.5\r", "\x00",
@@ -494,6 +493,14 @@ def _lose_field(draw, lines):
 def _insert_line(draw, lines):
     i = _at(draw, lines)
     return lines[:i] + [draw(st.sampled_from(["", "  ", ",", ",,,,", ",,,,,", " , , , , ", "\t"]))] + lines[i:]
+
+
+def _insert_blank_row(draw, lines):
+    # a row of the header's field count whose cells are empty or whitespace: csv skips it
+    i = _at(draw, lines)
+    n = lines[0].count(",") + 1
+    row = ",".join(draw(st.lists(st.sampled_from(["", " ", "\t"]), min_size=n, max_size=n)))
+    return lines[:i] + [row] + lines[i:]
 
 
 def _set_cell(draw, lines, cell):
@@ -551,8 +558,8 @@ def _strip_last_newline(draw, lines):
 
 
 _MUTATIONS = (
-    _misalign, _gain_field, _lose_field, _insert_line, _substitute_cell, _quote_cell, _insert_char,
-    _crlf, _swap_lines, _duplicate_line, _header_only, _restyle_header, _strip_last_newline,
+    _misalign, _gain_field, _lose_field, _insert_line, _insert_blank_row, _substitute_cell, _quote_cell,
+    _insert_char, _crlf, _swap_lines, _duplicate_line, _header_only, _restyle_header, _strip_last_newline,
 )
 
 
@@ -586,31 +593,10 @@ def _outcome(parse, text):
     return repr(result), values
 
 
-@settings(max_examples=400)
-@given(mutated(price_series().map(serialize_ohlc_csv)))
-# line 2 gains the date of line 3: the strided columns would read two good bars
-@example("date,open,high,low,close\n2013-01-02,1,1,1,1,2013-01-03\n1,1,1,1\n")
-# an unquoted volume cell over the csv field limit
-@example(_HV + f"2013-02-07,{_OK},{'0' * (_LIMIT + 1)}\n")
-# a carriage return ends a csv record inside the line
-@example(_H + "2013-02-07,124.0\r,127.2,123.3,126.1\n")
-def test_ohlc_column_pass_matches_row_loop(text):
-    assert _outcome(parse_ohlc_csv, text) == _outcome(lambda t: market._parse_ohlc_rows(t, ""), text)
-
-
-@settings(max_examples=400)
-@given(mutated(vol_texts()))
-@example("date,sigma\n2013-01-02,0.4,2013-01-03\n0.3\n")
-@example(f"date,sigma\n2013-01-02,{'0' * (_LIMIT + 1)}\n")
-@example("date,sigma\n2013-01-02,0.4\r,\n")
-def test_vol_column_pass_matches_row_loop(text):
-    assert _outcome(parse_vol_csv, text) == _outcome(market._parse_vol_rows, text)
-
-
-# The row loops against references that each run their own csv.reader loop,
-# with the header, line, blank-row, field-count and csv.Error handling and the
-# sigma check written out inline, so a change to the shared record reader
-# shows as a difference in class, message, line or bits.
+# The parsers against references that each run their own csv.reader loop and
+# convert row by row, with the header, line, blank-row, field-count and
+# csv.Error handling and the sigma check written out inline, so a change to the
+# shared reader shows as a difference in class, message, line or bits.
 def _blank(row):
     return not any(cell.strip() for cell in row)
 
@@ -733,15 +719,20 @@ def reference_vol_rows(text):
 
 @settings(max_examples=400)
 @given(mutated(price_series().map(serialize_ohlc_csv)))
+# line 2 gains the date of line 3: the strided columns would read two good bars
 @example("date,open,high,low,close\n2013-01-02,1,1,1,1,2013-01-03\n1,1,1,1\n")
+# an unquoted volume cell over the csv field limit
 @example(_HV + f"2013-02-07,{_OK},{'0' * (_LIMIT + 1)}\n")
+# a carriage return ends a csv record inside the line
 @example(_H + "2013-02-07,124.0\r,127.2,123.3,126.1\n")
 # a bar that breaks a bar rule before a malformed line, and before a stray quote
 @example(_H + f"2013-02-07,{_OK}\n2013-02-08,124.0,127.2,123.3,-1\n2013-02-09,{_OK},7\n")
 @example(_H + f"2013-02-07,124.0,127.2,128.0,126.1\n2013-02-08,\"{_OK}\n2013-02-09,{_OK}\n")
+# blank rows of the header's field count inside a plain text: two bars each
+@example(_H + f"2013-01-02,{_OK}\n,,,,\n2013-01-03,{_OK}\n")
+@example(_H + f"2013-01-02,{_OK}\n , , , , \n2013-01-03,{_OK}\n")
 def test_ohlc_row_loop_matches_reference(text):
-    ohlc_rows = market._parse_ohlc_rows
-    assert _outcome(lambda t: ohlc_rows(t, ""), text) == _outcome(lambda t: reference_ohlc_rows(t, ""), text)
+    assert _outcome(parse_ohlc_csv, text) == _outcome(lambda t: reference_ohlc_rows(t, ""), text)
 
 
 @settings(max_examples=400)
@@ -752,31 +743,33 @@ def test_ohlc_row_loop_matches_reference(text):
 # a bad sigma before a malformed line, and before a stray quote
 @example("date,sigma\n2013-01-02,0.4\n2013-01-03,nan\n2013-01-04,0.3,7\n")
 @example('date,sigma\n2013-01-02,-1\n2013-01-03,"0.3\n2013-01-04,0.4\n')
+# a blank row of the header's field count inside a plain text
+@example("date,sigma\n2013-01-02,0.4\n,\n2013-01-03,0.3\n")
 def test_vol_row_loop_matches_reference(text):
-    assert _outcome(market._parse_vol_rows, text) == _outcome(reference_vol_rows, text)
+    assert _outcome(parse_vol_csv, text) == _outcome(reference_vol_rows, text)
 
 
-def _no_row_loop(*args):
-    raise AssertionError("a plain text fell back to the row loop")
+def _no_csv_reader(*args):
+    raise AssertionError("a plain text reached csv.reader")
 
 
 @settings(max_examples=100)
 @given(price_series())
 def test_clean_ohlc_text_skips_row_loop(series):
     text = serialize_ohlc_csv(series)
-    with mock.patch.object(market, "_parse_ohlc_rows", _no_row_loop):
+    with mock.patch.object(market.csv, "reader", _no_csv_reader):
         assert parse_ohlc_csv(text, symbol=series.symbol) == series
 
 
 @settings(max_examples=100)
 @given(vol_texts())
 def test_clean_vol_text_skips_row_loop(text):
-    expected = _outcome(market._parse_vol_rows, text)
-    with mock.patch.object(market, "_parse_vol_rows", _no_row_loop):
+    expected = _outcome(reference_vol_rows, text)
+    with mock.patch.object(market.csv, "reader", _no_csv_reader):
         assert _outcome(parse_vol_csv, text) == expected
 
 
-# plain texts beyond what serialize_ohlc_csv writes: the column pass takes them too
+# plain texts beyond what serialize_ohlc_csv writes: the split takes them too
 _PLAIN = {
     "ohlc-padded-dates": (
         parse_ohlc_csv, _H + f" 2013-02-07 ,{_OK}\n\t2013-02-08,{_OK}\n2013-02-09\t,{_OK}\n"
@@ -794,10 +787,9 @@ _PLAIN = {
 
 @pytest.mark.parametrize("parse,text", _PLAIN.values(), ids=_PLAIN.keys())
 def test_plain_text_skips_row_loop(parse, text):
-    rows = "_parse_ohlc_rows" if parse is parse_ohlc_csv else "_parse_vol_rows"
     expected = _outcome(parse, text)
     assert expected[0] not in (OhlcParseError, OhlcValidationError)
-    with mock.patch.object(market, rows, _no_row_loop):
+    with mock.patch.object(market.csv, "reader", _no_csv_reader):
         assert _outcome(parse, text) == expected
 
 

@@ -1,9 +1,11 @@
 """Scan assembly and report serialization."""
 
 import contextlib
+import csv
 import datetime as dt
 import importlib
 import inspect
+import io
 import json
 from unittest import mock
 
@@ -22,6 +24,8 @@ from rangetunnel.market import (
 from rangetunnel.scan import (
     REPORT_COLUMNS,
     ScanConfig,
+    _cell,
+    _event_row,
     _latest_inside,
     _pick_sigma,
     report_csv,
@@ -250,6 +254,14 @@ class TestReports:
         assert row["T"] == "0.998675"
         assert row["d"] == "0.058114"
         assert row["vol_fall_ratio"] == ""
+
+    @pytest.mark.parametrize("symbol", ["LNKD", "A,B", 'A"B', "A\nB"])
+    def test_csv_reads_back_cell_for_cell(self, symbol):
+        series = band_series(symbol, support=123.3, resistance=127.2)
+        events = scan(series, r=0.03, cfg=ScanConfig(sigma_override=0.47))
+        rows = list(csv.reader(io.StringIO(report_csv(events))))
+        assert rows == [REPORT_COLUMNS] + [[_cell(v) for v in _event_row(e).values()] for e in events]
+        assert len(rows) == 2 and rows[1][0] == symbol
 
     def test_json_mirrors_csv_fields(self, events):
         rows = json.loads(report_json(events))

@@ -38,6 +38,10 @@ class TestRangeBound:
         with pytest.raises(ValueError):
             RangeBound(support=10.0, resistance=9.0)
 
+    def test_overflowing_width_rejected(self):
+        with pytest.raises(ValueError, match=r"^resistance - support must be finite, got inf$"):
+            RangeBound(support=-1.7e308, resistance=1.7e308)
+
 
 class TestRegime:
     def test_regime_enum_values(self):
