@@ -6,10 +6,14 @@ return, the header's field count on every line) by splitting it on newlines
 and commas, and those of any other body from ``csv.reader``; the only fork is
 where the cells come from. Either way they are converted a column at a time,
 and only when a conversion fails is the first faulty row looked for, to name
-its line. The columns go to a PriceSeries, which checks the bar rules (one
-vectorised pass) and the date order, each in one place. The parsers take
-text; the CLI decodes files as ``utf-8-sig``, so a UTF-8 byte-order mark is
-accepted.
+its line. An OHLC body converts its close column first; an open, high or low
+cell with the text of a close takes that close's float from a table that
+lives for the one parse, which saves its ``float()`` (every such cell when
+O=H=L=C, the open column when each open is the last close). The columns go
+to a PriceSeries, which checks the bar rules (one vectorised pass) and the
+date order, each in one place; a fault in either is named by its row. The
+parsers take text; the CLI decodes files as ``utf-8-sig``, so a UTF-8
+byte-order mark is accepted.
 
 Volatility is the annualized rolling sample standard deviation of
 close-to-close log returns (window 21 bars by default, 252 periods/year); an
@@ -57,6 +61,9 @@ class OhlcValidationError(ValueError):
 
     A fault in one bar carries the bar's position as ``index`` and the message
     without that location as ``reason``; for any other fault ``index`` is None.
+    A date out of order is a fault in the bar where the order breaks: the
+    first whose date is not after the one before it, or for duplicate dates
+    the second bar of the earliest duplicated date.
     """
 
     def __init__(self, reason: str, index: Optional[int] = None):
@@ -134,6 +141,11 @@ def _strictly_increasing(dates: Sequence[dt.date]) -> bool:
     return all(map(operator.lt, dates, dates[1:]))
 
 
+def _first_not_after(dates: Sequence[dt.date]) -> int:
+    """Index of the first date that is not after the one before it; one must exist."""
+    return next(i for i in range(1, len(dates)) if dates[i] <= dates[i - 1])
+
+
 @dataclass(frozen=True)
 class PriceSeries:
     """Daily bars of one symbol, stored by column; dates strictly increasing.
@@ -167,14 +179,19 @@ class PriceSeries:
         if not _strictly_increasing(self.dates):
             dupes = [d for d, count in Counter(self.dates).items() if count > 1]
             if dupes:
-                raise OhlcValidationError(f"duplicate dates: {min(dupes).isoformat()}")
-            raise OhlcValidationError("rows are not sorted by date")
+                day = min(dupes)  # named at its second bar
+                second = self.dates.index(day, self.dates.index(day) + 1)
+                raise OhlcValidationError(f"duplicate dates: {day.isoformat()}", index=second)
+            raise OhlcValidationError("rows are not sorted by date", index=_first_not_after(self.dates))
 
     def __len__(self) -> int:
         return len(self.dates)
 
     def closes(self) -> np.ndarray:
         return np.array(self.close, dtype=float)
+
+
+_VOL_DATE_ORDER = "volatility dates must be strictly increasing"
 
 
 @dataclass(frozen=True)
@@ -194,7 +211,7 @@ class VolSeries:
             raise ValueError("dates and values must have the same length")
         _check_sigma(self.values)
         if not _strictly_increasing(self.dates):
-            raise OhlcValidationError("volatility dates must be strictly increasing")
+            raise OhlcValidationError(_VOL_DATE_ORDER, index=_first_not_after(self.dates))
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -245,18 +262,21 @@ def _table(
     text: str,
     headers: Sequence[list[str]],
     mismatch: str,
-    columns: Sequence[Callable[[Sequence[str]], tuple]],
+    convert: Callable[[Sequence[Sequence[str]]], list[tuple]],
     row_fault: Callable[[list[str]], Optional[str]],
 ) -> tuple[list[tuple], Sequence[Sequence[str]], Sequence[int], Optional[OhlcParseError]]:
     """The body of a CSV text, converted a column at a time, and its first fault.
 
     Returns ``(values, cells, lines, fault)``: ``cells[j]`` holds the text of
-    body column j, ``values[j]`` that column converted by ``columns[j]``,
+    body column j, ``values`` is ``convert(cells)`` (one tuple per column),
     ``lines[i]`` the physical line row i starts on, and ``fault`` None or the
     OhlcParseError of the first row that is malformed (another field count
     than the header's, or a ``csv.Error`` such as a stray quote) or that
     fails to convert, named by ``row_fault``. Only the rows before the fault
-    are kept, so the caller can check them first.
+    are kept, so the caller can check them first. ``convert`` sees all the
+    columns of one parse, so it may share work between them (``_ohlc_columns``
+    saves the ``float()`` of a cell that repeats a close) but keeps nothing
+    from one call to the next.
 
     A plain text (no quote, no carriage return, the header's field count on
     every line, no line longer than the csv field limit) is split on newlines
@@ -267,10 +287,6 @@ def _table(
     in ``headers`` once stripped and lower-cased, raises OhlcParseError on
     line 1, the latter with ``mismatch`` formatted with the header as ``got``.
     """
-
-    def converted(cells: Sequence[Sequence[str]]) -> list[tuple]:
-        return [convert(column) for convert, column in zip(columns, cells)]
-
     if '"' not in text and "\r" not in text:
         rows = text.removesuffix("\n").split("\n")
         names = [h.strip().lower() for h in rows[0].split(",")]
@@ -287,7 +303,7 @@ def _table(
             del rows  # the conversions allocate as much again: free the lines first
             cells = [flat[n + j :: n] for j in range(n)]
             try:
-                return converted(cells), cells, lines, None
+                return convert(cells), cells, lines, None
             except ValueError:
                 pass  # csv.reader skips a blank row, or finds the row that fails
     reader = csv.reader(io.StringIO(text))
@@ -317,11 +333,27 @@ def _table(
         fault = OhlcParseError(str(exc), last_line + 1)
     cells = list(zip(*rows)) or [()] * n
     try:
-        return converted(cells), cells, lines, fault
+        return convert(cells), cells, lines, fault
     except ValueError:
         k, message = next((k, m) for k, m in enumerate(map(row_fault, rows)) if m is not None)
     cells = list(zip(*rows[:k])) or [()] * n  # every row before the first that fails converts
-    return converted(cells), cells, lines[:k], OhlcParseError(message, lines[k])
+    return convert(cells), cells, lines[:k], OhlcParseError(message, lines[k])
+
+
+def _ohlc_columns(cells: Sequence[Sequence[str]]) -> list[tuple]:
+    """The OHLC body columns converted: date, open, high, low, close and, if given, volume.
+
+    The close column is converted first, and ``seen`` maps each close cell's
+    text to its float for this one call. An open, high or low cell whose
+    text is that of a close takes that float, which saves its ``float()``;
+    any other cell goes through ``float()``, so every value has the bits of
+    a per-cell ``float()`` and a bad cell raises ValueError as before.
+    """
+    dates, opens, highs, lows, closes, *volume = cells
+    close = _floats(closes)
+    seen = dict(zip(closes, close))
+    open_, high, low = (tuple(map(float, map(seen.get, c, c))) for c in (opens, highs, lows))
+    return [_dates(dates), open_, high, low, close, *map(_volumes, volume)]
 
 
 def _ohlc_row_fault(row: list[str]) -> Optional[str]:
@@ -344,17 +376,20 @@ def _ohlc_row_fault(row: list[str]) -> Optional[str]:
 def parse_ohlc_csv(text: str, symbol: str = "") -> PriceSeries:
     """Parse OHLC CSV text into a validated PriceSeries.
 
-    Every text is converted a column at a time (see ``_table``). Blank rows
-    are skipped. Raises OhlcParseError with the offending line number for
-    malformed rows, OhlcValidationError for an empty body, a bar that breaks
-    a bar rule (named by its line) or dates out of order. The first fault in
-    file order wins: a malformed line is reported only when no earlier bar
-    breaks a bar rule, and date order is checked last.
+    Every text is converted a column at a time (see ``_table``); an open,
+    high or low cell that repeats the text of a close reuses that close's
+    float, from a table that lives for this one call (see ``_ohlc_columns``).
+    Blank rows are skipped.
+    Raises OhlcParseError with the offending line number for malformed rows,
+    OhlcValidationError for an empty body, a bar that breaks a bar rule or
+    dates out of order (each named by its row). The first fault in file
+    order wins: a malformed line is reported only when no earlier bar breaks
+    a bar rule, and date order is checked last.
     """
     values, _, lines, fault = _table(
         text, (_HEADER, _HEADER + ["volume"]),
         "expected header 'date,open,high,low,close[,volume]', got {got}",
-        (_dates, _floats, _floats, _floats, _floats, _volumes), _ohlc_row_fault,
+        _ohlc_columns, _ohlc_row_fault,
     )
     try:
         if fault is not None:
@@ -396,17 +431,24 @@ def _vol_row_fault(row: list[str]) -> Optional[str]:
     return None
 
 
+def _vol_columns(cells: Sequence[Sequence[str]]) -> list[tuple]:
+    """The date and sigma columns, converted."""
+    dates, sigmas = cells
+    return [_dates(dates), _floats(sigmas)]
+
+
 def parse_vol_csv(text: str) -> VolSeries:
     """Parse an externally computed volatility series in ``date,sigma`` CSV form.
 
     Every text is converted a column at a time (see ``_table``). Blank rows
     are skipped. A malformed row, or a sigma that is not finite and >= 0,
     raises OhlcParseError with its line number; the first in file order
-    wins. Dates out of order raise OhlcValidationError.
+    wins. Dates out of order raise OhlcValidationError, named by the row of
+    the first date that is not after the one before it.
     """
     (dates, sigmas), cells, lines, fault = _table(
         text, (["date", "sigma"],), "expected header 'date,sigma', got {got}",
-        (_dates, _floats), _vol_row_fault,
+        _vol_columns, _vol_row_fault,
     )
     try:
         if fault is not None:
@@ -418,7 +460,10 @@ def parse_vol_csv(text: str) -> VolSeries:
     except OhlcValidationError as exc:
         if exc.index is None:
             raise
-        cell, line = cells[1][exc.index].strip(), lines[exc.index]
+        line = lines[exc.index]
+        if exc.reason == _VOL_DATE_ORDER:
+            raise OhlcValidationError(f"row {line}: {exc.reason}") from None
+        cell = cells[1][exc.index].strip()
         raise OhlcParseError(f"sigma must be finite and >= 0, got {cell!r}", line) from None
 
 

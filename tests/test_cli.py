@@ -480,7 +480,7 @@ class TestScan:
             capsys, "scan", "--input", str(src), "--vol", str(vol), "--r", "0.03"
         )
         assert code == 1
-        assert f"{vol}: volatility dates must be strictly increasing" in err
+        assert f"{vol}: row 3: volatility dates must be strictly increasing" in err
 
     def test_volatility_falling_to_zero_is_reported(self, capsys, tmp_path):
         # the rolling volatility of the flat tail is exactly 0, a fall ratio of 0

@@ -87,7 +87,7 @@ class TestParse:
         text = "date,open,high,low,close\n" + "".join(
             f"{d},124.0,127.2,123.3,126.1\n" for d in rows
         )
-        with pytest.raises(OhlcValidationError, match=r"^duplicate dates: 2013-02-05$"):
+        with pytest.raises(OhlcValidationError, match=r"^row 6: duplicate dates: 2013-02-05$"):
             parse_ohlc_csv(text)
 
     def test_unsorted_dates_rejected(self):
@@ -264,13 +264,20 @@ INGEST_ERRORS = {
         parse_ohlc_csv,
         _H + "".join(f"{d},{_OK}\n" for d in ["2013-02-09", "2013-02-09", "2013-02-05", "2013-02-05"]),
         OhlcValidationError,
-        "duplicate dates: 2013-02-05",
+        "row 5: duplicate dates: 2013-02-05",
+    ),
+    # three copies: the second names the fault; a blank row still counts as a line
+    "ohlc-duplicate-named-at-second-copy": (
+        parse_ohlc_csv,
+        _H + f"2013-02-05,{_OK}\n2013-02-06,{_OK}\n\n2013-02-05,{_OK}\n2013-02-05,{_OK}\n",
+        OhlcValidationError,
+        "row 5: duplicate dates: 2013-02-05",
     ),
     "ohlc-unsorted": (
         parse_ohlc_csv,
         _H + f"2013-02-08,{_OK}\n2013-02-07,{_OK}\n",
         OhlcValidationError,
-        "rows are not sorted by date",
+        "row 3: rows are not sorted by date",
     ),
     "ohlc-two-rules-one-bar": (
         parse_ohlc_csv,
@@ -414,7 +421,13 @@ INGEST_ERRORS = {
         parse_vol_csv,
         "date,sigma\n2013-01-02,0.4\n\n2013-01-02,0.2\n",
         OhlcValidationError,
-        "volatility dates must be strictly increasing",
+        "row 4: volatility dates must be strictly increasing",
+    ),
+    "vol-unsorted": (
+        parse_vol_csv,
+        "date,sigma\n2013-01-02,0.4\n2013-01-04,0.3\n2013-01-03,0.2\n2013-01-01,0.2\n",
+        OhlcValidationError,
+        "row 4: volatility dates must be strictly increasing",
     ),
 }
 
@@ -434,14 +447,27 @@ _positive = st.floats(min_value=1e-6, max_value=1e9, allow_nan=False, allow_infi
 
 @st.composite
 def price_series(draw):
-    """Valid series: increasing dates, prices bracketed by low and high, optional volume."""
+    """Valid series: increasing dates, prices bracketed by low and high, optional volume.
+
+    A bar has four distinct prices, or all four equal (O=H=L=C), or opens at
+    the last close, so the open, high and low cells often repeat a close's text.
+    """
     n = draw(st.integers(min_value=1, max_value=25))
     gaps = draw(st.lists(st.integers(min_value=1, max_value=5), min_size=n, max_size=n))
     dates = tuple(dt.date(2013, 1, 1) + dt.timedelta(days=sum(gaps[: i + 1])) for i in range(n))
     bars = []
     for _ in range(n):
-        low, a, b, high = sorted(draw(st.lists(_positive, min_size=4, max_size=4)))
-        bars.append((a, high, low, b) if draw(st.booleans()) else (b, high, low, a))
+        shape = draw(st.sampled_from(["distinct", "flat", "opens-at-last-close"]))
+        if shape == "flat":
+            close = draw(_positive)
+            bars.append((close, close, close, close))
+        elif shape == "opens-at-last-close" and bars:
+            open_ = bars[-1][3]
+            close, a, b = draw(st.lists(_positive, min_size=3, max_size=3))
+            bars.append((open_, max(open_, close, a, b), min(open_, close, a, b), close))
+        else:
+            low, a, b, high = sorted(draw(st.lists(_positive, min_size=4, max_size=4)))
+            bars.append((a, high, low, b) if draw(st.booleans()) else (b, high, low, a))
     volume = draw(
         st.none()
         | st.lists(
@@ -516,6 +542,18 @@ def _substitute_cell(draw, lines):
     return _set_cell(draw, lines, lambda _: value)
 
 
+def _respell_close(draw, lines):
+    # a close's text spelled another way in some cell, 1.5 as 1.50, 15e-1, ' 1.5' or 1_5:
+    # a text table must miss it (1_5 is 15, and 1e-05 as 1e-050 another number)
+    close = lines[_at(draw, lines)].split(",")[4:5]
+    if not close:
+        return lines
+    text = close[0]
+    whole, _, frac = text.partition(".")
+    spelled = draw(st.sampled_from([f"{text}0", f"{whole}{frac}e-{len(frac)}", f" {text}", f"{whole}_{frac}"]))
+    return _set_cell(draw, lines, lambda _: spelled)
+
+
 def _quote_cell(draw, lines):
     inner = draw(st.sampled_from(["", "\n", "\n\n", '""']))
     return _set_cell(draw, lines, lambda cell: f'"{cell}{inner}"')
@@ -558,8 +596,9 @@ def _strip_last_newline(draw, lines):
 
 
 _MUTATIONS = (
-    _misalign, _gain_field, _lose_field, _insert_line, _insert_blank_row, _substitute_cell, _quote_cell,
-    _insert_char, _crlf, _swap_lines, _duplicate_line, _header_only, _restyle_header, _strip_last_newline,
+    _misalign, _gain_field, _lose_field, _insert_line, _insert_blank_row, _substitute_cell, _respell_close,
+    _quote_cell, _insert_char, _crlf, _swap_lines, _duplicate_line, _header_only, _restyle_header,
+    _strip_last_newline,
 )
 
 
@@ -594,9 +633,10 @@ def _outcome(parse, text):
 
 
 # The parsers against references that each run their own csv.reader loop and
-# convert row by row, with the header, line, blank-row, field-count and
-# csv.Error handling and the sigma check written out inline, so a change to the
-# shared reader shows as a difference in class, message, line or bits.
+# convert row by row, one float() per cell, with the header, line, blank-row,
+# field-count and csv.Error handling, the sigma check and the date order
+# written out inline, so a change to the shared reader shows as a difference
+# in class, message, line or bits.
 def _blank(row):
     return not any(cell.strip() for cell in row)
 
@@ -657,6 +697,17 @@ def reference_ohlc_rows(text, symbol):
         if not dates:
             raise OhlcValidationError("no bars: input has a header but no data rows")
         opens, highs, lows, closes = zip(*prices)
+        market._check_bars(dates, opens, highs, lows, closes, volumes if has_volume else None)
+        second = {}  # date -> index of its second copy
+        for i, date in enumerate(dates):
+            if date in dates[:i]:
+                second.setdefault(date, i)
+        if second:
+            day = min(second)
+            raise OhlcValidationError(f"row {lines[second[day]]}: duplicate dates: {day.isoformat()}")
+        for i in range(1, len(dates)):
+            if dates[i] <= dates[i - 1]:
+                raise OhlcValidationError(f"row {lines[i]}: rows are not sorted by date")
         return PriceSeries(
             symbol, tuple(dates), opens, highs, lows, closes, tuple(volumes) if has_volume else None
         )
@@ -714,6 +765,9 @@ def reference_vol_rows(text):
     check_sigma()
     if not dates:
         raise OhlcValidationError("no volatility rows")
+    for i in range(1, len(dates)):
+        if dates[i] <= dates[i - 1]:
+            raise OhlcValidationError(f"row {lines[i]}: volatility dates must be strictly increasing")
     return VolSeries(dates=tuple(dates), values=np.array(values, dtype=float))
 
 
@@ -804,11 +858,12 @@ class TestPriceSeries:
     def test_date_faults(self):
         day = dt.date(2013, 2, 7)
         prices = (1.0, 1.0)
-        with pytest.raises(OhlcValidationError, match="^duplicate dates: 2013-02-07$") as excinfo:
+        with pytest.raises(OhlcValidationError, match="^bar 1: duplicate dates: 2013-02-07$") as excinfo:
             PriceSeries("X", (day, day), prices, prices, prices, prices)
-        assert excinfo.value.index is None
-        with pytest.raises(OhlcValidationError, match="^rows are not sorted by date$"):
+        assert excinfo.value.index == 1
+        with pytest.raises(OhlcValidationError, match="^bar 1: rows are not sorted by date$") as excinfo:
             PriceSeries("X", (day, day - dt.timedelta(days=1)), prices, prices, prices, prices)
+        assert excinfo.value.index == 1
 
     def test_column_lengths_must_match(self):
         with pytest.raises(ValueError, match="one value per date"):
@@ -870,12 +925,12 @@ class TestVolCsv:
     @pytest.mark.parametrize("second", ["2013-01-02", "2013-01-01"])
     def test_dates_must_increase(self, second):
         text = f"date,sigma\n2013-01-02,0.63\n{second},0.39\n"
-        with pytest.raises(OhlcValidationError, match="^volatility dates must be strictly increasing$"):
+        with pytest.raises(OhlcValidationError, match="^row 3: volatility dates must be strictly increasing$"):
             parse_vol_csv(text)
 
     def test_vol_series_checks_date_order(self):
         dates = (dt.date(2013, 1, 3), dt.date(2013, 1, 2))
-        with pytest.raises(OhlcValidationError, match="strictly increasing"):
+        with pytest.raises(OhlcValidationError, match="^bar 1: volatility dates must be strictly increasing$"):
             VolSeries(dates=dates, values=np.array([0.4, 0.3]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
