@@ -6,14 +6,14 @@ return, the header's field count on every line) by splitting it on newlines
 and commas, and those of any other body from ``csv.reader``; the only fork is
 where the cells come from. Either way they are converted a column at a time,
 and only when a conversion fails is the first faulty row looked for, to name
-its line. An OHLC body converts its close column first; an open, high or low
-cell with the text of a close takes that close's float from a table that
-lives for the one parse, which saves its ``float()`` (every such cell when
-O=H=L=C, the open column when each open is the last close). The columns go
-to a PriceSeries, which checks the bar rules (one vectorised pass) and the
-date order, each in one place; a fault in either is named by its row. The
-parsers take text; the CLI decodes files as ``utf-8-sig``, so a UTF-8
-byte-order mark is accepted.
+its line. An OHLC body converts its close column first; in an open, high or
+low column that starts with a close's text, a cell with the text of a close
+takes that close's float from a table that lives for the one parse, which
+saves its ``float()`` (every such cell when O=H=L=C, the open column when
+each open is the last close). The columns go to a PriceSeries, which checks
+the bar rules (one vectorised pass) and the date order, each in one place;
+a fault in either is named by its row. The parsers take text; the CLI
+decodes files as ``utf-8-sig``, so a UTF-8 byte-order mark is accepted.
 
 Volatility is the annualized rolling sample standard deviation of
 close-to-close log returns (window 21 bars by default, 252 periods/year); an
@@ -344,15 +344,21 @@ def _ohlc_columns(cells: Sequence[Sequence[str]]) -> list[tuple]:
     """The OHLC body columns converted: date, open, high, low, close and, if given, volume.
 
     The close column is converted first, and ``seen`` maps each close cell's
-    text to its float for this one call. An open, high or low cell whose
-    text is that of a close takes that float, which saves its ``float()``;
-    any other cell goes through ``float()``, so every value has the bits of
-    a per-cell ``float()`` and a bad cell raises ValueError as before.
+    text to its float for this one call. In an open, high or low column whose
+    first cell is a close's text, a cell whose text is that of a close takes
+    that float, which saves its ``float()``; any other cell goes through
+    ``float()``, so every value has the bits of a per-cell ``float()`` and a
+    bad cell raises ValueError as before. A column whose first cell misses,
+    such as the highs of bars with wicks, skips the table: its lookups
+    would mostly miss, and a miss costs more than a hit saves.
     """
     dates, opens, highs, lows, closes, *volume = cells
     close = _floats(closes)
     seen = dict(zip(closes, close))
-    open_, high, low = (tuple(map(float, map(seen.get, c, c))) for c in (opens, highs, lows))
+    open_, high, low = (
+        tuple(map(float, map(seen.get, c, c))) if c and c[0] in seen else _floats(c)
+        for c in (opens, highs, lows)
+    )
     return [_dates(dates), open_, high, low, close, *map(_volumes, volume)]
 
 
@@ -377,7 +383,7 @@ def parse_ohlc_csv(text: str, symbol: str = "") -> PriceSeries:
     """Parse OHLC CSV text into a validated PriceSeries.
 
     Every text is converted a column at a time (see ``_table``); an open,
-    high or low cell that repeats the text of a close reuses that close's
+    high or low cell that repeats the text of a close can reuse that close's
     float, from a table that lives for this one call (see ``_ohlc_columns``).
     Blank rows are skipped.
     Raises OhlcParseError with the offending line number for malformed rows,
