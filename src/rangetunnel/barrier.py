@@ -127,8 +127,8 @@ def barrier_geometry(params: MarketParams, band: RangeBound) -> BarrierGeometry:
     k_width = band.width
     s1 = exit_price(params)
     if lam * k_width * k_width < 1.0 - BOUNDARY_GUARD:
-        return BarrierGeometry(lam=lam, s_exit=s1, width_d=s1 - k_width, regime=Regime.TUNNELING)
-    return BarrierGeometry(lam=lam, s_exit=s1, width_d=0.0, regime=Regime.NO_BARRIER)
+        return BarrierGeometry(lam=lam, s_exit=s1, width_d=s1 - k_width)
+    return BarrierGeometry(lam=lam, s_exit=s1, width_d=0.0)
 
 
 def barrier_integral_closed(params: MarketParams, band: RangeBound) -> float:

@@ -1,6 +1,6 @@
 """OHLC ingestion, volatility estimation, and range/volatility-fall detection.
 
-CSV input is ``date,open,high,low,close[,volume]`` with ISO dates. One
+CSV input is ``date,open,high,low,close[,volume]`` with YYYY-MM-DD dates. One
 reader, ``_table``, takes the cells of a plain body (no quote, no carriage
 return, the header's field count on every line) by splitting it on newlines
 and commas, and those of any other body from ``csv.reader``; the only fork is
@@ -18,11 +18,11 @@ decodes files as ``utf-8-sig``, so a UTF-8 byte-order mark is accepted.
 Volatility is the annualized rolling sample standard deviation of
 close-to-close log returns (window 21 bars by default, 252 periods/year); an
 externally computed series can be supplied instead as ``date,sigma``, read
-by the same reader; its VolSeries checks the sigma rule and the date order.
-Range-bound windows are detected on closes: the band of a window is [min
-close, max close], and a window qualifies when it is long enough, the band is
-tight relative to price, and the closes visit both edges of the band often
-enough.
+by the same reader, where a sigma that is not finite and >= 0 is a bad cell
+like any other; its VolSeries checks the date order. Range-bound windows
+are detected on closes: the band of a window is [min close, max close], and
+a window qualifies when it is long enough, the band is tight relative to
+price, and the closes visit both edges of the band often enough.
 """
 
 from __future__ import annotations
@@ -191,9 +191,6 @@ class PriceSeries:
         return np.array(self.close, dtype=float)
 
 
-_VOL_DATE_ORDER = "volatility dates must be strictly increasing"
-
-
 @dataclass(frozen=True)
 class VolSeries:
     """Rolling annualized volatility estimates aligned to the source bars.
@@ -211,7 +208,8 @@ class VolSeries:
             raise ValueError("dates and values must have the same length")
         _check_sigma(self.values)
         if not _strictly_increasing(self.dates):
-            raise OhlcValidationError(_VOL_DATE_ORDER, index=_first_not_after(self.dates))
+            i = _first_not_after(self.dates)
+            raise OhlcValidationError("volatility dates must be strictly increasing", index=i)
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -243,7 +241,23 @@ _HEADER = ["date", "open", "high", "low", "close"]
 
 
 def _dates(cells: Sequence[str]) -> tuple[dt.date, ...]:
-    return tuple(map(dt.date.fromisoformat, map(str.strip, cells)))
+    """The cells, stripped, as dates; a cell not spelled ``YYYY-MM-DD`` raises ValueError.
+
+    From Python 3.11 on ``date.fromisoformat`` also reads ``YYYYMMDD``, week
+    dates such as ``2013-W01-3`` and more, but never a text over ten
+    characters. In a column of ten characters a cell, a cell of another
+    length means one over ten, which fails to convert; and of the
+    ten-character texts it reads, only ``YYYY-MM-DD`` has a ``-`` at 4 and
+    at 7. Any other column is refused first, with the message of Python
+    3.10, which reads only ``YYYY-MM-DD``.
+    """
+    days = tuple(map(str.strip, cells))
+    dashes = "-" * len(days)
+    text = "".join(days)
+    if len(text) != 10 * len(days) or text[4::10] != dashes or text[7::10] != dashes:
+        bad = next(day for day in days if len(day) != 10 or day[4] + day[7] != "--")
+        raise ValueError(f"Invalid isoformat string: {bad!r}")
+    return tuple(map(dt.date.fromisoformat, days))
 
 
 def _floats(cells: Sequence[str]) -> tuple[float, ...]:
@@ -262,21 +276,22 @@ def _table(
     text: str,
     headers: Sequence[list[str]],
     mismatch: str,
-    convert: Callable[[Sequence[Sequence[str]]], list[tuple]],
+    convert: Callable[[Sequence[Sequence[str]]], list],
     row_fault: Callable[[list[str]], Optional[str]],
-) -> tuple[list[tuple], Sequence[Sequence[str]], Sequence[int], Optional[OhlcParseError]]:
+) -> tuple[list, Sequence[int], Optional[OhlcParseError]]:
     """The body of a CSV text, converted a column at a time, and its first fault.
 
-    Returns ``(values, cells, lines, fault)``: ``cells[j]`` holds the text of
-    body column j, ``values`` is ``convert(cells)`` (one tuple per column),
-    ``lines[i]`` the physical line row i starts on, and ``fault`` None or the
-    OhlcParseError of the first row that is malformed (another field count
-    than the header's, or a ``csv.Error`` such as a stray quote) or that
-    fails to convert, named by ``row_fault``. Only the rows before the fault
-    are kept, so the caller can check them first. ``convert`` sees all the
-    columns of one parse, so it may share work between them (``_ohlc_columns``
-    saves the ``float()`` of a cell that repeats a close) but keeps nothing
-    from one call to the next.
+    Returns ``(values, lines, fault)``: ``values`` is ``convert(cells)``,
+    where ``cells[j]`` holds the text of body column j, ``lines[i]`` the
+    physical line row i starts on, and ``fault`` None or the OhlcParseError
+    of the first row that is malformed (another field count than the
+    header's, or a ``csv.Error`` such as a stray quote) or that fails to
+    convert (a cell that is not a number, or a value that breaks a rule
+    ``convert`` applies), named by ``row_fault``. Only the rows before the
+    fault are kept, so the caller can check them first. ``convert`` sees all
+    the columns of one parse, so it may share work between them
+    (``_ohlc_columns`` saves the ``float()`` of a cell that repeats a close)
+    but keeps nothing from one call to the next.
 
     A plain text (no quote, no carriage return, the header's field count on
     every line, no line longer than the csv field limit) is split on newlines
@@ -303,7 +318,7 @@ def _table(
             del rows  # the conversions allocate as much again: free the lines first
             cells = [flat[n + j :: n] for j in range(n)]
             try:
-                return convert(cells), cells, lines, None
+                return convert(cells), lines, None
             except ValueError:
                 pass  # csv.reader skips a blank row, or finds the row that fails
     reader = csv.reader(io.StringIO(text))
@@ -333,11 +348,11 @@ def _table(
         fault = OhlcParseError(str(exc), last_line + 1)
     cells = list(zip(*rows)) or [()] * n
     try:
-        return convert(cells), cells, lines, fault
+        return convert(cells), lines, fault
     except ValueError:
         k, message = next((k, m) for k, m in enumerate(map(row_fault, rows)) if m is not None)
     cells = list(zip(*rows[:k])) or [()] * n  # every row before the first that fails converts
-    return convert(cells), cells, lines[:k], OhlcParseError(message, lines[k])
+    return convert(cells), lines[:k], OhlcParseError(message, lines[k])
 
 
 def _ohlc_columns(cells: Sequence[Sequence[str]]) -> list[tuple]:
@@ -392,15 +407,14 @@ def parse_ohlc_csv(text: str, symbol: str = "") -> PriceSeries:
     order wins: a malformed line is reported only when no earlier bar breaks
     a bar rule, and date order is checked last.
     """
-    values, _, lines, fault = _table(
+    values, lines, fault = _table(
         text, (_HEADER, _HEADER + ["volume"]),
         "expected header 'date,open,high,low,close[,volume]', got {got}",
         _ohlc_columns, _ohlc_row_fault,
     )
     try:
         if fault is not None:
-            if values[0]:  # an earlier bar that breaks a bar rule wins
-                _check_bars(*values)
+            _check_bars(*values)  # an earlier bar that breaks a bar rule wins
             raise fault
         if not values[0]:
             raise OhlcValidationError("no bars: input has a header but no data rows")
@@ -427,50 +441,48 @@ def serialize_ohlc_csv(series: PriceSeries) -> str:
     return out.getvalue()
 
 
+def _vol_columns(cells: Sequence[Sequence[str]]) -> list:
+    """The dates, and the sigmas as one float64 array; a bad sigma raises OhlcValidationError."""
+    dates, sigmas = cells
+    days = _dates(dates)  # first: a row's bad date is reported before its bad sigma
+    values = np.array(_floats(sigmas), dtype=float)
+    _check_sigma(values)
+    return [days, values]
+
+
 def _vol_row_fault(row: list[str]) -> Optional[str]:
     """The message for a ``date,sigma`` row that fails to convert, else None."""
     try:
-        _dates(row[:1])
-        _floats(row[1:])
+        _vol_columns([row[:1], row[1:]])
+    except OhlcValidationError:
+        return f"sigma must be finite and >= 0, got {row[1].strip()!r}"
     except ValueError as exc:
         return str(exc)
     return None
-
-
-def _vol_columns(cells: Sequence[Sequence[str]]) -> list[tuple]:
-    """The date and sigma columns, converted."""
-    dates, sigmas = cells
-    return [_dates(dates), _floats(sigmas)]
 
 
 def parse_vol_csv(text: str) -> VolSeries:
     """Parse an externally computed volatility series in ``date,sigma`` CSV form.
 
     Every text is converted a column at a time (see ``_table``). Blank rows
-    are skipped. A malformed row, or a sigma that is not finite and >= 0,
-    raises OhlcParseError with its line number; the first in file order
-    wins. Dates out of order raise OhlcValidationError, named by the row of
-    the first date that is not after the one before it.
+    are skipped. A malformed row, or a sigma that is not finite and >= 0
+    (a bad cell like any other), raises OhlcParseError with its line number;
+    the first in file order wins. Dates out of order, checked when the
+    VolSeries is built, raise OhlcValidationError, named by the row of the
+    first date that is not after the one before it.
     """
-    (dates, sigmas), cells, lines, fault = _table(
+    (dates, sigmas), lines, fault = _table(
         text, (["date", "sigma"],), "expected header 'date,sigma', got {got}",
         _vol_columns, _vol_row_fault,
     )
+    if fault is not None:
+        raise fault
+    if not dates:
+        raise OhlcValidationError("no volatility rows")
     try:
-        if fault is not None:
-            _check_sigma(sigmas)  # an earlier bad sigma wins
-            raise fault
-        if not dates:
-            raise OhlcValidationError("no volatility rows")
-        return VolSeries(dates=dates, values=np.array(sigmas, dtype=float))
-    except OhlcValidationError as exc:
-        if exc.index is None:
-            raise
-        line = lines[exc.index]
-        if exc.reason == _VOL_DATE_ORDER:
-            raise OhlcValidationError(f"row {line}: {exc.reason}") from None
-        cell = cells[1][exc.index].strip()
-        raise OhlcParseError(f"sigma must be finite and >= 0, got {cell!r}", line) from None
+        return VolSeries(dates=dates, values=sigmas)
+    except OhlcValidationError as exc:  # the date order
+        raise OhlcValidationError(f"row {lines[exc.index]}: {exc.reason}") from None
 
 
 PERIODS_PER_YEAR = 252  # trading days: the sqrt-time annualization of each estimate

@@ -91,13 +91,13 @@ class BarrierGeometry:
 
     lam = r / sigma, s_exit = sqrt(1 / lam). In the TUNNELING regime
     width_d = s_exit - K > 0; otherwise width_d = 0 and the band already sits
-    outside the wall.
+    outside the wall. The regime is read off width_d, so the two cannot
+    disagree.
     """
 
     lam: float
     s_exit: float
     width_d: float
-    regime: Regime
 
     def __post_init__(self) -> None:
         if self.lam <= 0:
@@ -107,8 +107,10 @@ class BarrierGeometry:
         _require_finite("s_exit", self.s_exit)
         if self.width_d < 0:
             raise ValueError(f"width_d must be >= 0, got {self.width_d}")
-        if (self.width_d > 0) != (self.regime is Regime.TUNNELING):
-            raise ValueError("width_d > 0 exactly in the TUNNELING regime")
+
+    @property
+    def regime(self) -> Regime:
+        return Regime.TUNNELING if self.width_d > 0 else Regime.NO_BARRIER
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import csv
 import datetime as dt
 import io
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -155,6 +156,25 @@ INGEST_ERRORS = {
         _H + f"07/02/2013,{_OK}\n",
         OhlcParseError,
         "line 2: bad date '07/02/2013': Invalid isoformat string: '07/02/2013'",
+    ),
+    # Python 3.11 reads these too; every Python refuses them as 3.10 does
+    "ohlc-basic-format-date": (
+        parse_ohlc_csv,
+        _H + f"20130101,{_OK}\n",
+        OhlcParseError,
+        "line 2: bad date '20130101': Invalid isoformat string: '20130101'",
+    ),
+    "ohlc-week-date": (
+        parse_ohlc_csv,
+        _H + f"2013-01-01,{_OK}\n 2013-W01-3 ,{_OK}\n",
+        OhlcParseError,
+        "line 3: bad date ' 2013-W01-3 ': Invalid isoformat string: '2013-W01-3'",
+    ),
+    "ohlc-digits-then-text-date": (
+        parse_ohlc_csv,
+        _H + f"20130101xx,{_OK}\n",
+        OhlcParseError,
+        "line 2: bad date '20130101xx': Invalid isoformat string: '20130101xx'",
     ),
     "ohlc-non-numeric-price": (
         parse_ohlc_csv,
@@ -351,6 +371,23 @@ INGEST_ERRORS = {
     "vol-bad-date": (
         parse_vol_csv, "date,sigma\nx,0.63\n", OhlcParseError, "line 2: Invalid isoformat string: 'x'"
     ),
+    # Python 3.11 reads these too; every Python refuses them as 3.10 does
+    "vol-basic-format-date": (
+        parse_vol_csv,
+        "date,sigma\n20130101,0.63\n",
+        OhlcParseError,
+        "line 2: Invalid isoformat string: '20130101'",
+    ),
+    "vol-week-date": (
+        parse_vol_csv,
+        "date,sigma\n2013-01-01,0.63\n2013-W01-3,0.63\n",
+        OhlcParseError,
+        "line 3: Invalid isoformat string: '2013-W01-3'",
+    ),
+    # a row's date is converted before its sigma
+    "vol-bad-date-and-sigma-same-row": (
+        parse_vol_csv, "date,sigma\nx,nan\n", OhlcParseError, "line 2: Invalid isoformat string: 'x'"
+    ),
     "vol-bad-sigma-text": (
         parse_vol_csv,
         "date,sigma\n2013-01-02,abc\n",
@@ -488,7 +525,7 @@ def test_round_trip_random_series(series):
 _LIMIT = 131072  # the csv module's default field size limit
 _CELLS = (
     "nan", "inf", "-inf", "-0", "-1", "-1e-3", "1e999", "", " ", "abc", "1_0", " 2.5 ", "2.5\r", "\x00",
-    "2013-02-30", "x", "20130101", "2013-1-1", " 2013-01-05 ", "2013-01-05T00:00",
+    "2013-02-30", "x", "20130101", "2013-W01-3", "20130101xx", "2013-1-1", " 2013-01-05 ", "2013-01-05T00:00",
     "0" * _LIMIT, "0" * (_LIMIT + 1),
 )
 
@@ -641,6 +678,13 @@ def _blank(row):
     return not any(cell.strip() for cell in row)
 
 
+def _iso_date(cell):
+    # Python 3.10's rule on every Python: 3.11 also reads 20130101 and 2013-W01-3
+    if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", cell):
+        raise ValueError(f"Invalid isoformat string: {cell!r}")
+    return dt.date.fromisoformat(cell)
+
+
 def reference_ohlc_rows(text, symbol):
     reader = csv.reader(io.StringIO(text))
     try:
@@ -674,7 +718,7 @@ def reference_ohlc_rows(text, symbol):
                         continue
                     raise malformed(f"expected {n_fields} fields, got {len(row)}", line_no)
                 try:
-                    date = dt.date.fromisoformat(row[0].strip())
+                    date = _iso_date(row[0].strip())
                 except ValueError as exc:
                     if _blank(row):
                         continue
@@ -748,7 +792,7 @@ def reference_vol_rows(text):
                 check_sigma()
                 raise OhlcParseError(f"expected 2 fields, got {len(row)}", line_no)
             try:
-                date = dt.date.fromisoformat(row[0].strip())
+                date = _iso_date(row[0].strip())
                 sigma = float(row[1])
             except ValueError as exc:
                 if _blank(row):
