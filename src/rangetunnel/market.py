@@ -10,19 +10,22 @@ its line. An OHLC body converts its close column first; in an open, high or
 low column that starts with a close's text, a cell with the text of a close
 takes that close's float from a table that lives for the one parse, which
 saves its ``float()`` (every such cell when O=H=L=C, the open column when
-each open is the last close). The columns go to a PriceSeries, which checks
-the bar rules (one vectorised pass) and the date order, each in one place;
-a fault in either is named by its row. The parsers take text; the CLI
-decodes files as ``utf-8-sig``, so a UTF-8 byte-order mark is accepted.
+each open is the last close). Each price column becomes a float64 array as
+soon as it is converted. The arrays go to a PriceSeries, which keeps them
+read-only and checks the bar rules (one vectorised pass) and the date order,
+each in one place; a fault in either is named by its row. The parsers take
+text; the CLI decodes files as ``utf-8-sig``, so a UTF-8 byte-order mark is
+accepted.
 
 Volatility is the annualized rolling sample standard deviation of
 close-to-close log returns (window 21 bars by default, 252 periods/year); an
 externally computed series can be supplied instead as ``date,sigma``, read
 by the same reader, where a sigma that is not finite and >= 0 is a bad cell
-like any other; its VolSeries checks the date order. Range-bound windows
-are detected on closes: the band of a window is [min close, max close], and
-a window qualifies when it is long enough, the band is tight relative to
-price, and the closes visit both edges of the band often enough.
+like any other; its VolSeries holds the sigmas as a read-only float64 array
+and checks the date order. Range-bound windows are detected on closes: the
+band of a window is [min close, max close], and a window qualifies when it
+is long enough, the band is tight relative to price, and the closes visit
+both edges of the band often enough.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ import io
 import math
 import operator
 from collections import Counter
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional, Sequence
 
@@ -77,10 +80,10 @@ _PRICE_COLUMNS = ("open", "high", "low", "close")
 
 def _check_bars(
     dates: Sequence[dt.date],
-    open_: Sequence[float],
-    high: Sequence[float],
-    low: Sequence[float],
-    close: Sequence[float],
+    open_: np.ndarray,
+    high: np.ndarray,
+    low: np.ndarray,
+    close: np.ndarray,
     volume: Optional[Sequence[Optional[float]]] = None,
 ) -> None:
     """Raise OhlcValidationError, with its index, for the first bar that breaks a bar rule.
@@ -88,53 +91,60 @@ def _check_bars(
     The rules, in the order they are reported within one bar: each price is
     positive and finite (open, high, low, close), ``low <= min(open, close)``,
     ``high >= max(open, close)``, and a given volume is >= 0 and finite (an
-    empty cell, None, is not a given volume). Messages are
+    empty cell, None, is not a given volume). The prices are checked in one
+    vectorised pass, the volumes (Python floats) one by one. Messages are
     built from Python floats, so they read the same under every numpy version.
     """
-    prices = np.array((open_, high, low, close), dtype=float)
-    o, h, lo, c = prices
-    vol = np.array(volume, dtype=float) if volume is not None else np.zeros(len(dates))
-    vol_not_finite = ~np.isfinite(vol)
-    if vol_not_finite.any():  # an empty cell (None) reads as NaN here
-        vol_not_finite &= np.array([v is not None for v in volume])
-    # a NaN price is reported by the first rule; some numpy builds warn on
-    # NaN in the comparisons and in minimum/maximum
-    with np.errstate(invalid="ignore"):
-        faults = np.vstack(
-            (
-                ~(np.isfinite(prices) & (prices > 0)),
-                lo > np.minimum(o, c),
-                h < np.maximum(o, c),
-                vol < 0,
-                vol_not_finite,
-            )
+    prices = (open_, high, low, close)
+    # a NaN price fails the first rule; some numpy builds warn on NaN in the
+    # comparisons and in minimum/maximum
+    with np.errstate(invalid="ignore"):  # holds[r, i]: price rule r holds in bar i
+        holds = np.array(
+            [(p > 0) & (p < math.inf) for p in prices]
+            + [low <= np.minimum(open_, close), high >= np.maximum(open_, close)]
         )
-    bad = faults.any(axis=0)
-    if not bad.any():
+    sound = holds.all(axis=0)
+    i = len(dates) if sound.all() else int(sound.argmin())
+    for j, v in enumerate(volume[:i] if volume is not None else ()):
+        if v is not None and not 0 <= v < math.inf:  # NaN fails both
+            reason = "must be >= 0" if v < 0 else "must be finite"
+            raise OhlcValidationError(f"volume {reason}, got {float(v)}", index=j)
+    if i == len(dates):
         return
-    i = int(bad.argmax())
-    rule = int(faults[:, i].argmax())
+    rule = int(holds[:, i].argmin())
     if rule < 4:
-        reason = f"{_PRICE_COLUMNS[rule]} must be a positive finite price, got {float(prices[rule, i])!r}"
+        reason = f"{_PRICE_COLUMNS[rule]} must be a positive finite price, got {float(prices[rule][i])!r}"
     elif rule == 4:
         reason = f"low {float(low[i])} above min(open, close) on {dates[i]}"
-    elif rule == 5:
-        reason = f"high {float(high[i])} below max(open, close) on {dates[i]}"
-    elif rule == 6:
-        reason = f"volume must be >= 0, got {float(volume[i])}"
     else:
-        reason = f"volume must be finite, got {float(volume[i])}"
+        reason = f"high {float(high[i])} below max(open, close) on {dates[i]}"
     raise OhlcValidationError(reason, index=i)
 
 
-def _check_sigma(values: Sequence[float]) -> None:
+def _check_sigma(sigma: np.ndarray) -> None:
     """Raise OhlcValidationError, with its index, for the first sigma that is not finite and >= 0."""
-    sigma = np.asarray(values, dtype=float)
     with np.errstate(invalid="ignore"):  # NaN is caught by isfinite
         bad = ~np.isfinite(sigma) | (sigma < 0)
     if bad.any():
         i = int(bad.argmax())
         raise OhlcValidationError(f"sigma must be finite and >= 0, got {float(sigma[i])}", index=i)
+
+
+def _readonly_floats(values: Sequence[float]) -> np.ndarray:
+    """A read-only float64 copy of ``values``: no one can change a series once it is checked."""
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
+def _equal_fields(self, other: object) -> bool:
+    """The ``__eq__`` of the series types: every field equal, an array field by value."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(
+        np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
+        for mine, theirs in zip(vars(self).values(), vars(other).values())
+    )
 
 
 def _strictly_increasing(dates: Sequence[dt.date]) -> bool:
@@ -146,32 +156,37 @@ def _first_not_after(dates: Sequence[dt.date]) -> int:
     return next(i for i in range(1, len(dates)) if dates[i] <= dates[i - 1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriceSeries:
     """Daily bars of one symbol, stored by column; dates strictly increasing.
 
-    ``open``, ``high``, ``low`` and ``close`` hold one price per date.
-    ``volume`` is None when the source has no volume column, and otherwise
-    one entry per date, None where the cell was empty. Every bar has
+    ``open``, ``high``, ``low`` and ``close`` are read-only float64 arrays,
+    one price per date, converted from any sequence when the series is built.
+    ``volume`` is None when the source has no volume column, and otherwise a
+    tuple of one entry per date, None where the cell was empty. Every bar has
     positive finite prices, ``low <= min(open, close)``,
     ``high >= max(open, close)`` and a volume, where given, finite and at
-    least 0.
+    least 0. Series compare by value, so they are not hashable.
     """
 
     symbol: str
     dates: tuple[dt.date, ...]
-    open: tuple[float, ...]
-    high: tuple[float, ...]
-    low: tuple[float, ...]
-    close: tuple[float, ...]
+    open: np.ndarray
+    high: np.ndarray
+    low: np.ndarray
+    close: np.ndarray
     volume: Optional[tuple[Optional[float], ...]] = None
+
+    __eq__ = _equal_fields
 
     def __post_init__(self) -> None:
         n = len(self.dates)
         if not n:
             raise OhlcValidationError("price series must contain at least one bar")
+        for name in _PRICE_COLUMNS:
+            object.__setattr__(self, name, _readonly_floats(getattr(self, name)))
         columns = (self.open, self.high, self.low, self.close)
-        if any(len(column) != n for column in columns) or (
+        if any(column.shape != (n,) for column in columns) or (
             self.volume is not None and len(self.volume) != n
         ):
             raise ValueError("every column must hold one value per date")
@@ -187,24 +202,26 @@ class PriceSeries:
     def __len__(self) -> int:
         return len(self.dates)
 
-    def closes(self) -> np.ndarray:
-        return np.array(self.close, dtype=float)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VolSeries:
     """Rolling annualized volatility estimates aligned to the source bars.
 
     For estimator output ``dates[i]`` is the date of the bar that closes the
     i-th return window; an externally supplied series carries its own dates.
-    Dates are strictly increasing; values are finite and >= 0.
+    Dates are strictly increasing; ``values`` is a read-only float64 array,
+    converted from any sequence when the series is built, of values finite
+    and >= 0. Series compare by value, so they are not hashable.
     """
 
     dates: tuple[dt.date, ...]
-    values: np.ndarray = field(compare=False)
+    values: np.ndarray
+
+    __eq__ = _equal_fields
 
     def __post_init__(self) -> None:
-        if len(self.dates) != len(self.values):
+        object.__setattr__(self, "values", _readonly_floats(self.values))
+        if self.values.shape != (len(self.dates),):
             raise ValueError("dates and values must have the same length")
         _check_sigma(self.values)
         if not _strictly_increasing(self.dates):
@@ -260,8 +277,9 @@ def _dates(cells: Sequence[str]) -> tuple[dt.date, ...]:
     return tuple(map(dt.date.fromisoformat, days))
 
 
-def _floats(cells: Sequence[str]) -> tuple[float, ...]:
-    return tuple(map(float, cells))
+def _floats(cells: Iterable) -> np.ndarray:
+    """The cells through ``float()``, one by one, into a float64 array."""
+    return np.fromiter(map(float, cells), dtype=float)
 
 
 def _volume_cell(cell: str) -> Optional[float]:
@@ -355,8 +373,8 @@ def _table(
     return convert(cells), lines[:k], OhlcParseError(message, lines[k])
 
 
-def _ohlc_columns(cells: Sequence[Sequence[str]]) -> list[tuple]:
-    """The OHLC body columns converted: date, open, high, low, close and, if given, volume.
+def _ohlc_columns(cells: Sequence[Sequence[str]]) -> list:
+    """The OHLC body columns converted: dates, float64 open, high, low and close, and any volumes.
 
     The close column is converted first, and ``seen`` maps each close cell's
     text to its float for this one call. In an open, high or low column whose
@@ -369,10 +387,9 @@ def _ohlc_columns(cells: Sequence[Sequence[str]]) -> list[tuple]:
     """
     dates, opens, highs, lows, closes, *volume = cells
     close = _floats(closes)
-    seen = dict(zip(closes, close))
+    seen = dict(zip(closes, close.tolist()))
     open_, high, low = (
-        tuple(map(float, map(seen.get, c, c))) if c and c[0] in seen else _floats(c)
-        for c in (opens, highs, lows)
+        _floats(map(seen.get, c, c)) if c and c[0] in seen else _floats(c) for c in (opens, highs, lows)
     )
     return [_dates(dates), open_, high, low, close, *map(_volumes, volume)]
 
@@ -431,7 +448,7 @@ def serialize_ohlc_csv(series: PriceSeries) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_HEADER + (["volume"] if has_volume else []))
-    columns = (series.open, series.high, series.low, series.close)
+    columns = [column.tolist() for column in (series.open, series.high, series.low, series.close)]
     for i, date in enumerate(series.dates):
         row = [date.isoformat()] + [repr(column[i]) for column in columns]
         if has_volume:
@@ -445,7 +462,7 @@ def _vol_columns(cells: Sequence[Sequence[str]]) -> list:
     """The dates, and the sigmas as one float64 array; a bad sigma raises OhlcValidationError."""
     dates, sigmas = cells
     days = _dates(dates)  # first: a row's bad date is reported before its bad sigma
-    values = np.array(_floats(sigmas), dtype=float)
+    values = _floats(sigmas)
     _check_sigma(values)
     return [days, values]
 
@@ -509,8 +526,7 @@ def historical_volatility(series: PriceSeries, window: int = 21) -> VolSeries:
     n = len(series)
     if n <= window:
         raise ValueError(f"need more than {window} bars, got {n}")
-    closes = series.closes()
-    returns = np.diff(np.log(closes))
+    returns = np.diff(np.log(series.close))
     values = sliding_window_view(returns, window).std(axis=1, ddof=1)
     values *= math.sqrt(PERIODS_PER_YEAR)
     return VolSeries(dates=series.dates[window:], values=values)
@@ -634,7 +650,7 @@ def detect_ranges(
     cubic time in its own length.
     """
     _check_range_knobs(min_len, band_tol, touch_count)
-    closes = series.closes()
+    closes = series.close
     n = len(closes)
     if n < min_len:
         return []
@@ -673,9 +689,8 @@ def detect_vol_fall(
     _check_fall_knobs(lookback, fall_ratio)
     if len(vol) <= lookback:
         raise ValueError(f"volatility series too short: {len(vol)} <= lookback {lookback}")
-    values = np.asarray(vol.values, dtype=float)
-    before = values[:-lookback]
-    after = values[lookback:]
+    before = vol.values[:-lookback]
+    after = vol.values[lookback:]
     # only a positive sigma before can fall; a subnormal one may overflow the ratio to inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         hit = (before > 0) & (after / before <= fall_ratio)

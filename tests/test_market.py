@@ -1,6 +1,7 @@
 """OHLC parsing, volatility estimation, range and volatility-fall detection."""
 
 import csv
+import dataclasses
 import datetime as dt
 import io
 import math
@@ -35,7 +36,8 @@ class TestParse:
         series = parse_ohlc_csv("date,open,high,low,close\n2013-02-07,124.0,127.2,123.3,126.1\n")
         assert len(series) == 1
         assert series.dates == (dt.date(2013, 2, 7),)
-        assert (series.open, series.high, series.low, series.close) == ((124.0,), (127.2,), (123.3,), (126.1,))
+        columns = (series.open, series.high, series.low, series.close)
+        assert [column.tolist() for column in columns] == [[124.0], [127.2], [123.3], [126.1]]
         assert series.volume is None
 
     def test_volume_column(self):
@@ -175,6 +177,14 @@ INGEST_ERRORS = {
         _H + f"20130101xx,{_OK}\n",
         OhlcParseError,
         "line 2: bad date '20130101xx': Invalid isoformat string: '20130101xx'",
+    ),
+    # the digits that float() reads in a price cell (see test_numeric_cells_read_as_float) are refused here
+    "ohlc-arabic-indic-date": (
+        parse_ohlc_csv,
+        _H + f"\u0662\u0660\u0661\u0663-\u0660\u0661-\u0660\u0662,{_OK}\n",
+        OhlcParseError,
+        "line 2: bad date '\u0662\u0660\u0661\u0663-\u0660\u0661-\u0660\u0662': "
+        "Invalid isoformat string: '\u0662\u0660\u0661\u0663-\u0660\u0661-\u0660\u0662'",
     ),
     "ohlc-non-numeric-price": (
         parse_ohlc_csv,
@@ -479,6 +489,18 @@ def test_ingest_error_table(parse, text, error, message):
         assert excinfo.value.line == int(message.split(":")[0].removeprefix("line "))
 
 
+# a price, volume or sigma cell is read by float(), so these spellings are numbers; a date must be ASCII
+@pytest.mark.parametrize(
+    "cell,value", [("1_0", 10.0), ("\u0661\u0662", 12.0), ("\uff11.5", 1.5), (" 2.5 ", 2.5)]
+)
+def test_numeric_cells_read_as_float(cell, value):
+    series = parse_ohlc_csv(_HV + f"2013-02-07,{cell},{cell},{cell},{cell},{cell}\n")
+    columns = (series.open, series.high, series.low, series.close)
+    assert [column.tolist() for column in columns] == [[value]] * 4
+    assert series.volume == (value,)
+    assert parse_vol_csv(f"date,sigma\n2013-02-07,{cell}\n").values.tolist() == [value]
+
+
 _positive = st.floats(min_value=1e-6, max_value=1e9, allow_nan=False, allow_infinity=False)
 
 
@@ -591,6 +613,16 @@ def _respell_close(draw, lines):
     return _set_cell(draw, lines, lambda _: spelled)
 
 
+def _respell_date(draw, lines):
+    # one row's date cell spelled another way, nothing else changed: a lone bad date among good rows
+    rows = [i for i, line in enumerate(lines) if i and "," in line]
+    if not rows:
+        return lines
+    i = draw(st.sampled_from(rows))
+    _, comma, rest = lines[i].partition(",")
+    return lines[:i] + [draw(st.sampled_from(_CELLS[14:22])) + comma + rest] + lines[i + 1 :]
+
+
 def _quote_cell(draw, lines):
     inner = draw(st.sampled_from(["", "\n", "\n\n", '""']))
     return _set_cell(draw, lines, lambda cell: f'"{cell}{inner}"')
@@ -634,8 +666,8 @@ def _strip_last_newline(draw, lines):
 
 _MUTATIONS = (
     _misalign, _gain_field, _lose_field, _insert_line, _insert_blank_row, _substitute_cell, _respell_close,
-    _quote_cell, _insert_char, _crlf, _swap_lines, _duplicate_line, _header_only, _restyle_header,
-    _strip_last_newline,
+    _respell_date, _quote_cell, _insert_char, _crlf, _swap_lines, _duplicate_line, _header_only,
+    _restyle_header, _strip_last_newline,
 )
 
 
@@ -665,8 +697,8 @@ def _outcome(parse, text):
         result = parse(text)
     except ValueError as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
-    values = result.values.tobytes() if isinstance(result, VolSeries) else None
-    return repr(result), values
+    fields = vars(result).values()
+    return type(result), [v.tobytes() if isinstance(v, np.ndarray) else repr(v) for v in fields]
 
 
 # The parsers against references that each run their own csv.reader loop and
@@ -705,7 +737,7 @@ def reference_ohlc_rows(text, symbol):
 
     def malformed(message, line_no):
         if dates:
-            market._check_bars(dates, *zip(*prices), volumes if has_volume else None)
+            market._check_bars(dates, *np.array(prices).T, volumes if has_volume else None)
         return OhlcParseError(message, line_no)
 
     last_line = reader.line_num
@@ -740,8 +772,7 @@ def reference_ohlc_rows(text, symbol):
             raise malformed(str(exc), last_line + 1) from None
         if not dates:
             raise OhlcValidationError("no bars: input has a header but no data rows")
-        opens, highs, lows, closes = zip(*prices)
-        market._check_bars(dates, opens, highs, lows, closes, volumes if has_volume else None)
+        market._check_bars(dates, *np.array(prices).T, volumes if has_volume else None)
         second = {}  # date -> index of its second copy
         for i, date in enumerate(dates):
             if date in dates[:i]:
@@ -752,9 +783,7 @@ def reference_ohlc_rows(text, symbol):
         for i in range(1, len(dates)):
             if dates[i] <= dates[i - 1]:
                 raise OhlcValidationError(f"row {lines[i]}: rows are not sorted by date")
-        return PriceSeries(
-            symbol, tuple(dates), opens, highs, lows, closes, tuple(volumes) if has_volume else None
-        )
+        return PriceSeries(symbol, tuple(dates), *zip(*prices), tuple(volumes) if has_volume else None)
     except OhlcValidationError as exc:
         if exc.index is None:
             raise
@@ -829,6 +858,8 @@ def reference_vol_rows(text):
 # blank rows of the header's field count inside a plain text: two bars each
 @example(_H + f"2013-01-02,{_OK}\n,,,,\n2013-01-03,{_OK}\n")
 @example(_H + f"2013-01-02,{_OK}\n , , , , \n2013-01-03,{_OK}\n")
+# a lone bad date among good rows, which Python 3.11's fromisoformat would read
+@example(_H + f"2013-01-01,{_OK}\n2013-W01-3,{_OK}\n")
 def test_ohlc_row_loop_matches_reference(text):
     assert _outcome(parse_ohlc_csv, text) == _outcome(lambda t: reference_ohlc_rows(t, ""), text)
 
@@ -843,6 +874,9 @@ def test_ohlc_row_loop_matches_reference(text):
 @example('date,sigma\n2013-01-02,-1\n2013-01-03,"0.3\n2013-01-04,0.4\n')
 # a blank row of the header's field count inside a plain text
 @example("date,sigma\n2013-01-02,0.4\n,\n2013-01-03,0.3\n")
+# a lone bad date among good rows, and the same with a bad sigma in its row: the date is named
+@example("date,sigma\n2013-01-01,0.4\n2013-W01-3,0.3\n")
+@example("date,sigma\n2013-01-01,0.4\n2013-W01-3,-1\n")
 def test_vol_row_loop_matches_reference(text):
     assert _outcome(parse_vol_csv, text) == _outcome(reference_vol_rows, text)
 
@@ -947,6 +981,51 @@ def test_input_rules_reject(build, error, message):
         build()
     assert type(excinfo.value) is error
     assert str(excinfo.value) == message
+
+
+_TWO_DAYS = (_DAY, _DAY + dt.timedelta(days=1))
+
+
+class TestSeriesArrays:
+    """The columns are checked read-only float64 arrays, compared by value."""
+
+    @staticmethod
+    def series():
+        return PriceSeries("X", _TWO_DAYS, (1.0, 1.0), (2.0, 2.0), (0.5, 0.5), (1.5, 1.5), (7.0, None))
+
+    def test_price_series_differs_in_one_close(self):
+        series = self.series()
+        assert series == dataclasses.replace(series, close=np.array([1.5, 1.5]))
+        assert series != dataclasses.replace(series, close=(1.5, 1.25))
+
+    def test_vol_series_differs_in_one_sigma(self):
+        vol = VolSeries(_TWO_DAYS, (0.4, 0.3))
+        assert vol == VolSeries(_TWO_DAYS, np.array([0.4, 0.3]))
+        assert vol != VolSeries(_TWO_DAYS, (0.4, 0.25))
+
+    def test_series_equal_the_parse_of_their_text(self):
+        series = self.series()
+        assert parse_ohlc_csv(serialize_ohlc_csv(series), symbol="X") == series
+        vol = VolSeries(_TWO_DAYS, (0.4, 0.3))
+        assert parse_vol_csv(f"date,sigma\n{_TWO_DAYS[0]},0.4\n{_TWO_DAYS[1]},0.3\n") == vol
+
+    def test_columns_are_read_only_float64_copies(self):
+        close = np.array([1.5, 1.5])
+        series = dataclasses.replace(self.series(), close=close)
+        vol = VolSeries(_TWO_DAYS, close)
+        for column in (series.open, series.high, series.low, series.close, vol.values):
+            assert column.dtype == np.float64 and not column.flags.writeable
+        close[0] = 1.25  # the caller's array stays theirs
+        assert series.close.tolist() == vol.values.tolist() == [1.5, 1.5]
+        with pytest.raises(ValueError, match="read-only"):
+            series.close[0] = 1.25
+        with pytest.raises(ValueError, match="read-only"):
+            vol.values[0] = 0.0
+
+    def test_series_are_not_hashable(self):
+        for value in (self.series(), VolSeries(_TWO_DAYS, (0.4, 0.3))):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(value)
 
 
 class TestVolCsv:
@@ -1068,7 +1147,7 @@ def window_qualifies(closes, i, j, band_tol, touch_count):
 
 def ranges_trying_every_end(series, last_ends, min_len, band_tol, touch_count):
     """Windows found by trying each end from ``last_ends[i]`` down, per start; and the calls."""
-    closes = series.closes()
+    closes = series.close
     n = len(closes)
     windows = []
     calls = 0
@@ -1098,7 +1177,7 @@ def brute_force_ranges(series, min_len=15, band_tol=0.05, touch_count=2):
 
 def horizon_bounded_ranges(series, min_len=15, band_tol=0.05, touch_count=2):
     """Oracle for detect_ranges and its call count: try every end below the band horizon."""
-    last_ends = [r - 1 for r in market._band_horizons(series.closes(), band_tol, len(series))]
+    last_ends = [r - 1 for r in market._band_horizons(series.close, band_tol, len(series))]
     return ranges_trying_every_end(series, last_ends, min_len, band_tol, touch_count)
 
 
@@ -1151,7 +1230,7 @@ def first_failing_end(closes, band_tol, i):
 
 
 @st.composite
-def runs_of_closes(draw):
+def close_runs(draw):
     """1-70 closes in flat runs, drawn partly from a few shared levels so ties are common."""
     level = st.sampled_from([100.0, 102.5, 105.0, 95.0]) | st.floats(min_value=90.0, max_value=110.0)
     runs = draw(st.lists(st.tuples(level, st.integers(min_value=1, max_value=20)), min_size=1, max_size=12))
@@ -1184,7 +1263,7 @@ class TestDetectRanges:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        close_paths() | runs_of_closes(),
+        close_paths() | close_runs(),
         st.integers(min_value=5, max_value=25),
         st.sampled_from([0.05, 0.025]) | st.floats(min_value=1e-4, max_value=0.2),
         st.integers(min_value=1, max_value=6),
@@ -1216,7 +1295,7 @@ class TestDetectRanges:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        runs_of_closes(),
+        close_runs(),
         # 0.05 puts 100 -> 105 exactly at the tolerance; inf and nan pass every window
         st.sampled_from([0.05, 0.025, math.inf, math.nan]) | st.floats(min_value=1e-4, max_value=0.2),
     )
@@ -1268,7 +1347,7 @@ class TestDetectRanges:
     def test_qualifying_conditions_enforced(self):
         series = band_series("B", 100.0, 101.0, n=20)
         for window in detect_ranges(series, min_len=15, band_tol=0.05, touch_count=2):
-            closes = series.closes()[window.start : window.end + 1]
+            closes = series.close[window.start : window.end + 1]
             width = window.band.width
             assert window.end - window.start + 1 >= 15
             assert (closes.max() - closes.min()) / closes.min() <= 0.05
