@@ -8,7 +8,8 @@ stderr. All numeric output uses 6 significant digits so identical flags give
 identical bytes. A call builds only the parser of the subcommand that
 ``argv`` names; help, a missing or unknown name and leftover arguments go
 through the full tree of ``build_parser``, so every argv prints and exits as
-that tree would.
+that tree would. A parser's help formatter reads the terminal width only when
+help or a usage error prints.
 """
 
 from __future__ import annotations
@@ -240,6 +241,29 @@ def _validate_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's help formatter, sized to the terminal only when it formats text.
+
+    argparse builds a formatter in every ``add_argument`` only to check the
+    metavar, which reads nothing that the constructor sizes, and the stock
+    constructor asks the terminal for its width. This one keeps its arguments
+    and runs the stock constructor on them when an attribute that constructor
+    sets is first read, so help and usage errors wrap to the width at the
+    time they print.
+    """
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        self._deferred_init = (args, kwargs)
+
+    def __getattr__(self, name: str) -> object:  # only for a name not set yet
+        try:
+            args, kwargs = vars(self).pop("_deferred_init")
+        except KeyError:  # the stock constructor has run: no such attribute
+            raise AttributeError(name) from None
+        super().__init__(*args, **kwargs)
+        return getattr(self, name)
+
+
 class _Command(NamedTuple):
     handler: Callable[[argparse.ArgumentParser, argparse.Namespace], int]
     summary: str
@@ -257,21 +281,22 @@ _COMMANDS = {
 }
 
 
-def _fill(parser: argparse.ArgumentParser, command: _Command) -> argparse.ArgumentParser:
+def _fill(parser: argparse.ArgumentParser, command: _Command) -> None:
     # the handler gets its own parser, so its usage errors print that usage line
     parser.set_defaults(run=functools.partial(command.handler, parser))
     command.add_flags(parser)
-    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rangetunnel",
         description="Breakout (tunneling) probabilities for range-bound markets",
+        formatter_class=_HelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # named, where argparse would size a formatter to derive it: the prog itself, for no positionals
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
     for name, command in _COMMANDS.items():
-        _fill(sub.add_parser(name, help=command.summary), command)
+        _fill(sub.add_parser(name, help=command.summary, formatter_class=_HelpFormatter), command)
     return parser
 
 
@@ -286,7 +311,8 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
     """
     if argv and argv[0] in _COMMANDS:
         name = argv[0]
-        parser = _fill(argparse.ArgumentParser(prog=f"rangetunnel {name}"), _COMMANDS[name])
+        parser = argparse.ArgumentParser(prog=f"rangetunnel {name}", formatter_class=_HelpFormatter)
+        _fill(parser, _COMMANDS[name])
         args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=name))
         if not extras:
             return args

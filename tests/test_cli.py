@@ -4,14 +4,19 @@ import argparse
 import contextlib
 import dataclasses
 import datetime as dt
+import io
 import itertools
 import json
+import math
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import rangetunnel
 from rangetunnel import cli
@@ -264,8 +269,15 @@ def test_extreme_flags_never_raise(capsys, command):
 
 
 def reference_main(argv):
-    """``cli.main`` on the full parser tree, the way every call once parsed."""
-    args = cli.build_parser().parse_args(argv)
+    """``cli.main`` on the full parser tree, the way every call once parsed.
+
+    The tree formats with argparse's stock help formatter, which reads the
+    terminal width as it is built, so the parity test does not compare the
+    lazily sized formatter with itself.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_HelpFormatter", argparse.HelpFormatter)
+        args = cli.build_parser().parse_args(argv)
     try:
         code = args.run(args)
         sys.stdout.flush()
@@ -332,15 +344,155 @@ PARSE_CASES = [
 def test_every_argv_parses_as_the_full_tree(capsys, tmp_path, monkeypatch, via_sys_argv):
     # same exit code, stdout and stderr as the full parser tree, whichever parser main builds
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("COLUMNS", "80")  # help wraps to the terminal width
     (tmp_path / "LNKD.csv").write_text(band_series_csv(123.3, 127.2), encoding="utf-8")
-    for argv in PARSE_CASES:
+    for columns, argv in itertools.product(("40", "80", "200"), PARSE_CASES):
+        monkeypatch.setenv("COLUMNS", columns)  # help and usage wrap to the terminal width
         if via_sys_argv:
             monkeypatch.setattr(sys, "argv", ["rangetunnel", *argv])
         passed = None if via_sys_argv else argv
         got = outcome(capsys, cli.main, passed)
-        assert got == outcome(capsys, reference_main, passed), argv
+        assert got == outcome(capsys, reference_main, passed), (columns, argv)
         assert got[0] in (0, 1, 2), argv
+
+
+def test_full_tree_names_the_prog_argparse_derives():
+    # build_parser names its subcommands' prog prefix; given none, argparse formats the
+    # top-level usage line of no positionals, and the lone parsers' progs rest on that
+    derived = argparse.ArgumentParser(prog="rangetunnel").add_subparsers().add_parser("tc").prog
+    assert derived == "rangetunnel tc"
+
+
+@pytest.fixture
+def terminal_queries(monkeypatch):
+    """The calls to ``shutil.get_terminal_size`` from here on."""
+    queries = []
+    size = shutil.get_terminal_size
+
+    def spy(*args, **kwargs):
+        queries.append(args)
+        return size(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", spy)
+    return queries
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES[:5], ids=COMMANDS)
+def test_a_call_asks_the_terminal_nothing(capsys, tmp_path, monkeypatch, terminal_queries, argv):
+    # the lone parser of each subcommand, built and run; nothing prints help
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "LNKD.csv").write_text(band_series_csv(123.3, 127.2), encoding="utf-8")
+    assert run_cli(capsys, *argv)[0] == 0
+    assert terminal_queries == []
+
+
+def test_building_the_full_tree_asks_the_terminal_nothing(terminal_queries):
+    cli.build_parser()
+    assert terminal_queries == []
+
+
+@pytest.mark.parametrize("argv", [["scan", "--help"], ["scan"]], ids=["help", "usage-error"])
+def test_text_wraps_to_the_width_when_it_prints(capsys, monkeypatch, terminal_queries, argv):
+    def printed(parser):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+        captured = capsys.readouterr()
+        return captured.out + captured.err
+
+    monkeypatch.setenv("COLUMNS", "200")
+    tree = cli.build_parser()
+    monkeypatch.setenv("COLUMNS", "40")  # set after the tree is built
+    narrow = printed(tree)
+    assert len(terminal_queries) == 1  # once, when the text prints
+    monkeypatch.setattr(cli, "_HelpFormatter", argparse.HelpFormatter)
+    assert narrow == printed(cli.build_parser())  # the stock formatter built at 40 columns
+    monkeypatch.setenv("COLUMNS", "200")
+    assert narrow != printed(cli.build_parser())
+
+
+def test_metavar_tuple_of_the_wrong_length_is_refused():
+    # add_argument checks the metavar through the formatter class before any sizing
+    parser = argparse.ArgumentParser(formatter_class=cli._HelpFormatter)
+    with pytest.raises(ValueError, match="^length of metavar tuple does not match nargs$"):
+        parser.add_argument("--pair", nargs=2, metavar=("A",))
+
+
+def test_formatter_raises_attribute_error_for_a_missing_name():
+    with pytest.raises(AttributeError):
+        cli._HelpFormatter(prog="rangetunnel").no_such_attribute
+
+
+def _log_uniform(low, high):
+    return st.floats(min_value=math.log(low), max_value=math.log(high)).map(math.exp)
+
+
+# magnitudes log-uniform over the double range, and over market scales, where most
+# flag sets run to the end; plus zeros, subnormals, infinities and nan
+_EDGES = (0.0, -0.0, 5e-324, -5e-324, sys.float_info.min / 2, -1.0, math.inf, -math.inf, math.nan)
+_DOUBLES = st.one_of(
+    _log_uniform(5e-324, sys.float_info.max), _log_uniform(1e-3, 1e3), st.sampled_from(_EDGES)
+)
+
+
+def _flags(**draws):
+    return st.fixed_dictionaries(draws).map(
+        lambda values: [f"--{name.replace('_', '-')}={value!r}" for name, value in values.items()]
+    )
+
+
+def _counts(valid, invalid):
+    # half of the draws valid: hypothesis leans to the first entries of one sampled_from
+    return st.sampled_from(valid) | st.sampled_from(invalid)
+
+
+_NUMERIC_ARGVS = st.one_of(
+    st.tuples(
+        st.just(["tc"]),
+        _flags(r=_DOUBLES, sigma=_DOUBLES, strike=_DOUBLES),
+        st.sampled_from([[], ["--json"]]),
+    ),
+    # small counts only: --samples and --quad-points size what a call allocates
+    st.tuples(
+        st.just(["wavefunction"]),
+        _flags(
+            r=_DOUBLES, sigma=_DOUBLES, strike=_DOUBLES, samples=_counts(range(10, 61), range(-2, 10))
+        ),
+    ),
+    st.tuples(st.just(["tables"]), _flags(which=_counts((1, 2, 3), (-1, 0, 4)))),
+    st.tuples(st.just(["validate"]), _flags(quad_points=_counts(range(1, 9), range(-2, 1)))),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+_NON_FINITE = re.compile(r"(?i)\b(?:nan|inf|infinity)\b")
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=_NUMERIC_ARGVS)
+# r / sigma overflows
+@example(argv=["tc", "--r", "1e300", "--sigma", "1e-10", "--strike", "1e-160"])
+def test_numeric_flags_end_in_an_allowed_outcome(argv):
+    """Any numeric flags give a usage error, one error line, or finite numbers.
+
+    The allowed outcomes: exit 2 with the subcommand's usage line; exit 1 with
+    one ``error:`` line on stderr; exit 0 with every printed number finite. A
+    check that a printed regime matches the regime of the same float inputs
+    waits for an exact regime judge, and is left out.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    if code == 2:
+        assert out == ""
+        assert err.startswith(f"usage: rangetunnel {argv[0]} [-h]")
+        assert err.splitlines()[-1].startswith(f"rangetunnel {argv[0]}: error: ")
+    elif code == 1:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert code == 0 and err == ""
+        assert _NON_FINITE.search(out) is None, out
 
 
 FULL_TREE = ["rangetunnel", *(f"rangetunnel {name}" for name in COMMANDS)]
