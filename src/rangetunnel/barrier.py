@@ -202,21 +202,19 @@ def transmission_segmented(params: MarketParams, band: RangeBound, n: int) -> fl
     if geo.regime is Regime.NO_BARRIER:
         return 1.0
     walls = np.array([[band.width], [geo.width_d], [geo.lam]])
-    return _segmented_walls(*walls, [wkb_prefactor(params)], n)[0]
+    return math.exp(-2.0 * wkb_prefactor(params) * float(_segmented_walls(*walls, n)[0]))
 
 
-def _segmented_walls(
-    k_width: np.ndarray, width_d: np.ndarray, lam: np.ndarray, prefactor: list[float], n: int
-) -> list[float]:
-    """``transmission_segmented`` of TUNNELING walls, all at one n, in one array pass.
+def _segmented_walls(k_width: np.ndarray, width_d: np.ndarray, lam: np.ndarray, n: int) -> np.ndarray:
+    """Midpoint sums sum_i sqrt(V_i - lambda) (d / n) of TUNNELING walls at one n, in one array pass.
 
     Element j of each argument belongs to wall j: band edge K, penetration
-    distance d, eigenvalue lambda and prefactor P. Row j of the (walls, n)
-    midpoint array holds the ops of a one-wall call elementwise, the row-wise
-    ``np.cumsum`` adds left to right, and ``math.exp`` is taken per wall, so
-    every T has the bits of its one-wall call. The steps run in place on one
-    array: at 20 walls and n = 4096 each fresh temporary would be a new
-    655 kB mapping whose pages fault in.
+    distance d and eigenvalue lambda. Row j of the (walls, n) midpoint array
+    holds the ops of a one-wall call elementwise, and the row-wise
+    ``np.cumsum`` adds left to right, so every sum has the bits of its
+    one-wall call; exp(-2 P sum) is ``transmission_segmented``'s T. The
+    steps run in place on one array: at 20 walls and n = 4096 each fresh
+    temporary would be a new 655 kB mapping whose pages fault in.
     """
     step = (width_d / n)[:, None]
     terms = np.multiply(np.arange(n) + 0.5, step)
@@ -227,8 +225,7 @@ def _segmented_walls(
     np.maximum(terms, 0.0, out=terms)
     np.sqrt(terms, out=terms)
     terms *= step
-    totals = np.cumsum(terms, axis=1, out=terms)[:, -1]
-    return [math.exp(-2.0 * p * total) for p, total in zip(prefactor, totals.tolist())]
+    return np.cumsum(terms, axis=1, out=terms)[:, -1]
 
 
 def transmission_exact(params: MarketParams, band: RangeBound) -> float:

@@ -598,7 +598,7 @@ def _check_range_knobs(min_len: int, band_tol: float, touch_count: int) -> None:
     """The rules of the range-detection knobs."""
     if min_len < 5:
         raise ValueError(f"min_len must be >= 5, got {min_len}")
-    if band_tol <= 0:
+    if not band_tol > 0:  # NaN fails too; inf means no band limit
         raise ValueError(f"band_tol must be > 0, got {band_tol}")
     # below 1 would silently mean 1: every window touches each edge at its own extremes
     if touch_count < 1:

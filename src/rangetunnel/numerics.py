@@ -22,12 +22,18 @@ import numpy as np
 from .types import MarketParams, RangeBound
 
 
+# the barrier rule's one accuracy (see _gauss_legendre)
+QUAD_ABS_TOL = 1e-13
+QUAD_REL_TOL = 1e-12
+QUAD_MAX_NODES = 1024
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and refinement limit for the integrators.
+    """Tolerances and bisection-level limit of ``adaptive_simpson``, its only user.
 
-    ``max_depth`` counts bisection levels for ``adaptive_simpson`` and
-    doublings of n for the barrier rule, which also stops at 1 024 nodes.
+    The barrier rule takes none: it runs at QUAD_ABS_TOL, QUAD_REL_TOL and
+    QUAD_MAX_NODES.
     """
 
     abs_tol: float = 1e-12
@@ -130,19 +136,19 @@ def _legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gauss_legendre(
-    f: Callable[..., np.ndarray], a: np.ndarray, b: np.ndarray, params: tuple, cfg: QuadratureConfig
+    f: Callable[..., np.ndarray], a: np.ndarray, b: np.ndarray, params: tuple
 ) -> np.ndarray:
     """Integral of f over every [a[j], b[j]] by Gauss–Legendre rules of doubling order.
 
     f(x, *columns) returns f at x, an (m, n) array whose row i holds the
     abscissas of one integral; each of ``columns`` is an (m, 1) column of
     that integral's element of the matching array of ``params``. The order
-    n doubles from 8 until |G_n - G_2n| <= max(abs_tol, rel_tol |G_2n|),
+    n doubles from 8 until |G_n - G_2n| <= max(QUAD_ABS_TOL, QUAD_REL_TOL |G_2n|),
     and each integral keeps the first G_2n that passes. Every value is
     formed row by row, so it has the bits of a call on that integral alone.
-    An empty interval (b <= a) gives 0.0 without evaluating f. After
-    max_depth doublings, or at 1 024 nodes, raises QuadratureConvergenceError
-    for the first integral still failing, with its G_2n as the estimate.
+    An empty interval (b <= a) gives 0.0 without evaluating f. At
+    QUAD_MAX_NODES nodes, raises QuadratureConvergenceError for the first
+    integral still failing, with its G_2n at that order as the estimate.
     """
     result = np.zeros(a.shape)
     live = np.flatnonzero(~(b <= a))  # a NaN bound is evaluated, and fails to converge
@@ -156,10 +162,10 @@ def _gauss_legendre(
         values = f(0.5 * (lo + hi) + half * nodes, *(p[live, None] for p in params))
         return (values * weights).sum(axis=1) * half[:, 0]
 
-    n, last = 8, min(1024, 8 << cfg.max_depth)
+    n = 8
     coarse = rule(n)
     while live.size:
-        if n == last:
+        if n == QUAD_MAX_NODES:
             i = live[0]
             raise QuadratureConvergenceError(
                 f"no convergence on [{float(a[i]):.12g}, {float(b[i]):.12g}] at {n} nodes",
@@ -167,7 +173,7 @@ def _gauss_legendre(
             )
         n *= 2
         fine = rule(n)
-        done = np.abs(fine - coarse) <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(fine))
+        done = np.abs(fine - coarse) <= np.maximum(QUAD_ABS_TOL, QUAD_REL_TOL * np.abs(fine))
         result[live[done]] = fine[done]
         live, coarse = live[~done], fine[~done]
     return result
@@ -184,9 +190,7 @@ def _outer(t: np.ndarray, lam: np.ndarray, s1: np.ndarray) -> np.ndarray:
     return 2.0 * t2 * np.sqrt(lam * (2.0 * s1 - t2)) / (s1 - t2)
 
 
-def quad_barrier_integrals(
-    lam: np.ndarray, k_width: np.ndarray, cfg: QuadratureConfig | None = None
-) -> np.ndarray:
+def quad_barrier_integrals(lam: np.ndarray, k_width: np.ndarray) -> np.ndarray:
     """``quad_barrier_integral`` at every point (lam[j], k_width[j]), integrated together.
 
     ``lam`` holds each point's r / sigma and ``k_width`` its band width K, as
@@ -195,25 +199,19 @@ def quad_barrier_integrals(
     value has the bits of the one-point call: that call passes one-element
     arrays, and every row of the rule is formed alone. On non-convergence
     the error comes from the first failing inner part, if any, then from the
-    first failing outer part.
+    first failing outer part. Both rules run at the module's one accuracy.
     """
-    if cfg is None:
-        cfg = QuadratureConfig()
     if np.any(lam * k_width * k_width > 1.0):
         raise ValueError("no wall to integrate over: lambda*K^2 > 1")
     s1 = np.sqrt(1.0 / lam)
     # a zero-width wall (S1 <= K) gets two empty parts: mid = K and t_end = 0
     mid = np.maximum(k_width, 0.5 * s1)
     t_end = np.sqrt(np.maximum(s1 - mid, 0.0))
-    inner = _gauss_legendre(_inner, np.log(k_width), np.log(mid), (lam,), cfg)
-    return inner + _gauss_legendre(_outer, np.zeros_like(t_end), t_end, (lam, s1), cfg)
+    inner = _gauss_legendre(_inner, np.log(k_width), np.log(mid), (lam,))
+    return inner + _gauss_legendre(_outer, np.zeros_like(t_end), t_end, (lam, s1))
 
 
-def quad_barrier_integral(
-    params: MarketParams,
-    band: RangeBound,
-    cfg: QuadratureConfig | None = None,
-) -> float:
+def quad_barrier_integral(params: MarketParams, band: RangeBound) -> float:
     """Numerically integrate sqrt(1/S^2 - lambda) over the wall [K, S1].
 
     The integrand grows like 1/S as K -> 0 and has a square-root zero at S1,
@@ -228,10 +226,11 @@ def quad_barrier_integral(
 
     s = e^u leaves the zero at S1 as it is, and near t = sqrt(S1 - K), S1 - t^2
     cancels the digits of a small s; past mid, that costs at most one bit.
+    Both parts run at the module's one accuracy (``_gauss_legendre``).
     Raises ValueError when lambda*K^2 > 1; a zero-width wall gives 0.0.
     """
     lam = np.array([params.r / params.sigma])
-    return float(quad_barrier_integrals(lam, np.array([band.width]), cfg)[0])
+    return float(quad_barrier_integrals(lam, np.array([band.width]))[0])
 
 
 def _check_grid(grid: np.ndarray) -> float:

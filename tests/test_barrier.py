@@ -28,7 +28,7 @@ from rangetunnel.barrier import (
     wkb_prefactor,
 )
 from rangetunnel.types import MarketParams, RangeBound, Regime
-from rangetunnel.validate import DEFAULT_SEED, SEGMENT_LADDER, _draw_params
+from rangetunnel.validate import DEFAULT_SEED, SEGMENT_LADDER, _draw_points, _pairs
 
 params_st = st.builds(
     MarketParams,
@@ -340,9 +340,7 @@ class TestSegmented:
         assert transmission_segmented(params, band, n) == segmented_loop(params, band, n)
 
     def test_ladder_of_validate_sweep_equals_loop(self):
-        rng = np.random.default_rng(DEFAULT_SEED)
-        for _ in range(20):
-            params, band = _draw_params(rng)
+        for params, band in _pairs(*_draw_points(np.random.default_rng(DEFAULT_SEED), 20)):
             for n in SEGMENT_LADDER:
                 assert transmission_segmented(params, band, n) == segmented_loop(params, band, n)
 

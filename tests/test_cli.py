@@ -168,6 +168,9 @@ class TestTc:
             ["tc", "--r", "0.03", "--sigma", "0.47", "--support=-1.7e308", "--resistance", "1.7e308"],
             "resistance - support must be finite, got inf",
         ),
+        # NaN fails every comparison: a band_tol of nan once passed every window
+        (["scan", "--input", "missing.csv", "--r", "0.03", "--band-tol", "nan"], "band_tol must be > 0, got nan"),
+        (["scan", "--input", "missing.csv", "--r", "0.03", "--fall-ratio", "nan"], "fall_ratio must be in (0, 1), got nan"),
     ],
 )
 def test_bad_model_flags_are_usage_errors(capsys, argv, message):
@@ -433,8 +436,8 @@ _DOUBLES = st.one_of(
 )
 
 
-def _flags(**draws):
-    return st.fixed_dictionaries(draws).map(
+def _flags(optional=None, **draws):
+    return st.fixed_dictionaries(draws, optional=optional or {}).map(
         lambda values: [f"--{name.replace('_', '-')}={value!r}" for name, value in values.items()]
     )
 
@@ -464,17 +467,12 @@ _NUMERIC_ARGVS = st.one_of(
 _NON_FINITE = re.compile(r"(?i)\b(?:nan|inf|infinity)\b")
 
 
-@settings(max_examples=500, deadline=None)
-@given(argv=_NUMERIC_ARGVS)
-# r / sigma overflows
-@example(argv=["tc", "--r", "1e300", "--sigma", "1e-10", "--strike", "1e-160"])
-def test_numeric_flags_end_in_an_allowed_outcome(argv):
-    """Any numeric flags give a usage error, one error line, or finite numbers.
+def assert_allowed_outcome(argv):
+    """Run ``cli.main(argv)`` in-process and check that it ends in an allowed outcome.
 
     The allowed outcomes: exit 2 with the subcommand's usage line; exit 1 with
     one ``error:`` line on stderr; exit 0 with every printed number finite. A
-    check that a printed regime matches the regime of the same float inputs
-    waits for an exact regime judge, and is left out.
+    NaN in any float flag never ends in exit 0.
     """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -493,6 +491,68 @@ def test_numeric_flags_end_in_an_allowed_outcome(argv):
     else:
         assert code == 0 and err == ""
         assert _NON_FINITE.search(out) is None, out
+        assert not any(arg.endswith("=nan") for arg in argv), argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=_NUMERIC_ARGVS)
+# r / sigma overflows
+@example(argv=["tc", "--r", "1e300", "--sigma", "1e-10", "--strike", "1e-160"])
+def test_numeric_flags_end_in_an_allowed_outcome(argv):
+    """Any numeric flags give a usage error, one error line, or finite numbers.
+
+    The outcomes allowed are those of ``assert_allowed_outcome``. A check that
+    a printed regime matches the regime of the same float inputs waits for an
+    exact regime judge, and is left out.
+    """
+    assert_allowed_outcome(argv)
+
+
+@pytest.fixture(scope="module")
+def scan_fixture(tmp_path_factory):
+    """A 40-bar file of closes alternating between two levels, and a matching vol file."""
+    folder = tmp_path_factory.mktemp("scan")
+    (folder / "LNKD.csv").write_text(band_series_csv(123.3, 127.2, n=40), encoding="utf-8")
+    days = [dt.date(2013, 1, 1) + dt.timedelta(days=i) for i in range(40)]
+    (folder / "vol.csv").write_text(
+        "date,sigma\n" + "".join(f"{day},{0.4 if i < 20 else 0.2}\n" for i, day in enumerate(days)),
+        encoding="utf-8",
+    )
+    return folder
+
+
+_KNOB_COUNTS = st.integers(-2, 60)
+_SCAN_ARGVS = st.tuples(
+    _flags(
+        r=_DOUBLES,
+        optional=dict(
+            sigma=_DOUBLES,
+            band_tol=_DOUBLES,
+            fall_ratio=_DOUBLES,
+            min_len=_KNOB_COUNTS,
+            touch_count=_KNOB_COUNTS,
+            vol_window=_KNOB_COUNTS,
+            fall_lookback=_KNOB_COUNTS,
+        ),
+    ),
+    st.sampled_from([[], ["--json"]]),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+@settings(max_examples=300, deadline=None)
+@given(flags=_SCAN_ARGVS, vol=st.booleans())
+# NaN once failed no band test, and the whole file came out as one range
+@example(flags=["--r=0.03", "--band-tol=nan"], vol=False)
+def test_scan_flags_end_in_an_allowed_outcome(scan_fixture, flags, vol):
+    """``scan`` of a small file, with any numeric flags, ends as ``assert_allowed_outcome`` allows.
+
+    ``--r``, ``--sigma``, ``--band-tol`` and ``--fall-ratio`` are drawn as
+    the other float flags are; the four count knobs from -2 to 60. Every
+    flag but ``--r`` may be left at its default, and the sigmas come from
+    the rolling estimate, the vol file or ``--sigma``.
+    """
+    files = [f"--input={scan_fixture / 'LNKD.csv'}", *([f"--vol={scan_fixture / 'vol.csv'}"] if vol else [])]
+    assert_allowed_outcome(["scan", *files, *flags])
 
 
 FULL_TREE = ["rangetunnel", *(f"rangetunnel {name}" for name in COMMANDS)]
@@ -650,7 +710,7 @@ class TestScan:
         assert code == 0
         assert out.splitlines()[0].endswith("  vol_fall=0")
 
-    @pytest.mark.parametrize("band_tol", ["inf", "nan"])
+    @pytest.mark.parametrize("band_tol", ["inf"])
     def test_unbounded_band_tol_scans_whole_history(self, capsys, tmp_path, band_tol):
         # every window passes the band test, so the widest one is the whole file
         src = tmp_path / "LNKD.csv"

@@ -21,7 +21,7 @@ from rangetunnel.numerics import (
 )
 from rangetunnel.barrier import barrier_integral_closed, exit_price, lambda_of, wkb_prefactor
 from rangetunnel.types import MarketParams, RangeBound
-from rangetunnel.validate import SWEEP_QUADRATURE, _draw_points, quadrature_sweep
+from rangetunnel.validate import _draw_points, quadrature_sweep
 from rangetunnel.wavefunction import w_from_psi
 
 
@@ -98,9 +98,9 @@ class TestAdaptiveSimpson:
         assert math.isfinite(excinfo.value.best_estimate)
 
 
-def integrate_rule(f, a, b, cfg=QuadratureConfig(), params=()):
+def integrate_rule(f, a, b, params=()):
     """numerics._gauss_legendre over the intervals [a[j], b[j]], as float arrays."""
-    return numerics._gauss_legendre(f, np.array(a, dtype=float), np.array(b, dtype=float), params, cfg)
+    return numerics._gauss_legendre(f, np.array(a, dtype=float), np.array(b, dtype=float), params)
 
 
 def barrier_imports(source):
@@ -179,13 +179,12 @@ class TestGaussLegendre:
             return 1.0 / (c + x * x)
 
         a, b, c = [0.0, 0.0, 1.0], [1.0, 1.0, 1.0], np.array([1.0, 1e-3, 1.0])
-        cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13)
-        values = integrate_rule(f, a, b, cfg, (c,))
+        values = integrate_rule(f, a, b, (c,))
         exact = [math.atan(1.0 / math.sqrt(v)) / math.sqrt(v) for v in c[:2].tolist()]
         assert values[:2] == pytest.approx(exact, rel=1e-12)
         assert values[2] == 0.0
         for j in range(3):
-            assert integrate_rule(f, a[j : j + 1], b[j : j + 1], cfg, (c[j : j + 1],))[0] == values[j]
+            assert integrate_rule(f, a[j : j + 1], b[j : j + 1], (c[j : j + 1],))[0] == values[j]
 
     def test_empty_intervals_are_never_evaluated(self):
         def f(x):
@@ -194,17 +193,15 @@ class TestGaussLegendre:
         assert integrate_rule(f, [1.0, 2.0, 0.0], [1.0, 1.0, -0.0]).tolist() == [0.0, 0.0, 0.0]
 
     def test_nan_bound_fails_to_converge(self):
-        cfg = QuadratureConfig(max_depth=1)
-        with pytest.raises(QuadratureConvergenceError, match=r"^no convergence on \[0, nan\] at 16 nodes$"):
-            integrate_rule(lambda x: x, [0.0], [math.nan], cfg)
+        with pytest.raises(QuadratureConvergenceError, match=r"^no convergence on \[0, nan\] at 1024 nodes$"):
+            integrate_rule(lambda x: x, [0.0], [math.nan])
 
-    @pytest.mark.parametrize("max_depth,nodes", [(1, 16), (3, 64), (60, 1024)])
-    def test_exhaustion_raises_with_best_estimate(self, max_depth, nodes):
-        # a cusp converges slowly: after max_depth doublings, or at 1 024 nodes, the rule gives up
-        cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_depth=max_depth)
+    def test_exhaustion_raises_with_best_estimate(self):
+        # a cusp converges slowly: at QUAD_MAX_NODES = 1 024 nodes the rule gives up
+        assert numerics.QUAD_MAX_NODES == 1024
         with pytest.raises(QuadratureConvergenceError) as excinfo:
-            integrate_rule(lambda x: np.sqrt(np.abs(x - 0.3)), [0.0, 0.0], [1.0, 2.0], cfg)
-        assert str(excinfo.value) == f"no convergence on [0, 1] at {nodes} nodes"
+            integrate_rule(lambda x: np.sqrt(np.abs(x - 0.3)), [0.0, 0.0], [1.0, 2.0])
+        assert str(excinfo.value) == "no convergence on [0, 1] at 1024 nodes"
         assert math.isfinite(excinfo.value.best_estimate)
         exact = 2.0 / 3.0 * (0.3**1.5 + 0.7**1.5)
         assert excinfo.value.best_estimate == pytest.approx(exact, rel=1e-2)
@@ -239,23 +236,13 @@ class TestBarrierQuadrature:
         with pytest.raises(ValueError):
             quad_barrier_integral(MarketParams(r=0.2, sigma=0.2), RangeBound.from_width(2.0))
 
-    def test_halving_tolerance_stability(self):
-        params = MarketParams(r=0.02, sigma=0.61)
-        band = RangeBound.from_width(3.0)
-        eps = 1e-8
-        coarse = quad_barrier_integral(params, band, QuadratureConfig(abs_tol=eps, rel_tol=eps))
-        fine = quad_barrier_integral(
-            params, band, QuadratureConfig(abs_tol=eps / 10, rel_tol=eps / 10)
-        )
-        assert abs(coarse - fine) <= 10 * eps
-
     @pytest.mark.parametrize("lam_k2", [1e-300, 1e-100, 1e-30, 1e-12, 1e-8, 1e-4, 1 - 1e-4])
     def test_edge_regimes_match_reference(self, monkeypatch, lam_k2):
         # K -> 0 is what the log substitution of the inner part is for
         params = MarketParams(r=0.03, sigma=0.47)
         band = RangeBound.from_width(math.sqrt(lam_k2 / lambda_of(params)))
         count_evals(monkeypatch, cap=20_000)
-        quad = quad_barrier_integral(params, band, SWEEP_QUADRATURE)
+        quad = quad_barrier_integral(params, band)
         ref = reference_bracket(params, band)
         assert abs(quad - ref) / ref <= 1e-9
 
@@ -269,7 +256,7 @@ class TestBarrierQuadrature:
                 for k in (s1, math.nextafter(s1, 0.0), math.nextafter(s1, math.inf), 0.5 * s1,
                           math.nextafter(0.5 * s1, 0.0)):
                     try:
-                        value = quad_barrier_integrals(np.array([lam]), np.array([k]), SWEEP_QUADRATURE)
+                        value = quad_barrier_integrals(np.array([lam]), np.array([k]))
                     except ValueError as exc:
                         assert str(exc) == "no wall to integrate over: lambda*K^2 > 1"
                         continue
@@ -289,7 +276,7 @@ class TestBarrierQuadrature:
             for a, b, k in zip(r.tolist(), sigma.tolist(), width.tolist())
         ]
         values = quads.tolist()
-        assert values == [quad_barrier_integral(params, band, SWEEP_QUADRATURE) for params, band in draws]
+        assert values == [quad_barrier_integral(params, band) for params, band in draws]
 
     def test_reused_buffers_carry_no_state(self):
         # every call shares the cached node arrays: a point's value must not
@@ -297,14 +284,14 @@ class TestBarrierQuadrature:
         # it, or on an earlier call
         r, sigma, width = _draw_points(np.random.default_rng(4), 1000)
         lam = r / sigma
-        fresh = quad_barrier_integrals(lam[:65], width[:65], SWEEP_QUADRATURE).tobytes()
-        quads = quad_barrier_integrals(lam, width, SWEEP_QUADRATURE)
+        fresh = quad_barrier_integrals(lam[:65], width[:65]).tobytes()
+        quads = quad_barrier_integrals(lam, width)
         reversed_order = np.arange(999, -1, -1)
         shifted = np.roll(np.arange(1000), 32)
         for order in (reversed_order, shifted, np.random.default_rng(0).permutation(1000)):
-            moved = quad_barrier_integrals(lam[order], width[order], SWEEP_QUADRATURE)
+            moved = quad_barrier_integrals(lam[order], width[order])
             assert moved.tobytes() == quads[order].tobytes()
-        assert quad_barrier_integrals(lam[:65], width[:65], SWEEP_QUADRATURE).tobytes() == fresh
+        assert quad_barrier_integrals(lam[:65], width[:65]).tobytes() == fresh
 
     def test_sweep_memory_peak(self):
         # the rule holds a few (points, n) arrays at a time: the default sweep

@@ -7,6 +7,7 @@ import importlib
 import inspect
 import io
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -63,6 +64,9 @@ BAD_KNOBS = [
     ({"fall_ratio": 0.0}, lambda series, vol: detect_vol_fall(vol, fall_ratio=0.0)),
     ({"touch_count": 0}, lambda series, vol: detect_ranges(series, touch_count=0)),
     ({"touch_count": -3}, lambda series, vol: detect_ranges(series, touch_count=-3)),
+    # NaN fails every comparison, so each rule must be written to refuse it
+    ({"band_tol": math.nan}, lambda series, vol: detect_ranges(series, band_tol=math.nan)),
+    ({"fall_ratio": math.nan}, lambda series, vol: detect_vol_fall(vol, fall_ratio=math.nan)),
 ]
 
 

@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 
 from rangetunnel import validate
-from rangetunnel.barrier import transmission_segmented
+from rangetunnel.barrier import transmission_segmented, wkb_prefactor
 from rangetunnel.numerics import quad_barrier_integral
 from rangetunnel.types import MarketParams, RangeBound
 from rangetunnel.validate import (
     SEGMENT_LADDER,
     SEGMENT_POINTS,
-    SWEEP_QUADRATURE,
-    _draw_params,
     _draw_points,
     _pairs,
     check_quadrature_sweep,
@@ -57,10 +55,11 @@ def test_block_draws_continue_one_stream(block):
 
 
 def test_draw_params_equals_scalar_draws():
+    # one (params, band) pair at a time, as the tests that need a few points draw them
     rng = np.random.default_rng(4)
     oracle = np.random.default_rng(4)
     for _ in range(50):
-        params, band = _draw_params(rng)
+        [(params, band)] = _pairs(*_draw_points(rng, 1))
         assert (params.r, params.sigma, band.width) == scalar_draw(oracle)
 
 
@@ -75,15 +74,20 @@ def test_sweep_ending_in_one_point_block_equals_one_point_calls():
     *point_arrays, quads = quadrature_sweep(4, 65)
     assert len(quads) == 65
     assert quads.tolist() == [
-        quad_barrier_integral(MarketParams(r=r, sigma=sigma), RangeBound.from_width(k), SWEEP_QUADRATURE)
+        quad_barrier_integral(MarketParams(r=r, sigma=sigma), RangeBound.from_width(k))
         for r, sigma, k in points_of(point_arrays)
     ]
 
 
-def test_perturbed_closed_form_fails_and_names_its_point(monkeypatch):
-    # negative control: a closed form 1e-8 off in relative terms must fail the 1e-9 gate
+@pytest.fixture
+def bracket_off_by_1e_8(monkeypatch):
+    """Negative control: the closed form, as ``validate`` calls it, 1e-8 off in relative terms."""
     real = validate._integral_closed
     monkeypatch.setattr(validate, "_integral_closed", lambda lam, k: real(lam, k) * (1 + 1e-8))
+
+
+def test_perturbed_closed_form_fails_and_names_its_point(bracket_off_by_1e_8):
+    # the 1e-9 gate of the quadrature sweep catches it
     result = check_quadrature_sweep(4)
     assert not result.passed
     assert result.detail == "1000 points, max rel err 1.000e-08 at r=0.0426311 sigma=0.894706 K=4.54793"
@@ -93,45 +97,43 @@ def test_perturbed_closed_form_fails_and_names_its_point(monkeypatch):
 SWEEP_LINES = {
     0: (
         "1000 points, max rel err 1.287e-13",
-        "error not monotone at r=0.0389905 sigma=0.614377 K=2.26448: ['4.46e-04', "
-        "'7.00e-04', '1.44e-04', '2.17e-05', '2.94e-06', '3.82e-07', '4.87e-08']",
+        "20 points, ladder (256, 1024, 4096), extrapolated max rel err 5.350e-11",
     ),
-    1: ("1000 points, max rel err 1.248e-13", "20 points, ladder (1, 4, 16, 64, 256, 1024, 4096)"),
+    1: (
+        "1000 points, max rel err 1.248e-13",
+        "20 points, ladder (256, 1024, 4096), extrapolated max rel err 2.578e-11",
+    ),
     2: (
         "1000 points, max rel err 1.441e-13",
-        "error not monotone at r=0.0422044 sigma=0.268527 K=1.49023: ['8.23e-04', "
-        "'1.41e-03', '2.72e-04', '4.02e-05', '5.42e-06', '7.03e-07', '8.94e-08']",
+        "20 points, ladder (256, 1024, 4096), extrapolated max rel err 2.654e-11",
     ),
     3: (
         "1000 points, max rel err 1.858e-13",
-        "error not monotone at r=0.077077 sigma=0.890632 K=1.12881: ['2.95e-02', "
-        "'1.79e-03', '1.69e-05', '1.85e-05', '3.34e-06', '4.82e-07', '6.43e-08']",
+        "20 points, ladder (256, 1024, 4096), extrapolated max rel err 5.996e-11",
     ),
-    4: ("1000 points, max rel err 1.301e-13", "20 points, ladder (1, 4, 16, 64, 256, 1024, 4096)"),
+    4: (
+        "1000 points, max rel err 1.301e-13",
+        "20 points, ladder (256, 1024, 4096), extrapolated max rel err 2.599e-11",
+    ),
     5: (
         "1000 points, max rel err 2.251e-13",
-        "error not monotone at r=0.043805 sigma=0.140748 K=0.430881: ['3.59e-03', "
-        "'2.28e-04', '9.73e-06', '8.89e-08', '9.38e-08', '1.69e-08', '2.44e-09']",
+        "20 points, ladder (256, 1024, 4096), extrapolated max rel err 3.123e-11",
     ),
     6: (
         "1000 points, max rel err 1.044e-13",
-        "error not monotone at r=0.0786396 sigma=0.493165 K=0.308813: ['8.84e-02', "
-        "'1.18e-02', '8.74e-04', '4.76e-05', '1.90e-06', '1.68e-08', '1.80e-08']",
+        "20 points, ladder (256, 1024, 4096), extrapolated max rel err 4.480e-11",
     ),
     7: (
         "1000 points, max rel err 1.323e-13",
-        "error not monotone at r=0.0202201 sigma=0.651286 K=1.30735: ['5.19e-02', "
-        "'5.21e-03', '2.48e-04', '7.43e-07', '1.83e-06', '3.49e-07', '5.11e-08']",
+        "20 points, ladder (256, 1024, 4096), extrapolated max rel err 3.502e-11",
     ),
     8: (
         "1000 points, max rel err 1.334e-13",
-        "error not monotone at r=0.0360624 sigma=0.988549 K=2.97253: ['3.68e-04', "
-        "'4.44e-04', '9.23e-05', '1.39e-05', '1.89e-06', '2.46e-07', '3.13e-08']",
+        "20 points, ladder (256, 1024, 4096), extrapolated max rel err 2.679e-11",
     ),
     9: (
         "1000 points, max rel err 1.675e-13",
-        "error not monotone at r=0.0774652 sigma=0.388868 K=0.990767: ['1.57e-02', "
-        "'3.49e-05', '1.81e-04', '3.43e-05', '5.02e-06', '6.74e-07', '8.71e-08']",
+        "20 points, ladder (256, 1024, 4096), extrapolated max rel err 2.927e-11",
     ),
 }
 
@@ -141,6 +143,28 @@ def test_sweep_lines_are_pinned(seed):
     quadrature, segmented = SWEEP_LINES[seed]
     assert check_quadrature_sweep(seed).detail == quadrature
     assert check_segmented_convergence(seed).detail == segmented
+
+
+def test_perturbed_segment_bracket_fails_and_names_its_point(bracket_off_by_1e_8):
+    # the 1e-9 gate on the extrapolated segment sums catches it; the final-rung gate on T does not
+    result = check_segmented_convergence(4)
+    assert not result.passed
+    assert result.detail == (
+        "20 points, ladder (256, 1024, 4096), extrapolated max rel err 9.999e-09 "
+        "at r=0.0458971 sigma=0.810052 K=4.14713"
+    )
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_perturbed_segment_bracket_fails_at_every_seed(seed, bracket_off_by_1e_8):
+    assert not check_segmented_convergence(seed).passed
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_every_check_passes_at_every_seed(seed):
+    # the verdict of ``rangetunnel validate`` does not hang on the seed
+    failed = [result for result in run_all(seed) if not result.passed]
+    assert failed == []
 
 
 @pytest.mark.parametrize(
@@ -176,15 +200,16 @@ def test_ladder_runs_one_pass_per_rung_with_the_bits_of_one_point_calls(seed, mo
     passes = []
 
     def spy(*args):
-        transmissions = real(*args)
-        passes.append((args[-1], transmissions))
-        return transmissions
+        sums = real(*args)
+        passes.append((args[-1], sums.tolist()))
+        return sums
 
     monkeypatch.setattr(validate, "_segmented_walls", spy)
     check_segmented_convergence(seed)
     assert [n for n, _ in passes] == list(SEGMENT_LADDER)
     pairs = _pairs(*_draw_points(np.random.default_rng(seed), SEGMENT_POINTS))
-    for n, transmissions in passes:
+    for n, sums in passes:
+        transmissions = [math.exp(-2.0 * wkb_prefactor(params) * s) for (params, _), s in zip(pairs, sums)]
         assert transmissions == [transmission_segmented(params, band, n) for params, band in pairs]
 
 
