@@ -122,7 +122,8 @@ def _emit(body: str, out: str | None) -> None:
         sys.stdout.write(body)
         return
     try:
-        Path(out).write_text(body, encoding="utf-8")
+        # a symbol from a file name that is not UTF-8 keeps the name's own bytes
+        Path(out).write_text(body, encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise ValueError(f"cannot write {out}: {exc}") from None
 

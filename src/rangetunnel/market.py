@@ -563,26 +563,34 @@ def _window_qualifies(
     return RangeBound(support=lo, resistance=hi), keep
 
 
-def _band_horizons(closes: np.ndarray, band_tol: float, starts: int) -> list[int]:
+def _band_horizons(closes: np.ndarray, band_tol: float, starts: int) -> np.ndarray:
     """Band horizon of each of the first ``starts`` starts (see ``detect_ranges``).
 
     ``mins[k][p]`` and ``maxs[k][p]`` are the min and max close over
-    ``[p, p + 2**k)``. Each start's passing window ``[i, end)`` begins as one
-    bar and keeps every extension by ``2**k`` bars, largest ``k`` first, that
-    stays within the closes and still passes the band test.
+    ``[p, p + 2**k)``. Level ``k`` is built only while some window of
+    ``2**k`` bars passes the band test: once none does, no longer window
+    passes either, so the longest passing window ``H`` is under ``2**k`` bars
+    and the levels below reach every horizon. Each start's passing window
+    ``[i, end)`` begins as one bar and keeps every extension by ``2**k`` bars,
+    largest ``k`` first, that stays within the closes and still passes the
+    band test. The tables take about ``2 n (log2 H + 1)`` floats.
     """
     n = len(closes)
-    levels = (n - 1).bit_length()  # extensions of 2**k, k < levels, reach every end
     mins = [closes]
     maxs = [closes]
-    for k in range(1, levels):
-        half = 1 << (k - 1)
-        mins.append(np.minimum(mins[-1][:-half], mins[-1][half:]))
-        maxs.append(np.maximum(maxs[-1][:-half], maxs[-1][half:]))
+    half = 1
+    while 2 * half < n:  # an extension of 2**k bars from a one-bar window fits only if 2**k < n
+        level_min = np.minimum(mins[-1][:-half], mins[-1][half:])
+        level_max = np.maximum(maxs[-1][:-half], maxs[-1][half:])
+        if ((level_max - level_min) / level_min > band_tol).all():  # the search's own test
+            break
+        mins.append(level_min)
+        maxs.append(level_max)
+        half *= 2
     end = np.arange(1, starts + 1)
     lo = closes[:starts]
     hi = lo
-    for k in reversed(range(levels)):
+    for k in reversed(range(len(mins))):
         step = 1 << k
         at = np.minimum(end, n - step)  # in range; windows past the last bar are masked below
         next_lo = np.minimum(lo, mins[k][at])
@@ -591,7 +599,7 @@ def _band_horizons(closes: np.ndarray, band_tol: float, starts: int) -> list[int
         end = np.where(fits, end + step, end)
         lo = np.where(fits, next_lo, lo)
         hi = np.where(fits, next_hi, hi)
-    return end.tolist()
+    return end
 
 
 def _check_range_knobs(min_len: int, band_tol: float, touch_count: int) -> None:
@@ -629,11 +637,15 @@ def detect_ranges(
     start form a prefix, binary lifting finds every horizon exactly: doubling
     tables hold the min and max close over ``[p, p + 2**k)``, and each start
     extends its window by ``2**k`` bars, largest ``k`` first, while the same
-    float test in numpy float64 still passes. That is O(n log n) array work
-    in O(log n) numpy passes over all starts at once, and the tables take
-    under ``2 n ceil(log2 n)`` floats (about 0.16 MB at 1000 bars, 2.2 MB at
-    10k). Ends are tried from ``r(i) - 1`` down, each by one O(j - i) call of
-    ``_window_qualifies``, until one qualifies.
+    float test in numpy float64 still passes. The tables stop at the first
+    level where no window of ``2**k`` bars passes, so with ``H`` the longest
+    passing window that is O(n log H) array work in O(log H) numpy passes
+    over all starts at once (every level for an ``inf`` or NaN
+    ``band_tol``), and the tables take about ``2 n (log2 H + 1)`` floats.
+    Only the starts with ``r(i) - i >= min_len`` can hold a window; one
+    array pass picks them, and the loop visits those alone, from the bar
+    after the last window found. Ends are tried from ``r(i) - 1`` down, each
+    by one O(j - i) call of ``_window_qualifies``, until one qualifies.
 
     A failed end ``j`` skips every end down to the later of the window's first
     min and first max close, at ``i + keep``, and the next end tried is
@@ -655,18 +667,22 @@ def detect_ranges(
     if n < min_len:
         return []
     horizons = _band_horizons(closes, band_tol, n - min_len + 1)
+    # only a start whose horizon leaves room for min_len bars can hold a window
+    viable = np.flatnonzero(horizons - np.arange(len(horizons)) >= min_len)
     windows: list[RangeWindow] = []
-    i = 0
-    while i + min_len - 1 < n:
+    resume = 0  # the bar after the last window found
+    for i, horizon in zip(viable.tolist(), horizons[viable].tolist()):
+        if i < resume:
+            continue
         shortest = i + min_len - 1
-        j = horizons[i] - 1
+        j = horizon - 1
         while j >= shortest:
             band, keep = _window_qualifies(closes, i, j, touch_count)
             if band is not None:
                 windows.append(RangeWindow(start=i, end=j, band=band))
+                resume = j + 1
                 break
             j = i + keep - 1  # the ends i + keep .. j fail alike
-        i = j + 1 if j >= shortest else i + 1
     return windows
 
 

@@ -212,7 +212,21 @@ def report_csv(events: list[ScanEvent]) -> str:
     return out.getvalue()
 
 
+# json.dumps with indent falls back to the pure-Python encoder; without indent it runs in C
+_ROWS_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "))
+
+
 def report_json(events: list[ScanEvent]) -> str:
-    """Scan report as JSON: a list of objects with the same fields as the CSV."""
+    """Scan report as JSON: a list of objects with the same fields as the CSV.
+
+    The text is that of ``json.dumps(rows, indent=2)`` plus a newline. The C
+    encoder writes the rows with their fields already on indented lines, and
+    each row boundary (``},``, a newline, four spaces and ``{``) is then
+    spread over lines. Strings have their newlines escaped and no value is an
+    object, so that text occurs nowhere else.
+    """
+    if not events:
+        return "[]\n"
     rows = [{k: _json_value(v) for k, v in _event_row(event).items()} for event in events]
-    return json.dumps(rows, indent=2) + "\n"
+    body = _ROWS_ENCODER.encode(rows)[2:-2]  # within the outer [{ and }]
+    return "[\n  {\n    " + body.replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]\n"

@@ -617,6 +617,27 @@ class TestScan:
         assert report.splitlines()[0].startswith("symbol,window_start")
         assert ",0.998675," in report
 
+    def test_out_keeps_the_bytes_of_a_file_name_that_is_not_utf8(self, tmp_path):
+        # the symbol is the name decoded with surrogateescape; the report writes its bytes back
+        name = os.fsencode(tmp_path) + b"/\xff\xfeBAD.csv"
+        try:
+            with open(name, "wb") as src:
+                src.write(band_series_csv(123.3, 127.2).encode())
+        except (OSError, UnicodeError):
+            pytest.skip("the file system refuses a file name that is not UTF-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(rangetunnel.__file__).parents[1]))
+        env["PYTHONIOENCODING"] = "utf-8:surrogateescape"  # stdout as under the POSIX locale
+        argv = ["scan", "--input", os.fsdecode(name), "--r", "0.03", "--sigma", "0.47", "--out", "r.csv"]
+        done = subprocess.run(
+            [sys.executable, "-m", "rangetunnel.cli", *argv],
+            capture_output=True, cwd=tmp_path, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout.startswith(b"\xff\xfeBAD  2013-01-01..2013-01-20  band 123.3-127.2")
+        report = (tmp_path / "r.csv").read_bytes().splitlines()
+        assert report[0].startswith(b"symbol,window_start,")
+        assert report[1].startswith(b"\xff\xfeBAD,2013-01-01,2013-01-20,123.3,127.2,")
+
     def test_json_report(self, capsys, tmp_path):
         src = tmp_path / "NFLX.csv"
         src.write_text(band_series_csv(97.81, 101.17), encoding="utf-8")

@@ -1177,8 +1177,36 @@ def brute_force_ranges(series, min_len=15, band_tol=0.05, touch_count=2):
 
 def horizon_bounded_ranges(series, min_len=15, band_tol=0.05, touch_count=2):
     """Oracle for detect_ranges and its call count: try every end below the band horizon."""
-    last_ends = [r - 1 for r in market._band_horizons(series.close, band_tol, len(series))]
+    last_ends = [r - 1 for r in market._band_horizons(series.close, band_tol, len(series)).tolist()]
     return ranges_trying_every_end(series, last_ends, min_len, band_tol, touch_count)
+
+
+def start_by_start_ranges(series, min_len=15, band_tol=0.05, touch_count=2):
+    """Reference for detect_ranges and its call count: a loop over every start, one bar at a time.
+
+    A start whose horizon leaves no room for ``min_len`` bars makes no call; a
+    failed end skips to ``i + keep - 1``, as in detect_ranges.
+    """
+    closes = series.close
+    n = len(closes)
+    if n < min_len:
+        return [], 0
+    horizons = market._band_horizons(closes, band_tol, n - min_len + 1).tolist()
+    windows = []
+    calls = 0
+    i = 0
+    while i + min_len - 1 < n:
+        shortest = i + min_len - 1
+        j = horizons[i] - 1
+        while j >= shortest:
+            calls += 1
+            band, keep = market._window_qualifies(closes, i, j, touch_count)
+            if band is not None:
+                windows.append(RangeWindow(start=i, end=j, band=band))
+                break
+            j = i + keep - 1
+        i = j + 1 if j >= shortest else i + 1
+    return windows, calls
 
 
 def counted_detect_ranges(series, **params):
@@ -1229,6 +1257,36 @@ def first_failing_end(closes, band_tol, i):
     return len(closes)
 
 
+def two_pointer_horizons(closes, band_tol):
+    """Oracle for band horizons in O(n H): a start's horizon is never left of the one before it."""
+    n = len(closes)
+    horizons = []
+    end = 0
+    for i in range(n):
+        end = max(end, i + 1)  # closes[i:end] passes: it is one bar or part of a passing window
+        lo, hi = float(closes[i:end].min()), float(closes[i:end].max())
+        while end < n:
+            next_lo, next_hi = min(lo, float(closes[end])), max(hi, float(closes[end]))
+            if (next_hi - next_lo) / next_lo > band_tol:
+                break
+            lo, hi = next_lo, next_hi
+            end += 1
+        horizons.append(end)
+    return horizons
+
+
+def alternating_blocks(lengths):
+    """Blocks of closes alternating 100/105 (exactly at a 0.05 band), each block at twice the last level.
+
+    No window across two blocks passes a 0.05 band, so the longest passing
+    window is the longest block.
+    """
+    closes = []
+    for b, length in enumerate(lengths):
+        closes += [(105.0 if k % 2 else 100.0) * 2**b for k in range(length)]
+    return closes
+
+
 @st.composite
 def close_runs(draw):
     """1-70 closes in flat runs, drawn partly from a few shared levels so ties are common."""
@@ -1276,6 +1334,21 @@ class TestDetectRanges:
         assert window_tuples(windows) == window_tuples(oracle_windows)
         assert calls <= oracle_calls
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        close_paths() | close_runs(),
+        st.integers(min_value=5, max_value=25),
+        st.sampled_from([0.05, 0.025, math.inf]) | st.floats(min_value=1e-4, max_value=0.2),
+        st.integers(min_value=1, max_value=6),
+    )
+    def test_matches_start_by_start_loop_call_for_call(self, closes, min_len, band_tol, touch_count):
+        series = flat_series("H", closes)
+        params = dict(min_len=min_len, band_tol=band_tol, touch_count=touch_count)
+        windows, calls = counted_detect_ranges(series, **params)
+        reference_windows, reference_calls = start_by_start_ranges(series, **params)
+        assert window_tuples(windows) == window_tuples(reference_windows)
+        assert calls == reference_calls
+
     def test_candidate_count_stays_below_bar_count(self):
         n = 2000
         windows, calls = counted_detect_ranges(gbm_series(n=n))
@@ -1300,16 +1373,39 @@ class TestDetectRanges:
         st.sampled_from([0.05, 0.025, math.inf, math.nan]) | st.floats(min_value=1e-4, max_value=0.2),
     )
     def test_band_horizons_match_first_failing_end(self, closes, band_tol):
-        horizons = market._band_horizons(np.array(closes), band_tol, len(closes))
+        horizons = market._band_horizons(np.array(closes), band_tol, len(closes)).tolist()
         assert horizons == [first_failing_end(closes, band_tol, i) for i in range(len(closes))]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 63, 64, 65])
     def test_band_horizons_at_powers_of_two(self, n):
         closes = [100.0, 105.0] * (n // 2) + [100.0] * (n % 2)  # every window exactly at 0.05
-        assert market._band_horizons(np.array(closes), 0.05, n) == [n] * n
+        assert market._band_horizons(np.array(closes), 0.05, n).tolist() == [n] * n
         closes[-1] = 105.5  # the last bar breaks every window that reaches it
         expected = [first_failing_end(closes, 0.05, i) for i in range(n)]
-        assert market._band_horizons(np.array(closes), 0.05, n) == expected
+        assert market._band_horizons(np.array(closes), 0.05, n).tolist() == expected
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_band_horizons_when_the_longest_band_is_near_a_power_of_two(self, k, offset):
+        # the tables stop at the first level whose windows all fail: check either side of it
+        longest = 2**k + offset
+        closes = alternating_blocks([longest, max(1, longest - 1), max(1, longest // 2), longest, 1])
+        n = len(closes)
+        horizons = market._band_horizons(np.array(closes), 0.05, n).tolist()
+        assert horizons == [first_failing_end(closes, 0.05, i) for i in range(n)]
+        assert max(r - i for i, r in enumerate(horizons)) == longest
+        for band_tol in (math.inf, math.nan):  # every window passes, so every level is built
+            assert market._band_horizons(np.array(closes), band_tol, n).tolist() == [n] * n
+
+    @pytest.mark.parametrize("band", [False, True])
+    def test_band_horizons_match_two_pointers_on_20k_bars(self, band):
+        closes = gbm_series(n=20_000, seed=7).close.copy()
+        if band:  # 5 000 bars inside a 4% band: horizons thousands of bars out, 13 levels deep
+            rng = np.random.default_rng(7)
+            closes[8_000:13_000] = closes[8_000] * (1.0 + 0.04 * rng.random(5_000))
+        horizons = market._band_horizons(closes, 0.05, len(closes)).tolist()
+        assert horizons == two_pointer_horizons(closes, 0.05)
+        assert (max(r - i for i, r in enumerate(horizons)) >= 5_000) == band
 
     def test_flat_closes_rejected_but_small_wiggle_accepted(self):
         flat = flat_series("F", [100.0] * 20)

@@ -27,6 +27,7 @@ from rangetunnel.scan import (
     ScanConfig,
     _cell,
     _event_row,
+    _json_value,
     _latest_inside,
     _pick_sigma,
     report_csv,
@@ -281,3 +282,18 @@ class TestReports:
     def test_empty_report(self):
         assert report_csv([]).strip() == ",".join(REPORT_COLUMNS)
         assert json.loads(report_json([])) == []
+
+    # JSON escapes each of these; the newline and the row-boundary text must not split a row
+    @pytest.mark.parametrize(
+        "symbol",
+        ["LNKD", 'A"B', "A\\B", "{A}", "A}", "A\nB", "},\n    {", "\x00\x1f\x7f", "Ωé漢", "\udcff\udcfe", "\ud800"],
+    )
+    def test_json_has_the_bytes_of_an_indented_dump(self, symbol):
+        def events_of(name):
+            series = band_series(name, support=123.3, resistance=127.2)
+            return scan(series, r=0.03, cfg=ScanConfig(sigma_override=0.47))
+
+        events = events_of(symbol) + events_of("LNKD") + events_of(symbol)
+        for count in range(4):
+            rows = [{k: _json_value(v) for k, v in _event_row(e).items()} for e in events[:count]]
+            assert report_json(events[:count]) == json.dumps(rows, indent=2) + "\n"
