@@ -139,18 +139,21 @@ def _cmd_scan(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     report = report_json(events) if args.json else report_csv(events)
     if args.out is not None:  # written first, so an unwritable --out leaves stdout empty
         _emit(report, args.out)
-    for event in events:
-        fall = "" if event.vol_fall_ratio is None else f"  vol_fall={_fmt(event.vol_fall_ratio)}"
-        print(
-            f"{event.symbol}  {event.window_start}..{event.window_end}  "
-            f"band {_fmt(event.band.support)}-{_fmt(event.band.resistance)}  "
-            f"K={_fmt(event.band.width)}  d={_fmt(event.geometry.width_d)}  "
-            f"T={_fmt(event.transmission)}  regime={event.geometry.regime.value}{fall}"
-        )
-    if args.out is None:
-        if events:
-            print()
-        _emit(report, None)
+    try:
+        for event in events:
+            fall = "" if event.vol_fall_ratio is None else f"  vol_fall={_fmt(event.vol_fall_ratio)}"
+            print(
+                f"{event.symbol}  {event.window_start}..{event.window_end}  "
+                f"band {_fmt(event.band.support)}-{_fmt(event.band.resistance)}  "
+                f"K={_fmt(event.band.width)}  d={_fmt(event.geometry.width_d)}  "
+                f"T={_fmt(event.transmission)}  regime={event.geometry.regime.value}{fall}"
+            )
+        if args.out is None:
+            if events:
+                print()
+            _emit(report, None)
+    except UnicodeEncodeError as exc:  # a symbol from a file name that is not UTF-8, on a strict stdout
+        raise ValueError(f"{path}: cannot print the symbol {path.stem!r}: {exc}") from None
     return 0
 
 

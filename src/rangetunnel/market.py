@@ -6,16 +6,15 @@ return, the header's field count on every line) by splitting it on newlines
 and commas, and those of any other body from ``csv.reader``; the only fork is
 where the cells come from. Either way they are converted a column at a time,
 and only when a conversion fails is the first faulty row looked for, to name
-its line. An OHLC body converts its close column first; in an open, high or
-low column that starts with a close's text, a cell with the text of a close
-takes that close's float from a table that lives for the one parse, which
-saves its ``float()`` (every such cell when O=H=L=C, the open column when
-each open is the last close). Each price column becomes a float64 array as
-soon as it is converted. The arrays go to a PriceSeries, which keeps them
-read-only and checks the bar rules (one vectorised pass) and the date order,
-each in one place; a fault in either is named by its row. The parsers take
-text; the CLI decodes files as ``utf-8-sig``, so a UTF-8 byte-order mark is
-accepted.
+its line. An OHLC body converts its close column first. An open, high or
+low column with the text of the close column takes the close floats whole
+(O=H=L=C), and one with the text of the closes one bar late takes them
+shifted (each bar opens at the last close); each reuse saves a ``float()``
+per cell. Each price column becomes a float64 array as soon as it is
+converted. The arrays go to a PriceSeries, which keeps them read-only and
+checks the bar rules (one vectorised pass) and the date order, each in one
+place; a fault in either is named by its row. The parsers take text; the
+CLI decodes files as ``utf-8-sig``, so a UTF-8 byte-order mark is accepted.
 
 Volatility is the annualized rolling sample standard deviation of
 close-to-close log returns (window 21 bars by default, 252 periods/year); an
@@ -308,8 +307,9 @@ def _table(
     ``convert`` applies), named by ``row_fault``. Only the rows before the
     fault are kept, so the caller can check them first. ``convert`` sees all
     the columns of one parse, so it may share work between them
-    (``_ohlc_columns`` saves the ``float()`` of a cell that repeats a close)
-    but keeps nothing from one call to the next.
+    (``_ohlc_columns`` reuses the close floats in a column that repeats the
+    closes, whole or one bar late) but keeps nothing from one call to the
+    next.
 
     A plain text (no quote, no carriage return, the header's field count on
     every line, no line longer than the csv field limit) is split on newlines
@@ -376,22 +376,32 @@ def _table(
 def _ohlc_columns(cells: Sequence[Sequence[str]]) -> list:
     """The OHLC body columns converted: dates, float64 open, high, low and close, and any volumes.
 
-    The close column is converted first, and ``seen`` maps each close cell's
-    text to its float for this one call. In an open, high or low column whose
-    first cell is a close's text, a cell whose text is that of a close takes
-    that float, which saves its ``float()``; any other cell goes through
-    ``float()``, so every value has the bits of a per-cell ``float()`` and a
-    bad cell raises ValueError as before. A column whose first cell misses,
-    such as the highs of bars with wicks, skips the table: its lookups
-    would mostly miss, and a miss costs more than a hit saves.
+    The close column is converted first. Each open, high or low column is
+    then compared with the close cells as a whole list:
+
+    - every cell equal to its bar's close (O=H=L=C): the column is the
+      close floats;
+    - every cell after the first equal to the close of the bar before (each
+      bar opens at the last close): ``float()`` of the first cell, then the
+      closes of all bars but the last;
+    - anything else goes through ``float()``.
+
+    The same text gives the same ``float()`` bits, so every value has the
+    bits of a per-cell ``float()``, and a bad cell raises ValueError as
+    before. A failed comparison stops at the first cell that differs; the
+    one-bar-late test compares one cell before it copies the two lists.
     """
     dates, opens, highs, lows, closes, *volume = cells
     close = _floats(closes)
-    seen = dict(zip(closes, close.tolist()))
-    open_, high, low = (
-        _floats(map(seen.get, c, c)) if c and c[0] in seen else _floats(c) for c in (opens, highs, lows)
-    )
-    return [_dates(dates), open_, high, low, close, *map(_volumes, volume)]
+
+    def column(c: Sequence[str]) -> np.ndarray:
+        if c == closes:
+            return close
+        if c[1:2] == closes[:1] and c[1:] == closes[:-1]:  # one cell first: the slices copy
+            return np.concatenate((_floats(c[:1]), close[:-1]))
+        return _floats(c)
+
+    return [_dates(dates), column(opens), column(highs), column(lows), close, *map(_volumes, volume)]
 
 
 def _ohlc_row_fault(row: list[str]) -> Optional[str]:
@@ -415,8 +425,8 @@ def parse_ohlc_csv(text: str, symbol: str = "") -> PriceSeries:
     """Parse OHLC CSV text into a validated PriceSeries.
 
     Every text is converted a column at a time (see ``_table``); an open,
-    high or low cell that repeats the text of a close can reuse that close's
-    float, from a table that lives for this one call (see ``_ohlc_columns``).
+    high or low column that repeats the text of the closes, whole or one bar
+    late, reuses their floats (see ``_ohlc_columns``).
     Blank rows are skipped.
     Raises OhlcParseError with the offending line number for malformed rows,
     OhlcValidationError for an empty body, a bar that breaks a bar rule or

@@ -638,6 +638,29 @@ class TestScan:
         assert report[0].startswith(b"symbol,window_start,")
         assert report[1].startswith(b"\xff\xfeBAD,2013-01-01,2013-01-20,123.3,127.2,")
 
+    @pytest.mark.parametrize("out", [["--out", "r.csv"], []], ids=["out", "stdout"])
+    def test_strict_stdout_names_a_file_name_that_is_not_utf8(self, tmp_path, out):
+        # a strict UTF-8 stdout cannot print the symbol: one stderr line names the input, exit 1
+        name = os.fsencode(tmp_path) + b"/\xff\xfeBAD.csv"
+        try:
+            with open(name, "wb") as src:
+                src.write(band_series_csv(123.3, 127.2).encode())
+        except (OSError, UnicodeError):
+            pytest.skip("the file system refuses a file name that is not UTF-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(rangetunnel.__file__).parents[1]))
+        env["PYTHONIOENCODING"] = "utf-8"
+        argv = ["scan", "--input", os.fsdecode(name), "--r", "0.03", "--sigma", "0.47", *out]
+        done = subprocess.run(
+            [sys.executable, "-m", "rangetunnel.cli", *argv],
+            capture_output=True, cwd=tmp_path, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (1, b"")
+        shown = os.fsdecode(name).encode("utf-8", "backslashreplace")  # as stderr escapes it
+        assert done.stderr.splitlines() == [
+            b"error: " + shown + b": cannot print the symbol '\\udcff\\udcfeBAD': 'utf-8' codec"
+            b" can't encode characters in position 0-1: surrogates not allowed"
+        ]
+
     def test_json_report(self, capsys, tmp_path):
         src = tmp_path / "NFLX.csv"
         src.write_text(band_series_csv(97.81, 101.17), encoding="utf-8")

@@ -844,6 +844,59 @@ def reference_vol_rows(text):
     return VolSeries(dates=tuple(dates), values=np.array(values, dtype=float))
 
 
+# An open, high or low column that repeats the closes, or the closes one bar late, takes
+# their floats; one that misses either by one cell, or repeats them in part, goes through
+# float(). Each text is an example of the reference test below, split and through
+# csv.reader (CRLF).
+_CLOSES = ("101.5", "102.25", "100.75", "103.0", "99.5", "101.0")
+
+
+def _ohlc_text(opens, highs, lows, closes=_CLOSES):
+    days = (dt.date(2013, 1, 2) + dt.timedelta(days=i) for i in range(len(closes)))
+    return _H + "".join(f"{day},{o},{h},{l},{c}\n" for day, o, h, l, c in zip(days, opens, highs, lows, closes))
+
+
+def _bracketed(opens):
+    """Bars of these opens and _CLOSES, each high and low the text of the bar's larger and smaller price."""
+    highs = [max(o, c, key=float) for o, c in zip(opens, _CLOSES)]
+    lows = [min(o, c, key=float) for o, c in zip(opens, _CLOSES)]
+    return _ohlc_text(opens, highs, lows)
+
+
+def _one_price_off(column, k):
+    """O=H=L=C bars but for one other price in one column at row k (an open takes its low along)."""
+    step = 0.25 if column == "high" else -0.25
+    moved = list(_CLOSES)
+    moved[k] = repr(float(moved[k]) + step)
+    return {
+        "open": _ohlc_text(moved, _CLOSES, moved),
+        "high": _ohlc_text(_CLOSES, moved, _CLOSES),
+        "low": _ohlc_text(_CLOSES, _CLOSES, moved),
+    }[column]
+
+
+_REUSE = {
+    **{
+        f"{column}-off-at-row-{k}": _one_price_off(column, k)
+        for column in ("open", "high", "low")
+        for k in (0, 3, len(_CLOSES) - 1)
+    },
+    "late-open-first-cell-differs": _bracketed(["100.0", *_CLOSES[:-1]]),
+    **{
+        f"late-open-off-at-row-{k}": _bracketed(["100.0", *_CLOSES[: k - 1], "100.5", *_CLOSES[k:-1]])
+        for k in (1, 3, len(_CLOSES) - 1)
+    },
+    "part-late-open": _bracketed([_CLOSES[0], *_CLOSES[:2], "100.5", *_CLOSES[3:-1]]),
+}
+
+
+def _reuse_examples(test):
+    for text in _REUSE.values():
+        for newline in ("\n", "\r\n"):
+            test = example(text.replace("\n", newline))(test)
+    return test
+
+
 @settings(max_examples=400)
 @given(mutated(price_series().map(serialize_ohlc_csv)))
 # line 2 gains the date of line 3: the strided columns would read two good bars
@@ -860,6 +913,7 @@ def reference_vol_rows(text):
 @example(_H + f"2013-01-02,{_OK}\n , , , , \n2013-01-03,{_OK}\n")
 # a lone bad date among good rows, which Python 3.11's fromisoformat would read
 @example(_H + f"2013-01-01,{_OK}\n2013-W01-3,{_OK}\n")
+@_reuse_examples
 def test_ohlc_row_loop_matches_reference(text):
     assert _outcome(parse_ohlc_csv, text) == _outcome(lambda t: reference_ohlc_rows(t, ""), text)
 
@@ -923,6 +977,24 @@ def test_plain_text_skips_row_loop(parse, text):
     assert expected[0] not in (OhlcParseError, OhlcValidationError)
     with mock.patch.object(market.csv, "reader", _no_csv_reader):
         assert _outcome(parse, text) == expected
+
+
+@pytest.mark.parametrize("n", [20, 1000])
+def test_cells_that_repeat_a_close_are_not_converted_again(monkeypatch, n):
+    converted = []  # per _floats call, the cells it converts
+
+    def counting(cells, floats=market._floats):
+        converted.append(len(cells))
+        return floats(cells)
+
+    monkeypatch.setattr(market, "_floats", counting)
+    closes = [repr(100.0 + i / 8) for i in range(1, n + 1)]
+    wide = (["1000.0"] * n, ["50.0"] * n)  # highs and lows that repeat no close
+    late = ["99.0", *closes[:-1]]
+    for opens, highs, lows, expected in ((closes, closes, closes, [n]), (late, *wide, [n, 1, n, n])):
+        converted.clear()
+        parse_ohlc_csv(_ohlc_text(opens, highs, lows, closes))
+        assert converted == expected
 
 
 class TestPriceSeries:
