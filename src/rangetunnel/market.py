@@ -2,19 +2,20 @@
 
 CSV input is ``date,open,high,low,close[,volume]`` with YYYY-MM-DD dates. One
 reader, ``_table``, takes the cells of a plain body (no quote, no carriage
-return, the header's field count on every line) by splitting it on newlines
-and commas, and those of any other body from ``csv.reader``; the only fork is
-where the cells come from. Either way they are converted a column at a time,
-and only when a conversion fails is the first faulty row looked for, to name
-its line. An OHLC body converts its close column first. An open, high or
-low column with the text of the close column takes the close floats whole
-(O=H=L=C), and one with the text of the closes one bar late takes them
-shifted (each bar opens at the last close); each reuse saves a ``float()``
-per cell. Each price column becomes a float64 array as soon as it is
-converted. The arrays go to a PriceSeries, which keeps them read-only and
-checks the bar rules (one vectorised pass) and the date order, each in one
-place; a fault in either is named by its row. The parsers take text; the
-CLI decodes files as ``utf-8-sig``, so a UTF-8 byte-order mark is accepted.
+return, the header's field count on every line, which one pass over the
+text's bytes checks) by one split, and those of any other body from
+``csv.reader``; the only fork is where the cells come from. Either way they
+are converted a column at a time, and only when a conversion fails is the
+first faulty row looked for, to name its line. An OHLC body converts its
+close column first. An open, high or low column with the text of the close
+column takes the close floats whole (O=H=L=C), and one with the text of the
+closes one bar late takes them shifted (each bar opens at the last close);
+each reuse saves a ``float()`` per cell. Each price column becomes a float64
+array as soon as it is converted. The arrays go to a PriceSeries, which
+keeps them read-only and checks the bar rules (one vectorised pass) and the
+date order, each in one place; a fault in either is named by its row. The
+parsers take text; the CLI decodes files as ``utf-8-sig``, so a UTF-8
+byte-order mark is accepted.
 
 Volatility is the annualized rolling sample standard deviation of
 close-to-close log returns (window 21 bars by default, 252 periods/year); an
@@ -37,7 +38,6 @@ import operator
 from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -286,7 +286,20 @@ def _volume_cell(cell: str) -> Optional[float]:
 
 
 def _volumes(cells: Sequence[str]) -> tuple[Optional[float], ...]:
-    return tuple(map(_volume_cell, cells))
+    """The cells as volumes, None for a blank one; a bad cell raises ValueError.
+
+    A column with no blank cell takes one ``float()`` pass; a blank cell
+    fails ``float()`` too, so only then is the column read cell by cell.
+    """
+    try:
+        return tuple(map(float, cells))
+    except ValueError:
+        return tuple(map(_volume_cell, cells))
+
+
+# every byte but comma and newline: translating a text's UTF-8 bytes with these
+# deleted leaves its layout (no byte of a multi-byte character is below 0x80)
+_NOT_LAYOUT = bytes(sorted(set(range(256)) - set(b",\n")))
 
 
 def _table(
@@ -312,33 +325,39 @@ def _table(
     next.
 
     A plain text (no quote, no carriage return, the header's field count on
-    every line, no line longer than the csv field limit) is split on newlines
-    and commas, which gives the cells ``csv.reader`` would. Any other text,
-    and a plain one with a cell that fails to convert or a blank row, is read
-    by ``csv.reader``, which skips blank rows. An empty text raises
-    OhlcValidationError. A header that ``csv.reader`` rejects, or that is not
-    in ``headers`` once stripped and lower-cased, raises OhlcParseError on
-    line 1, the latter with ``mismatch`` formatted with the header as ``got``.
+    every line, no field longer than the csv field limit) is split once, on
+    newlines and commas alike, which gives the cells ``csv.reader`` would.
+    Its layout is checked in one pass over its UTF-8 bytes: with every byte
+    but comma and newline deleted, it must read n - 1 commas and a newline
+    per line, for a header of n fields (the last line's newline may be
+    missing). The field lengths are measured only in a text longer than the
+    limit. Any other text, and a plain one with a cell that fails to convert
+    or a blank row, is read by ``csv.reader``, which skips blank rows. An empty text raises OhlcValidationError. A header that
+    ``csv.reader`` rejects, or that is not in ``headers`` once stripped and
+    lower-cased, raises OhlcParseError on line 1, the latter with
+    ``mismatch`` formatted with the header as ``got``.
     """
-    if '"' not in text and "\r" not in text:
-        rows = text.removesuffix("\n").split("\n")
-        names = [h.strip().lower() for h in rows[0].split(",")]
-        n = len(names)
-        if (
-            names in headers
-            and len(rows) > 1
-            # every line, not the total: a line one field long next to one a field short adds up
-            and set(map(str.count, rows, repeat(","))) == {n - 1}
-            and max(map(len, rows)) <= csv.field_size_limit()  # no field is longer than its line
-        ):
-            flat = ",".join(rows).split(",")
-            lines = range(2, len(rows) + 1)
-            del rows  # the conversions allocate as much again: free the lines first
-            cells = [flat[n + j :: n] for j in range(n)]
-            try:
-                return convert(cells), lines, None
-            except ValueError:
-                pass  # csv.reader skips a blank row, or finds the row that fails
+    # with no newline, all but the last character: a text of one line has no body to split
+    names = [h.strip().lower() for h in text[: text.find("\n")].split(",")]
+    n = len(names)
+    if names in headers and '"' not in text and "\r" not in text:
+        # surrogatepass: a lone surrogate, which csv.reader reads as any other character, cannot raise
+        layout = text.encode("utf-8", "surrogatepass").translate(None, _NOT_LAYOUT)
+        if not text.endswith("\n"):
+            layout += b"\n"  # the last line's own
+        count = len(layout) // n  # the lines, if each holds n - 1 commas
+        # every line, not the total: a line one field long next to one a field short adds up
+        if count > 1 and layout == (b"," * (n - 1) + b"\n") * count:
+            flat = text.replace("\n", ",").split(",")
+            del flat[count * n :]  # the empty cell after a last newline
+            limit = csv.field_size_limit()
+            if len(text) <= limit or max(map(len, flat)) <= limit:
+                cells = [flat[n + j :: n] for j in range(n)]
+                del flat  # the conversions allocate as much again: free the list first
+                try:
+                    return convert(cells), range(2, count + 1), None
+                except ValueError:
+                    pass  # csv.reader skips a blank row, or finds the row that fails
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)

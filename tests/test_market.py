@@ -198,6 +198,18 @@ INGEST_ERRORS = {
         OhlcParseError,
         "line 2: non-numeric volume 'abc'",
     ),
+    "ohlc-non-numeric-volume-after-a-blank-one": (
+        parse_ohlc_csv,
+        _HV + f"2013-02-07,{_OK},\n2013-02-08,{_OK},7\n2013-02-09,{_OK},abc\n",
+        OhlcParseError,
+        "line 4: non-numeric volume 'abc'",
+    ),
+    "ohlc-non-numeric-volume-before-a-blank-one": (
+        parse_ohlc_csv,
+        _HV + f"2013-02-07,{_OK},7\n2013-02-08,{_OK},abc\n2013-02-09,{_OK}, \n",
+        OhlcParseError,
+        "line 3: non-numeric volume 'abc'",
+    ),
     # as a numpy 2 scalar the value would print as np.float64(-1.0)
     "ohlc-negative-open": (
         parse_ohlc_csv,
@@ -501,6 +513,32 @@ def test_numeric_cells_read_as_float(cell, value):
     assert parse_vol_csv(f"date,sigma\n2013-02-07,{cell}\n").values.tolist() == [value]
 
 
+def _volume_text(cells):
+    return _HV + "".join(f"2013-02-{7 + i:02d},{_OK},{cell}\n" for i, cell in enumerate(cells))
+
+
+# a blank volume cell, empty or only whitespace, is None wherever it stands
+@pytest.mark.parametrize("cells", [["", "7", "8"], ["7", "", "8"], ["7", "8", ""], ["7", " \t", "8"]])
+def test_blank_volume_cells_read_as_none(cells):
+    expected = tuple(float(cell) if cell.strip() else None for cell in cells)
+    assert parse_ohlc_csv(_volume_text(cells)).volume == expected
+    assert parse_ohlc_csv(_volume_text(cells).replace("\n", "\r\n")).volume == expected
+
+
+def test_volume_column_is_read_cell_by_cell_only_with_a_blank_cell(monkeypatch):
+    read = []
+
+    def counting(cell, volume_cell=market._volume_cell):
+        read.append(cell)
+        return volume_cell(cell)
+
+    monkeypatch.setattr(market, "_volume_cell", counting)
+    assert parse_ohlc_csv(_volume_text(["7", "8", "9"])).volume == (7.0, 8.0, 9.0)
+    assert read == []
+    assert parse_ohlc_csv(_volume_text(["7", "", "9"])).volume == (7.0, None, 9.0)
+    assert read == ["7", "", "9"]
+
+
 _positive = st.floats(min_value=1e-6, max_value=1e9, allow_nan=False, allow_infinity=False)
 
 
@@ -545,6 +583,8 @@ def test_round_trip_random_series(series):
 
 # Mutations of valid texts, on which the parsers must match the references below.
 _LIMIT = 131072  # the csv module's default field size limit
+# 5 000 short lines: a plain text longer than the csv field limit
+_LONG = _H + "".join(f"{dt.date(2000, 1, 1) + dt.timedelta(days=i)},{_OK}\n" for i in range(5000))
 _CELLS = (
     "nan", "inf", "-inf", "-0", "-1", "-1e-3", "1e999", "", " ", "abc", "1_0", " 2.5 ", "2.5\r", "\x00",
     "2013-02-30", "x", "20130101", "2013-W01-3", "20130101xx", "2013-1-1", " 2013-01-05 ", "2013-01-05T00:00",
@@ -913,6 +953,15 @@ def _reuse_examples(test):
 @example(_H + f"2013-01-02,{_OK}\n , , , , \n2013-01-03,{_OK}\n")
 # a lone bad date among good rows, which Python 3.11's fromisoformat would read
 @example(_H + f"2013-01-01,{_OK}\n2013-W01-3,{_OK}\n")
+# cells whose UTF-8 bytes are more than one each: a lone surrogate, which is no number,
+# and full-width digits, which float() reads
+@example(_H + f"2013-02-07,{_OK}\n2013-02-08,124.0,\udcff,123.3,126.1\n")
+@example(_H + "2013-02-07,\uff11\uff12\uff14,127.2,123.3,126.1\n2013-02-08,124.0,127.2,123.3,126.1\n")
+# a header alone, with and without its newline
+@example(_H)
+@example(_H.removesuffix("\n"))
+# longer than the csv field limit, every field short but one on the last line
+@example(_LONG + f"2014-01-01,{'0' * (_LIMIT + 1)},127.2,123.3,126.1\n")
 @_reuse_examples
 def test_ohlc_row_loop_matches_reference(text):
     assert _outcome(parse_ohlc_csv, text) == _outcome(lambda t: reference_ohlc_rows(t, ""), text)
@@ -931,6 +980,12 @@ def test_ohlc_row_loop_matches_reference(text):
 # a lone bad date among good rows, and the same with a bad sigma in its row: the date is named
 @example("date,sigma\n2013-01-01,0.4\n2013-W01-3,0.3\n")
 @example("date,sigma\n2013-01-01,0.4\n2013-W01-3,-1\n")
+# a lone surrogate, and full-width digits
+@example("date,sigma\n2013-01-02,0.4\n2013-01-03,\udcff\n")
+@example("date,sigma\n2013-01-02,\uff10.\uff14\n2013-01-03,0.3\n")
+# a header alone, with and without its newline
+@example("date,sigma\n")
+@example("date,sigma")
 def test_vol_row_loop_matches_reference(text):
     assert _outcome(parse_vol_csv, text) == _outcome(reference_vol_rows, text)
 
@@ -968,6 +1023,7 @@ _PLAIN = {
     "ohlc-padded-numbers": (parse_ohlc_csv, _H + "2013-02-07, 124.0 ,127.2\t,1_23.3,+126.1\n"),
     "vol-padded": (parse_vol_csv, " Date , SIGMA \n 2013-01-02 , 0.4 \n2013-01-03,-0"),
     "vol-zero-and-exponent": (parse_vol_csv, "date,sigma\n2013-01-02,0\n2013-01-03,4E-1\n"),
+    "ohlc-longer-than-the-field-limit": (parse_ohlc_csv, _LONG),
 }
 
 
@@ -977,6 +1033,91 @@ def test_plain_text_skips_row_loop(parse, text):
     assert expected[0] not in (OhlcParseError, OhlcValidationError)
     with mock.patch.object(market.csv, "reader", _no_csv_reader):
         assert _outcome(parse, text) == expected
+
+
+# The split against csv.reader alone, on texts of a three-field header and lines of
+# layout characters, digits and characters of two to four UTF-8 bytes
+_LAYOUT_ALPHABET = ",\n0123456789.- \u00e9\uff13\udcff"
+_ABC = ["a", "b", "c"]
+_ABC_CELL = st.text(_LAYOUT_ALPHABET.replace(",", "").replace("\n", ""), max_size=4)
+_ABC_LINES = st.lists(
+    st.one_of(st.lists(_ABC_CELL, min_size=3, max_size=3), st.lists(_ABC_CELL, min_size=1, max_size=5)),
+    max_size=6,
+)
+
+
+@st.composite
+def abc_texts(draw):
+    header = draw(st.sampled_from(["a,b,c", " A ,b, C", "a,b", "a,b,c,d", "a,b,c5"]))
+    lines = [",".join(cells) for cells in draw(_ABC_LINES)]
+    return header + "".join("\n" + line for line in lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+def _abc_columns(cells):
+    """The cells as lists, one per column; like each parser's conversion it fails on a blank row."""
+    columns = [list(column) for column in cells]
+    if any(not "".join(row).strip() for row in zip(*columns)):
+        raise ValueError("a blank row")
+    return columns
+
+
+def _read_abc(text):
+    return market._table(text, (_ABC,), "got {got}", _abc_columns, lambda row: None)
+
+
+def reference_abc(text):
+    """``_read_abc`` from csv.reader alone (no quote in these texts: a record is a line)."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise OhlcValidationError("empty input: missing header") from None
+    names = [h.strip().lower() for h in header]
+    if names != _ABC:
+        raise OhlcParseError(f"got {','.join(names)}", line=1)
+    rows, lines, fault = [], [], None
+    for line_no, row in enumerate(reader, start=2):
+        if not "".join(row).strip():
+            continue
+        if len(row) != 3:
+            fault = OhlcParseError(f"expected 3 fields, got {len(row)}", line_no)
+            break
+        rows.append(row)
+        lines.append(line_no)
+    return [list(column) for column in zip(*rows)] or [[], [], []], lines, fault
+
+
+def _table_outcome(read, text):
+    try:
+        values, lines, fault = read(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return values, list(lines), fault and (str(fault), fault.line)
+
+
+def _split_takes(text):
+    """The split's rule, line by line: the header, a body, three fields on every line, no blank row."""
+    rows = text.removesuffix("\n").split("\n")
+    return (
+        [h.strip().lower() for h in rows[0].split(",")] == _ABC
+        and len(rows) > 1
+        and all(row.count(",") == 2 for row in rows)
+        and all(row.replace(",", "").strip() for row in rows[1:])
+    )
+
+
+@settings(max_examples=500)
+@given(st.one_of(abc_texts(), st.text(_LAYOUT_ALPHABET, max_size=30).map("a,b,c".__add__)))
+# one line a field long next to one a field short: the commas add up
+@example("a,b,c\n1,2,3,4\n5,6\n")
+@example("a,b,c\n\udcff,\u00e9,\uff13\n1,2,3")
+# a last line with no comma and no newline: its layout is the body's newline alone
+@example("a,b,c\n,,0\n0")
+def test_split_matches_csv_reader(text):
+    with mock.patch.object(market.csv, "reader", wraps=csv.reader) as reader:
+        outcome = _table_outcome(_read_abc, text)
+    assert outcome == _table_outcome(reference_abc, text)
+    assert reader.called != _split_takes(text)
 
 
 @pytest.mark.parametrize("n", [20, 1000])
