@@ -35,7 +35,7 @@ from .barrier import (
 from .market import parse_ohlc_csv, parse_vol_csv
 from .scan import ScanConfig, _cell, _fmt, _json_value, report_csv, report_json, scan
 from .tables import render_table, reproduce_table
-from .types import MarketParams, RangeBound, Regime, _require_rate
+from .types import MarketParams, RangeBound, Regime, _require_positive
 from .validate import DEFAULT_QUAD_POINTS, DEFAULT_SEED, run_all
 from .wavefunction import sample_wavefunction
 
@@ -130,7 +130,7 @@ def _emit(body: str, out: str | None) -> None:
 
 def _cmd_scan(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     with _usage_errors(parser):  # before any read, so whatever the files hold
-        _require_rate(args.r)
+        _require_positive("r", args.r)
         cfg = ScanConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ScanConfig)})
     path = Path(args.input)
     series = _read(path, functools.partial(parse_ohlc_csv, symbol=path.stem))

@@ -669,8 +669,8 @@ def detect_ranges(
     float test in numpy float64 still passes. The tables stop at the first
     level where no window of ``2**k`` bars passes, so with ``H`` the longest
     passing window that is O(n log H) array work in O(log H) numpy passes
-    over all starts at once (every level for an ``inf`` or NaN
-    ``band_tol``), and the tables take about ``2 n (log2 H + 1)`` floats.
+    over all starts at once (every level for an ``inf`` ``band_tol``),
+    and the tables take about ``2 n (log2 H + 1)`` floats.
     Only the starts with ``r(i) - i >= min_len`` can hold a window; one
     array pass picks them, and the loop visits those alone, from the bar
     after the last window found. Ends are tried from ``r(i) - 1`` down, each

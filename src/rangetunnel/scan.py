@@ -30,7 +30,7 @@ from .market import (
     detect_vol_fall,
     historical_volatility,
 )
-from .types import BarrierGeometry, MarketParams, RangeBound, _require_rate, _require_sigma
+from .types import BarrierGeometry, MarketParams, RangeBound, _require_positive
 
 REPORT_COLUMNS = [
     "symbol",
@@ -72,7 +72,7 @@ class ScanConfig:
         _check_vol_window(self.vol_window)
         _check_fall_knobs(self.fall_lookback, self.fall_ratio)
         if self.sigma_override is not None:
-            _require_sigma(self.sigma_override)
+            _require_positive("sigma", self.sigma_override)
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def scan(
         windows. A NO_BARRIER geometry is reported like any other, never
         dropped.
     """
-    _require_rate(r)
+    _require_positive("r", r)
     if cfg is None:
         cfg = ScanConfig()
     windows = detect_ranges(

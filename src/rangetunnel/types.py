@@ -24,18 +24,11 @@ def _require_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _require_rate(r: float) -> None:
-    """The rate rule: r finite, then r > 0."""
-    _require_finite("r", r)
-    if r <= 0:
-        raise ValueError(f"r must be > 0, got {r}")
-
-
-def _require_sigma(sigma: float) -> None:
-    """The volatility rule: sigma finite, then sigma > 0."""
-    _require_finite("sigma", sigma)
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+def _require_positive(name: str, value: float) -> None:
+    """The rule of r and sigma: finite, then > 0."""
+    _require_finite(name, value)
+    if value <= 0:
+        raise ValueError(f"{name} must be > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -49,8 +42,8 @@ class MarketParams:
     sigma: float
 
     def __post_init__(self) -> None:
-        _require_rate(self.r)
-        _require_sigma(self.sigma)
+        _require_positive("r", self.r)
+        _require_positive("sigma", self.sigma)
 
 
 @dataclass(frozen=True)

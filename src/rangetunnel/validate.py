@@ -6,11 +6,16 @@ and against the Richardson limit of the segmented transmission's sums, and
 finite-difference residuals of the two differential equations on analytic
 solutions. The seed fixes every random draw, so identical seeds reproduce
 identical sweeps; no gate is chosen for a seed.
+
+Every numeric check is decided by one rule, ``_verdict``: it passes only
+when every error is within its gate, so a NaN error fails, and a FAIL names
+the worst point, the first NaN or else the first largest error.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +54,22 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+
+
+def _verdict(
+    name: str, errors: np.ndarray | list[float], gate: float, summary: str, where: Callable[[int], str] | None
+) -> CheckResult:
+    """The PASS rule of every numeric check: every error at most ``gate``, so a NaN fails.
+
+    The worst error, which ``summary`` formats, is the first NaN or else the
+    first largest, as ``argmax`` picks it; a FAIL adds `` at `` and the label
+    ``where(i)`` of that point, built only then.
+    """
+    errors = np.asarray(errors, dtype=float)
+    worst = int(errors.argmax())
+    passed = bool((errors <= gate).all())
+    detail = summary.format(errors[worst].item())
+    return CheckResult(name, passed, detail if passed or where is None else f"{detail} at {where(worst)}")
 
 
 def _draw_points(
@@ -116,19 +137,12 @@ def check_quadrature_sweep(seed: int = DEFAULT_SEED, points: int = DEFAULT_QUAD_
     """
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
-    worst = 0.0
-    worst_point = ""
-    for r, sigma, k_width, quad in zip(*(a.tolist() for a in quadrature_sweep(seed, points))):
-        closed = _integral_closed(r / sigma, k_width)
-        rel = abs(quad - closed) / closed
-        if rel > worst:
-            worst = rel
-            worst_point = f"r={r:.6g} sigma={sigma:.6g} K={k_width:.6g}"
-    passed = worst <= 1e-9
-    return CheckResult(
-        "quadrature-vs-closed-form",
-        passed,
-        f"{points} points, max rel err {worst:.3e}" + ("" if passed else f" at {worst_point}"),
+    r, sigma, width, quad = quadrature_sweep(seed, points)
+    closed = np.array([_integral_closed(lam, k) for lam, k in zip((r / sigma).tolist(), width.tolist())])
+    summary = f"{points} points, max rel err {{:.3e}}"
+    return _verdict(
+        "quadrature-vs-closed-form", np.abs(quad - closed) / closed, 1e-9, summary,
+        lambda i: f"r={r[i]:.6g} sigma={sigma[i]:.6g} K={width[i]:.6g}",
     )
 
 
@@ -153,26 +167,22 @@ def check_segmented_convergence(seed: int = DEFAULT_SEED) -> CheckResult:
     # Richardson's steps: h^{3/2} falls by 4^{3/2} = 8 a rung, then h^2 by 16
     r_coarse, r_fine = (8.0 * middle - coarse) / 7.0, (8.0 * fine - middle) / 7.0
     limits = (16.0 * r_fine - r_coarse) / 15.0
-    worst = 0.0
-    worst_point = ""
-    for (params, band), geo, total, limit in zip(pairs, geos, fine.tolist(), limits.tolist()):
-        point = f"r={params.r:.6g} sigma={params.sigma:.6g} K={band.width:.6g}"
-        bracket = _integral_closed(geo.lam, band.width)
-        pf = wkb_prefactor(params)
-        final = abs(math.exp(-2.0 * pf * total) - math.exp(-2.0 * pf * bracket))
-        if final > 1e-6:
-            return CheckResult("segmented-convergence", False, f"final error {final:.3e} > 1e-6 at {point}")
-        rel = abs(limit - bracket) / bracket
-        if rel > worst:
-            worst = rel
-            worst_point = point
-    passed = worst <= 1e-9
-    return CheckResult(
-        "segmented-convergence",
-        passed,
-        f"{SEGMENT_POINTS} points, ladder {SEGMENT_LADDER}, extrapolated max rel err {worst:.3e}"
-        + ("" if passed else f" at {worst_point}"),
-    )
+    brackets = np.array([_integral_closed(geo.lam, band.width) for (_, band), geo in zip(pairs, geos)])
+    pfs = [wkb_prefactor(params) for params, _ in pairs]
+    finals = [
+        abs(math.exp(-2.0 * pf * t) - math.exp(-2.0 * pf * b))
+        for pf, t, b in zip(pfs, fine.tolist(), brackets.tolist())
+    ]
+
+    def where(i: int) -> str:
+        params, band = pairs[i]
+        return f"r={params.r:.6g} sigma={params.sigma:.6g} K={band.width:.6g}"
+
+    final = _verdict("segmented-convergence", finals, 1e-6, "final error {:.3e} > 1e-6", where)
+    if not final.passed:
+        return final
+    summary = f"{SEGMENT_POINTS} points, ladder {SEGMENT_LADDER}, extrapolated max rel err {{:.3e}}"
+    return _verdict("segmented-convergence", np.abs(limits - brackets) / brackets, 1e-9, summary, where)
 
 
 def check_transform_residual(seed: int = DEFAULT_SEED) -> CheckResult:
@@ -190,25 +200,15 @@ def check_transform_residual(seed: int = DEFAULT_SEED) -> CheckResult:
     """
     rng = np.random.default_rng(seed)
     grid = np.linspace(0.5, 10.0, TRANSFORM_GRID_POINTS)
-    worst = 0.0
-    worst_pair = ""
+    pairs, residuals = [], []
     for _ in range(TRANSFORM_PAIRS):
-        r = rng.uniform(0.005, 0.1)
-        sigma = rng.uniform(0.1, 1.0)
-        params = MarketParams(r=r, sigma=sigma)
-        pf2 = wkb_prefactor(params) ** 2
-        alpha = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * pf2))
-        psi = grid**alpha
-        w = w_from_psi(psi, grid, params)
-        residual = merton_ode_residual(w, params, grid)
-        if residual > worst:
-            worst = residual
-            worst_pair = f"r={r:.6g} sigma={sigma:.6g}"
-    passed = worst <= 1e-6
-    return CheckResult(
-        "transform-residual",
-        passed,
-        f"{TRANSFORM_PAIRS} pairs, max rel residual {worst:.3e}" + ("" if passed else f" at {worst_pair}"),
+        params = MarketParams(r=rng.uniform(0.005, 0.1), sigma=rng.uniform(0.1, 1.0))
+        alpha = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * wkb_prefactor(params) ** 2))
+        pairs.append(params)
+        residuals.append(merton_ode_residual(w_from_psi(grid**alpha, grid, params), params, grid))
+    return _verdict(
+        "transform-residual", residuals, 1e-6, f"{TRANSFORM_PAIRS} pairs, max rel residual {{:.3e}}",
+        lambda i: f"r={pairs[i].r:.6g} sigma={pairs[i].sigma:.6g}",
     )
 
 
@@ -232,11 +232,8 @@ def check_band_equation_residuals() -> CheckResult:
     grid_band = np.linspace(0.5, 10.0, 10_000)
     power = schrodinger_form_residual(grid_band**alpha, params, 0.0, grid_band)
 
-    return CheckResult(
-        "band-equation-residuals",
-        max(far, power) <= 1e-6,
-        f"plane-wave rel {far:.3e}, power-solution rel {power:.3e}",
-    )
+    detail = f"plane-wave rel {far:.3e}, power-solution rel {power:.3e}"
+    return _verdict("band-equation-residuals", [far, power], 1e-6, detail, None)
 
 
 def run_all(

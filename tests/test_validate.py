@@ -1,7 +1,7 @@
 """The validate sweep's seeded draws and its pinned check lines."""
 
 import math
-from itertools import repeat
+from itertools import count, repeat
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from rangetunnel.validate import (
     SEGMENT_POINTS,
     _draw_points,
     _pairs,
+    check_band_equation_residuals,
     check_quadrature_sweep,
     check_segmented_convergence,
     check_transform_residual,
@@ -91,6 +92,79 @@ def test_perturbed_closed_form_fails_and_names_its_point(bracket_off_by_1e_8):
     result = check_quadrature_sweep(4)
     assert not result.passed
     assert result.detail == "1000 points, max rel err 1.000e-08 at r=0.0426311 sigma=0.894706 K=4.54793"
+
+
+def closed_form_scaled_at(monkeypatch, factors):
+    """The closed form, as ``validate`` calls it, times ``factors[K]`` at the band widths K given."""
+    real = validate._integral_closed
+    monkeypatch.setattr(validate, "_integral_closed", lambda lam, k: real(lam, k) * factors.get(k, 1.0))
+
+
+def nan_at_call(monkeypatch, name, call):
+    """Negative control: ``validate.<name>`` returns NaN on its ``call``-th call, counted from 0."""
+    real = getattr(validate, name)
+    calls = count()
+
+    def wrapped(*args, **kwargs):
+        value = real(*args, **kwargs)
+        return math.nan if next(calls) == call else value
+
+    monkeypatch.setattr(validate, name, wrapped)
+
+
+def test_nan_closed_form_fails_the_quadrature_sweep_and_names_its_point(monkeypatch):
+    # a NaN is within no gate: point 500 of seed 4 has K = 0.302031
+    closed_form_scaled_at(monkeypatch, {quadrature_sweep(4)[2][500].item(): math.nan})
+    result = check_quadrature_sweep(4)
+    assert not result.passed
+    assert result.detail == "1000 points, max rel err nan at r=0.0961601 sigma=0.518223 K=0.302031"
+
+
+def test_nan_quadrature_value_fails_and_names_its_point(monkeypatch):
+    real = validate.quad_barrier_integrals
+
+    def nan_at_999(lam, width):
+        values = real(lam, width).copy()
+        values[999] = math.nan
+        return values
+
+    monkeypatch.setattr(validate, "quad_barrier_integrals", nan_at_999)
+    result = check_quadrature_sweep(4)
+    assert not result.passed
+    assert result.detail == "1000 points, max rel err nan at r=0.0755973 sigma=0.555611 K=0.971523"
+
+
+def test_nan_segment_bracket_fails_and_names_its_point(monkeypatch):
+    # a NaN bracket makes both the final-rung T error and the limit's error NaN; the T gate speaks first
+    [*_, (_, band)] = _pairs(*_draw_points(np.random.default_rng(4), SEGMENT_POINTS))
+    closed_form_scaled_at(monkeypatch, {band.width: math.nan})
+    result = check_segmented_convergence(4)
+    assert not result.passed
+    assert result.detail == "final error nan > 1e-6 at r=0.0380642 sigma=0.975196 K=3.32247"
+
+
+def test_final_rung_fail_names_the_worst_point(monkeypatch):
+    # brackets 1% off at points 4 and 7 of seed 4: T is off by about 7.5e-6 at 4 and 3.4e-3 at 7
+    pairs = _pairs(*_draw_points(np.random.default_rng(4), SEGMENT_POINTS))
+    closed_form_scaled_at(monkeypatch, {pairs[4][1].width: 1.01, pairs[7][1].width: 1.01})
+    result = check_segmented_convergence(4)
+    assert not result.passed
+    assert result.detail == "final error 3.436e-03 > 1e-6 at r=0.0945663 sigma=0.699092 K=1.01997"
+
+
+def test_nan_transform_residual_fails_and_names_its_pair(monkeypatch):
+    nan_at_call(monkeypatch, "merton_ode_residual", 2)
+    result = check_transform_residual(4)
+    assert not result.passed
+    assert result.detail == "5 pairs, max rel residual nan at r=0.0626988 sigma=0.438838"
+
+
+def test_nan_power_solution_residual_fails(monkeypatch):
+    # the NaN in second place, where max(far, power) would drop it
+    nan_at_call(monkeypatch, "schrodinger_form_residual", 1)
+    result = check_band_equation_residuals()
+    assert not result.passed
+    assert result.detail == "plane-wave rel 4.784e-07, power-solution rel nan"
 
 
 # check_quadrature_sweep(seed).detail and check_segmented_convergence(seed).detail
