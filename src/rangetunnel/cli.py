@@ -28,7 +28,6 @@ from typing import NamedTuple, TypeVar
 from .barrier import (
     _geometry_and_transmission,
     barrier_geometry,
-    lambda_of,
     transmission_thin_wall,
     wkb_prefactor,
 )
@@ -162,9 +161,8 @@ def _cmd_wavefunction(parser: argparse.ArgumentParser, args: argparse.Namespace)
         parser.error("--samples must be >= 10")
     with _usage_errors(parser):
         params = MarketParams(r=args.r, sigma=args.sigma)
-        lambda_of(params)  # r / sigma may overflow
         band = _strike_band(parser, args.strike)
-        # as in tc: lambda may underflow, S1 overflow, and sigma^4 leave the double range
+        # as in tc: lambda may overflow or underflow, S1 overflow, and sigma^4 leave the double range
         barrier_geometry(params, band)
         wkb_prefactor(params)
     rows = sample_wavefunction(params, band, args.samples)

@@ -250,14 +250,25 @@ def _check_grid(grid: np.ndarray) -> float:
 def _relative_residual(residual: np.ndarray, *terms: np.ndarray) -> float:
     """|residual| relative to the largest |term| at each point, maximised over points.
 
-    Points where every term is 0 or some term is NaN are left out; with none
-    left the result is 0.0. A NaN residual at a kept point gives NaN.
+    Only the points where every term is 0 are left out; with none left the
+    result is 0.0. A NaN or infinite term or residual gives NaN.
     """
     scale = np.abs(terms[0])
     for term in terms[1:]:
         np.maximum(scale, np.abs(term), out=scale)
-    ratio = np.divide(np.abs(residual), scale, out=np.zeros(scale.shape), where=scale > 0)
+    ratio = np.divide(np.abs(residual), scale, out=np.zeros(scale.shape), where=scale != 0)
     return float(np.max(ratio, initial=0.0))
+
+
+def _stencil(
+    name: str, values: Sequence | np.ndarray, dtype: type, grid: Sequence[float] | np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Step h, interior grid points, and ``values`` before, at and after each, on a checked grid."""
+    v = np.asarray(values, dtype=dtype)
+    s = np.asarray(grid, dtype=float)
+    if v.shape != s.shape:
+        raise ValueError(f"{name} and grid must have the same length")
+    return _check_grid(s), s[1:-1], v[:-2], v[1:-1], v[2:]
 
 
 def merton_ode_residual(
@@ -273,14 +284,8 @@ def merton_ode_residual(
     against the largest of the three terms at each point, so an exact solution
     with large cancelling terms still scores near zero.
     """
-    w = np.asarray(w_values, dtype=float)
-    s = np.asarray(grid, dtype=float)
-    if w.shape != s.shape:
-        raise ValueError("w_values and grid must have the same length")
-    h = _check_grid(s)
+    h, s_in, w0, w1, w2 = _stencil("w_values", w_values, float, grid)
     r, sigma = params.r, params.sigma
-    w0, w1, w2 = w[:-2], w[1:-1], w[2:]
-    s_in = s[1:-1]
     d1 = (w2 - w0) / (2.0 * h)
     d2 = (w2 - 2.0 * w1 + w0) / (h * h)
     term_diff = 0.5 * sigma * sigma * s_in * s_in * d2
@@ -305,15 +310,9 @@ def schrodinger_form_residual(
     the free-oscillation form used for the far side of the wall where the
     transmitted wave is defined.
     """
-    psi = np.asarray(psi_values, dtype=complex)
-    s = np.asarray(grid, dtype=float)
-    if psi.shape != s.shape:
-        raise ValueError("psi_values and grid must have the same length")
-    h = _check_grid(s)
+    h, s_in, p0, p1, p2 = _stencil("psi_values", psi_values, complex, grid)
     r, sigma = params.r, params.sigma
     coeff = sigma**4 / (r * (sigma * sigma + r))
-    p0, p1, p2 = psi[:-2], psi[1:-1], psi[2:]
-    s_in = s[1:-1]
     d2 = (p2 - 2.0 * p1 + p0) / (h * h)
     term_kin = -coeff * d2
     term_pot = (1.0 / (s_in * s_in)) * p1 if include_potential else np.zeros_like(p1)

@@ -178,7 +178,7 @@ def check_segmented_convergence(seed: int = DEFAULT_SEED) -> CheckResult:
         params, band = pairs[i]
         return f"r={params.r:.6g} sigma={params.sigma:.6g} K={band.width:.6g}"
 
-    final = _verdict("segmented-convergence", finals, 1e-6, "final error {:.3e} > 1e-6", where)
+    final = _verdict("segmented-convergence", finals, 1e-6, "final error {:.3e}, gate 1e-6", where)
     if not final.passed:
         return final
     summary = f"{SEGMENT_POINTS} points, ladder {SEGMENT_LADDER}, extrapolated max rel err {{:.3e}}"

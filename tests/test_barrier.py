@@ -154,8 +154,11 @@ class TestRates:
         params = MarketParams(r=0.03, sigma=0.47)
         s1 = exit_price(params)
         assert decay_q(params, s1 * (1 - 1e-9)) < 1e-3
-        with pytest.raises(ValueError):
-            decay_q(params, s1 * 1.01)
+
+    def test_decay_undefined_beyond_exit(self):
+        # S1 = 3.958: without the check, sqrt of the negative gap raised a bare math domain error
+        with pytest.raises(ValueError, match=r"^s=4\.0 lies outside the wall: V\(s\)=0\.0625 <= lambda=0\.0638298$"):
+            decay_q(MarketParams(r=0.03, sigma=0.47), 4.0)
 
     @given(params_st, st.floats(min_value=0.05, max_value=0.95))
     def test_pythagorean_identity(self, params, frac):
@@ -206,9 +209,11 @@ class TestClosedBracket:
         band = RangeBound.from_width(math.sqrt(0.999999 / 0.5))
         assert barrier_integral_closed(params, band) < 1e-8
 
-    def test_domain_error_at_or_above_one(self):
-        with pytest.raises(ValueError):
-            barrier_integral_closed(MarketParams(r=0.2, sigma=0.2), RangeBound.from_width(2.0))
+    @pytest.mark.parametrize("width,lam_k2", [(1.0, "1"), (2.0, "4")])
+    def test_domain_error_at_or_above_one(self, width, lam_k2):
+        # lambda = 1: at lambda*K^2 == 1 exactly the bracket would read 0.0, above 1 a bare math domain error
+        with pytest.raises(ValueError, match=f"^no wall to integrate over: lambda\\*K\\^2 = {lam_k2} >= 1$"):
+            barrier_integral_closed(MarketParams(r=0.2, sigma=0.2), RangeBound.from_width(width))
 
     @given(params_st, width_st)
     def test_nonnegative(self, params, width):

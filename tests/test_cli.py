@@ -156,6 +156,11 @@ class TestTc:
                 ("wavefunction", "1e-300", "1"),
             ]
         ),
+        # the band is checked before lambda is formed, so a bad --strike speaks first
+        *(
+            ([command, "--r", "1e300", "--sigma", "1e-300", "--strike", "0"], "--strike must be > 0")
+            for command in ("tc", "wavefunction")
+        ),
         # wavefunction forms the geometry and the prefactor as tc does: lambda underflows
         # to 0, or sigma^4 does
         (["wavefunction", "--r", "1e-300", "--sigma", "1e300", "--strike", "1"], "lam must be > 0, got 0.0"),

@@ -324,7 +324,7 @@ class TestBarrierQuadrature:
 def stacked_relative_residual(residual, *term_magnitudes):
     """Reference: the scale stacked for np.maximum.reduce, then residual and scale masked apart."""
     scale = np.maximum.reduce([np.abs(t) for t in term_magnitudes])
-    mask = scale > 0
+    mask = scale != 0
     if not np.any(mask):
         return 0.0
     return float(np.max(np.abs(residual[mask]) / scale[mask]))
@@ -442,3 +442,43 @@ class TestBandEquationResidual:
         grid = np.linspace(0.5, 10.0, 1000)
         residual = schrodinger_form_residual(np.sin(grid), params, lambda_of(params), grid)
         assert residual > 1e-3
+
+
+RESIDUAL_PARAMS = MarketParams(r=0.03, sigma=0.53)
+RESIDUAL_GRID = np.linspace(0.5, 10.0, 1000)
+EVALUATORS = {
+    "w_values": lambda values, grid: merton_ode_residual(values, RESIDUAL_PARAMS, grid),
+    "psi_values": lambda values, grid: schrodinger_form_residual(values, RESIDUAL_PARAMS, 0.0, grid),
+}
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+@pytest.mark.parametrize("point", [0, 1, 500, 998, 999])
+def test_one_nan_solution_value_gives_nan(name, point):
+    # every grid point enters the stencil of an interior point, the two ends included, and a
+    # point is left out only when all its terms are 0, so no NaN value can read as exact
+    values = RESIDUAL_GRID.copy()  # w = S, an exact solution of the pricing ODE
+    assert math.isfinite(EVALUATORS[name](values, RESIDUAL_GRID))
+    values[point] = math.nan
+    assert math.isnan(EVALUATORS[name](values, RESIDUAL_GRID))
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_all_nan_solution_gives_nan(name):
+    assert math.isnan(EVALUATORS[name](np.full(RESIDUAL_GRID.shape, math.nan), RESIDUAL_GRID))
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_infinite_solution_value_gives_nan(name):
+    # inf - inf in the stencil and inf / inf in the ratio warn on the way
+    values = RESIDUAL_GRID.copy()
+    values[500] = math.inf
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        assert math.isnan(EVALUATORS[name](values, RESIDUAL_GRID))
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+@pytest.mark.parametrize("size", [4, 6])
+def test_length_mismatch_names_the_solution(name, size):
+    with pytest.raises(ValueError, match=f"^{name} and grid must have the same length$"):
+        EVALUATORS[name]([1.0] * size, [1.0, 2.0, 3.0, 4.0, 5.0])

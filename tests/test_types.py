@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from rangetunnel.types import MarketParams, RangeBound, Regime
+from rangetunnel.types import BarrierGeometry, MarketParams, RangeBound, Regime, WaveAmplitudes
 
 
 class TestMarketParams:
@@ -47,3 +47,32 @@ class TestRegime:
     def test_regime_enum_values(self):
         assert Regime.TUNNELING.value == "tunneling"
         assert Regime.NO_BARRIER.value == "no_barrier"
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"lam": 1.0, "s_exit": 0.0, "width_d": 0.0}, r"^s_exit must be > 0, got 0\.0$"),
+        ({"lam": 1.0, "s_exit": 1.0, "width_d": -0.5}, r"^width_d must be >= 0, got -0\.5$"),
+    ],
+    ids=["s_exit", "width_d"],
+)
+def test_bad_geometry_rejected(fields, message):
+    with pytest.raises(ValueError, match=message):
+        BarrierGeometry(**fields)
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"d_amp": 0.5, "f": 0.5, "k": 0.0, "q_entry": 1.0}, r"^k must be > 0, got 0\.0$"),
+        (
+            {"d_amp": 0.5, "f": -1.5, "k": 1.0, "q_entry": 1.0},
+            "^transmitted amplitude must not exceed the unit incident amplitude$",
+        ),
+    ],
+    ids=["k", "f"],
+)
+def test_bad_amplitudes_rejected(fields, message):
+    with pytest.raises(ValueError, match=message):
+        WaveAmplitudes(**fields)

@@ -5,6 +5,7 @@ from itertools import count, repeat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rangetunnel import validate
 from rangetunnel.barrier import transmission_segmented, wkb_prefactor
@@ -140,7 +141,7 @@ def test_nan_segment_bracket_fails_and_names_its_point(monkeypatch):
     closed_form_scaled_at(monkeypatch, {band.width: math.nan})
     result = check_segmented_convergence(4)
     assert not result.passed
-    assert result.detail == "final error nan > 1e-6 at r=0.0380642 sigma=0.975196 K=3.32247"
+    assert result.detail == "final error nan, gate 1e-6 at r=0.0380642 sigma=0.975196 K=3.32247"
 
 
 def test_final_rung_fail_names_the_worst_point(monkeypatch):
@@ -149,7 +150,7 @@ def test_final_rung_fail_names_the_worst_point(monkeypatch):
     closed_form_scaled_at(monkeypatch, {pairs[4][1].width: 1.01, pairs[7][1].width: 1.01})
     result = check_segmented_convergence(4)
     assert not result.passed
-    assert result.detail == "final error 3.436e-03 > 1e-6 at r=0.0945663 sigma=0.699092 K=1.01997"
+    assert result.detail == "final error 3.436e-03, gate 1e-6 at r=0.0945663 sigma=0.699092 K=1.01997"
 
 
 def test_nan_transform_residual_fails_and_names_its_pair(monkeypatch):
@@ -162,6 +163,40 @@ def test_nan_transform_residual_fails_and_names_its_pair(monkeypatch):
 def test_nan_power_solution_residual_fails(monkeypatch):
     # the NaN in second place, where max(far, power) would drop it
     nan_at_call(monkeypatch, "schrodinger_form_residual", 1)
+    result = check_band_equation_residuals()
+    assert not result.passed
+    assert result.detail == "plane-wave rel 4.784e-07, power-solution rel nan"
+
+
+def nan_in_solution(monkeypatch, name, call, point):
+    """Negative control: ``validate.<name>`` gets its solution with a NaN at ``point``.
+
+    Only its ``call``-th call, counted from 0, is changed, and on a copy.
+    """
+    real = getattr(validate, name)
+    calls = count()
+
+    def wrapped(values, *args, **kwargs):
+        if next(calls) == call:
+            values = np.array(values)
+            values[point] = math.nan
+        return real(values, *args, **kwargs)
+
+    monkeypatch.setattr(validate, name, wrapped)
+
+
+@pytest.mark.parametrize("point", [0, 500, -1])
+def test_nan_in_one_transform_image_value_fails_and_names_its_pair(monkeypatch, point):
+    # a NaN value of the third w_from_psi image, not a NaN residual: the evaluator must not leave it out
+    nan_in_solution(monkeypatch, "merton_ode_residual", 2, point)
+    result = check_transform_residual(4)
+    assert not result.passed
+    assert result.detail == "5 pairs, max rel residual nan at r=0.0626988 sigma=0.438838"
+
+
+@pytest.mark.parametrize("point", [0, 5000, -1])
+def test_nan_in_one_power_solution_value_fails(monkeypatch, point):
+    nan_in_solution(monkeypatch, "schrodinger_form_residual", 1, point)
     result = check_band_equation_residuals()
     assert not result.passed
     assert result.detail == "plane-wave rel 4.784e-07, power-solution rel nan"
@@ -238,6 +273,14 @@ def test_perturbed_segment_bracket_fails_at_every_seed(seed, bracket_off_by_1e_8
 def test_every_check_passes_at_every_seed(seed):
     # the verdict of ``rangetunnel validate`` does not hang on the seed
     failed = [result for result in run_all(seed) if not result.passed]
+    assert failed == []
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**128 - 1))
+def test_every_check_passes_at_any_seed(seed):
+    # seeds of every size up to 128 bits, on a short quadrature sweep
+    failed = [result for result in run_all(seed, quad_points=50) if not result.passed]
     assert failed == []
 
 
